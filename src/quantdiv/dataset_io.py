@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from ._version import __version__
-from .distributions import Distribution, from_votes, validate
+from .distributions import Distribution, from_votes, stack_probs, validate
 from .errors import (
     DuplicateCaseId,
     InconsistentClassCount,
@@ -48,6 +49,11 @@ class Dataset:
     gold: tuple[Distribution, ...]
     votes: tuple[tuple[int, ...], ...] | None = None
 
+    @cached_property
+    def gold_array(self) -> np.ndarray:
+        """gold as a read-only (cases, K) array, built on first use."""
+        return stack_probs(self.gold)
+
 
 @dataclass(frozen=True)
 class SystemRun:
@@ -55,6 +61,11 @@ class SystemRun:
 
     system_id: str
     est: tuple[Distribution, ...]
+
+    @cached_property
+    def est_array(self) -> np.ndarray:
+        """est as a read-only (cases, K) array, built on first use."""
+        return stack_probs(self.est)
 
 
 def _parse_table(path) -> tuple[str, tuple[str, ...], list[tuple[int, str, list[str]]]]:
@@ -379,16 +390,33 @@ def write_report(report, fmt: str, path) -> Path:
     return path
 
 
+def _measure_tag(tag) -> MeasureId:
+    try:
+        return MeasureId(tag)
+    except ValueError:
+        raise ParseError(f"unknown measure {tag!r} in report") from None
+
+
 def read_report(path):
     """Load a JSON report back into its report object (full precision)."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"not a JSON report: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"report must be a JSON object, got {type(doc).__name__}")
+    try:
+        return _report_from_doc(doc)
+    except KeyError as exc:
+        raise ParseError(f"report lacks key {exc.args[0]!r}") from None
+    except TypeError as exc:
+        raise ParseError(f"malformed report: {exc}") from None
+
+
+def _report_from_doc(doc: dict):
     kind = doc.get("kind")
-    payload = doc.get("payload", {})
-    meta = doc.get("meta", {})
-    measures = tuple(MeasureId(tag) for tag in doc.get("measures", []))
+    measures = tuple(_measure_tag(tag) for tag in doc.get("measures", []))
+    payload = doc["payload"]
     if kind == "score_matrix":
         return ScoreMatrix(
             values=np.array(payload["values"], dtype=np.float64),
@@ -411,12 +439,13 @@ def read_report(path):
             avg_similarity=tuple(payload["avg_similarity"]),
         )
     if kind == "consistency":
+        meta = doc["meta"]
         return ConsistencyReport(
             measures=measures,
             mean_tau=tuple(payload["mean_tau"]),
             per_trial_tau=np.array(payload["per_trial_tau"], dtype=np.float64),
             significant_pairs=tuple(
-                (MeasureId(w), MeasureId(l)) for w, l in payload["significant_pairs"]
+                (_measure_tag(w), _measure_tag(l)) for w, l in payload["significant_pairs"]
             ),
             mode=parse_subset_mode(meta["mode"]),
             seed=meta["seed"],

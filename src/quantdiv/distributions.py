@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
-from .errors import AllZeroVotes, NegativeProbability, NotNormalized, TooFewClasses
+import numpy as np
+
+from .errors import AllZeroVotes, LengthMismatch, NegativeProbability, NotNormalized, TooFewClasses
 
 # Absolute slack allowed on sum(probs) == 1 before rejecting; inputs inside
 # the slack are renormalized so stored values sum to 1 up to float rounding.
@@ -92,3 +95,14 @@ def cumulative(d: Distribution) -> tuple[float, ...]:
 def gold_support(d: Distribution) -> GoldSupport:
     """Indices of classes with strictly positive probability."""
     return GoldSupport(frozenset(i for i, p in enumerate(d.probs, start=1) if p > 0.0))
+
+
+def stack_probs(dists: Sequence[Distribution]) -> np.ndarray:
+    """The distributions as a read-only (len(dists), K) float array."""
+    k = len(dists[0]) if dists else 0
+    if any(len(d) != k for d in dists):
+        raise LengthMismatch("distributions differ in their number of classes")
+    out = np.fromiter(chain.from_iterable(d.probs for d in dists), np.float64, len(dists) * k)
+    out = out.reshape(len(dists), k)
+    out.setflags(write=False)
+    return out

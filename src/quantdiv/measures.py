@@ -14,6 +14,8 @@ import math
 from enum import Enum
 from typing import Callable
 
+import numpy as np
+
 from .distributions import Distribution, cumulative, gold_support
 from .errors import IndexOutOfRange, LengthMismatch, OutOfRange
 from .rank_correlation import tau_b
@@ -237,3 +239,181 @@ _SCORERS: dict[MeasureId, Callable[[Distribution, Distribution], float]] = {
 def score(measure: MeasureId, est: Distribution, gold: Distribution) -> float:
     """Evaluate one measure; smaller is better, 0 means est matches gold."""
     return _SCORERS[measure](est, gold)
+
+
+# --- batch path ---
+#
+# Every measure again, over (..., K) arrays of estimates and gold rows that
+# broadcast against each other, e.g. (systems, cases, K) against (cases, K).
+# Each function repeats the float operations of its scalar twin in the same
+# order, with _fsum_last in place of math.fsum, so the two paths agree to the
+# last bit except where numpy's log2 or squaring rounds differently from
+# libm's (JSD, RNSS), which stays within one rounding, and where JSD clips a
+# rounding residue below 0. DNKT uses exact integer pair counts. The scalar
+# functions above are the per-pair reference.
+
+
+def _fsum_last(x: np.ndarray) -> np.ndarray:
+    """Sum over the last axis with an error-free TwoSum cascade (Sum2).
+
+    The rounding error of every partial sum is collected and added back at
+    the end, which is as accurate as summing in twice float64 precision and
+    rounding once: on the short class vectors summed here it equals
+    math.fsum unless the exact sum lies within about K^2 * 2^-106 * sum(|x|)
+    of a rounding boundary.
+    """
+    total = x[..., 0]
+    err = np.zeros(total.shape)
+    for j in range(1, x.shape[-1]):
+        v = x[..., j]
+        s = total + v
+        bv = s - total
+        err += (total - (s - bv)) + (v - bv)
+        total = s
+    return total + err
+
+
+def _dw_batch(est: np.ndarray, gold: np.ndarray, scheme: DistanceScheme) -> np.ndarray:
+    """dw(i, est, gold, scheme) for every class i along the last axis.
+
+    Adds one class j at a time, as dw does, so no (..., K, K) array is built.
+    """
+    k = gold.shape[-1]
+    diff = est - gold
+    if scheme is DistanceScheme.EQUIDISTANT:
+        position = np.arange(k, dtype=np.float64)
+    else:
+        # delta()'s gold-mass midpoint of each class.
+        position = np.cumsum(gold, axis=-1) - gold / 2.0
+    total = np.zeros(diff.shape)
+    for j in range(k):
+        d = diff[..., j, None]
+        total += np.abs(position - position[..., j, None]) * d * d
+    return total
+
+
+def _od_batch(est: np.ndarray, gold: np.ndarray, scheme: DistanceScheme) -> np.ndarray:
+    support = gold > 0.0
+    dws = np.where(support, _dw_batch(est, gold, scheme), 0.0)
+    return _fsum_last(dws) / np.count_nonzero(support, axis=-1)
+
+
+def _adw_batch(est: np.ndarray, gold: np.ndarray, scheme: DistanceScheme) -> np.ndarray:
+    return _fsum_last(_dw_batch(est, gold, scheme)) / gold.shape[-1]
+
+
+def _root_normalize_batch(value: np.ndarray, k: int) -> np.ndarray:
+    return np.sqrt(value / (k - 1))
+
+
+def _rnod_batch(est: np.ndarray, gold: np.ndarray) -> np.ndarray:
+    return _root_normalize_batch(_od_batch(est, gold, DistanceScheme.EQUIDISTANT), gold.shape[-1])
+
+
+def _rnod2_batch(est: np.ndarray, gold: np.ndarray) -> np.ndarray:
+    return _root_normalize_batch(_od_batch(est, gold, DistanceScheme.GOLD_MASS), gold.shape[-1])
+
+
+def _rnadw_batch(est: np.ndarray, gold: np.ndarray) -> np.ndarray:
+    return _root_normalize_batch(_adw_batch(est, gold, DistanceScheme.EQUIDISTANT), gold.shape[-1])
+
+
+def _rnadw2_batch(est: np.ndarray, gold: np.ndarray) -> np.ndarray:
+    return _root_normalize_batch(_adw_batch(est, gold, DistanceScheme.GOLD_MASS), gold.shape[-1])
+
+
+def _rsnod_batch(est: np.ndarray, gold: np.ndarray) -> np.ndarray:
+    fwd = _od_batch(est, gold, DistanceScheme.EQUIDISTANT)
+    rev = _od_batch(gold, est, DistanceScheme.EQUIDISTANT)
+    return _root_normalize_batch((fwd + rev) / 2.0, gold.shape[-1])
+
+
+def _nmd_batch(est: np.ndarray, gold: np.ndarray) -> np.ndarray:
+    k = gold.shape[-1]
+    # cumsum adds left to right, as cumulative() does.
+    gap = np.abs(np.cumsum(est, axis=-1) - np.cumsum(gold, axis=-1))
+    return _fsum_last(gap[..., : k - 1]) / (k - 1)
+
+
+def _nvd_batch(est: np.ndarray, gold: np.ndarray) -> np.ndarray:
+    return _fsum_last(np.abs(est - gold)) / 2.0
+
+
+def _rnss_batch(est: np.ndarray, gold: np.ndarray) -> np.ndarray:
+    return np.sqrt(_fsum_last((est - gold) ** 2) / 2.0)
+
+
+def _kld_batch(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    # Classes with p_i = 0 get ratio 1, so their term is 0 * log2(1) = 0.
+    ratio = np.divide(p, q, out=np.ones(np.broadcast_shapes(p.shape, q.shape)), where=p > 0.0)
+    return _fsum_last(p * np.log2(ratio))
+
+
+def _jsd_batch(est: np.ndarray, gold: np.ndarray) -> np.ndarray:
+    mid = (est + gold) / 2.0
+    value = (_kld_batch(est, mid) + _kld_batch(gold, mid)) / 2.0
+    # Near-equal rows can round to about -1e-17, which jsd() returns as is;
+    # JSD is non-negative, and ScoreMatrix rejects negative scores.
+    return np.maximum(value, 0.0)
+
+
+def _dnkt_batch(est: np.ndarray, gold: np.ndarray) -> np.ndarray:
+    """dnkt() from exact integer pair counts over the K(K-1)/2 class pairs."""
+    first, second = np.triu_indices(gold.shape[-1], k=1)
+    dx = est[..., first] - est[..., second]
+    dy = gold[..., first] - gold[..., second]
+    tied_x = np.abs(dx) <= BIN_TIE_EPS
+    tied_y = np.abs(dy) <= BIN_TIE_EPS
+    live = ~tied_x & ~tied_y
+    conc = np.count_nonzero(live & ((dx > 0) == (dy > 0)), axis=-1)
+    disc = np.count_nonzero(live, axis=-1) - conc
+    not_tied_x = np.maximum(1, first.size - np.count_nonzero(tied_x, axis=-1))
+    not_tied_y = np.maximum(1, first.size - np.count_nonzero(tied_y, axis=-1))
+    return (1.0 - (conc - disc) / np.sqrt(not_tied_x * not_tied_y)) / 2.0
+
+
+def combine_harmonic_batch(d, m) -> np.ndarray:
+    """combine_harmonic() elementwise over two broadcastable score arrays."""
+    d = np.asarray(d, dtype=np.float64)
+    m = np.asarray(m, dtype=np.float64)
+    for name, v in (("first", d), ("second", m)):
+        bad = ~((-_RANGE_SLACK <= v) & (v <= 1.0 + _RANGE_SLACK))
+        if bad.any():
+            raise OutOfRange(f"{name} input {v[bad][0]} outside [0, 1]")
+    total = d + m
+    return np.divide(2.0 * d * m, total, out=np.zeros(total.shape), where=total != 0.0)
+
+
+def _hybrid_batch(partner: Callable[[np.ndarray, np.ndarray], np.ndarray]):
+    return lambda est, gold: combine_harmonic_batch(_dnkt_batch(est, gold), partner(est, gold))
+
+
+_BATCH_SCORERS: dict[MeasureId, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
+    MeasureId.NMD: _nmd_batch,
+    MeasureId.RNOD: _rnod_batch,
+    MeasureId.RNOD2: _rnod2_batch,
+    MeasureId.RNADW: _rnadw_batch,
+    MeasureId.RNADW2: _rnadw2_batch,
+    MeasureId.RSNOD: _rsnod_batch,
+    MeasureId.NVD: _nvd_batch,
+    MeasureId.RNSS: _rnss_batch,
+    MeasureId.JSD: _jsd_batch,
+    MeasureId.DNKT: _dnkt_batch,
+    MeasureId.DNKT_JSD: _hybrid_batch(_jsd_batch),
+    MeasureId.DNKT_NMD: _hybrid_batch(_nmd_batch),
+    MeasureId.DNKT_RNOD: _hybrid_batch(_rnod_batch),
+}
+
+
+def score_batch(measure: MeasureId, est, gold) -> np.ndarray:
+    """score() over (..., K) arrays of validated estimate and gold rows.
+
+    The leading axes broadcast: (systems, cases, K) estimates against
+    (cases, K) gold give a (systems, cases) grid. Rows are not re-validated;
+    they must be simplex points as Distribution guarantees.
+    """
+    est = np.asarray(est, dtype=np.float64)
+    gold = np.asarray(gold, dtype=np.float64)
+    if est.shape[-1] != gold.shape[-1]:
+        raise LengthMismatch(f"est has {est.shape[-1]} classes, gold has {gold.shape[-1]}")
+    return _BATCH_SCORERS[measure](est, gold)

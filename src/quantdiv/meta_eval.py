@@ -15,6 +15,7 @@ of the output arrays; nothing is accumulated in shared mutable state.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -31,7 +32,7 @@ from .errors import (
     TooFewSystems,
     TooFewTrials,
 )
-from .measures import MeasureId, score
+from .measures import MeasureId, score_batch
 from .rank_correlation import TauResult, tau_b, tau_plain, tau_with_ci
 
 if TYPE_CHECKING:
@@ -42,6 +43,10 @@ HSD_STREAM = 2
 # Permutation rounds are generated and evaluated in fixed-size chunks; the
 # chunk index seeds the sub-stream, so results do not depend on threading.
 HSD_CHUNK = 256
+# score_matrix scores systems in blocks of at most this many elements of
+# (systems, cases, K, K), which bounds each temporary array of the batch
+# measures to 256 KB and keeps peak memory flat in the number of systems.
+SCORE_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -167,16 +172,24 @@ def _check_seed(seed: int) -> int:
 
 
 def score_matrix(dataset: "Dataset", runs: Sequence["SystemRun"], measure: MeasureId) -> ScoreMatrix:
-    """Score every system on every case with one measure."""
+    """Score every system on every case with one measure.
+
+    Systems are scored a block of rows at a time, so temporaries stay within
+    SCORE_BLOCK elements whatever the number of systems.
+    """
     n_cases = len(dataset.case_ids)
-    values = np.empty((len(runs), n_cases), dtype=np.float64)
-    for s, run in enumerate(runs):
+    for run in runs:
         if len(run.est) != n_cases:
             raise MisalignedRun(
                 f"system {run.system_id!r} has {len(run.est)} cases, dataset has {n_cases}"
             )
-        for c in range(n_cases):
-            values[s, c] = score(measure, run.est[c], dataset.gold[c])
+    gold = dataset.gold_array
+    k = gold.shape[1]
+    rows = max(1, SCORE_BLOCK // max(1, n_cases * k * k))
+    values = np.empty((len(runs), n_cases), dtype=np.float64)
+    for start in range(0, len(runs), rows):
+        block = np.stack([run.est_array for run in runs[start : start + rows]])
+        values[start : start + rows] = score_batch(measure, block, gold)
     return ScoreMatrix(
         values=values,
         system_ids=tuple(run.system_id for run in runs),
@@ -259,6 +272,17 @@ def _check_subset_mode(n_cases: int, mode: SubsetMode) -> None:
             )
 
 
+def _run_all(task: Callable, items: Sequence, threads: int) -> None:
+    """Run task on every item, on at most min(threads, CPUs, tasks) workers."""
+    workers = min(threads, os.cpu_count() or 1, len(items))
+    if workers <= 1:
+        for item in items:
+            task(item)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(task, items))
+
+
 def consistency_per_trial(
     stacked: np.ndarray,
     mode: SubsetMode,
@@ -297,12 +321,7 @@ def consistency_per_trial(
         for k in range(n_measures):
             per_trial[k, b] = tau_fn(first[k], second[k])
 
-    if threads <= 1:
-        for b in range(B):
-            run_trial(b)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_trial, range(B)))
+    _run_all(run_trial, range(B), threads)
     return per_trial
 
 
@@ -350,12 +369,7 @@ def randomized_tukey_hsd(
         perms = rng.permuted(base, axis=2)
         kernels.hsd_max_stats(arr, np.ascontiguousarray(perms), null_stats[start:stop])
 
-    if threads <= 1:
-        for chunk in chunks:
-            run_chunk(chunk)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_chunk, chunks))
+    _run_all(run_chunk, chunks, threads)
 
     order = math.ceil((1.0 - alpha) * permutations)
     crit = float(np.sort(null_stats)[order - 1])

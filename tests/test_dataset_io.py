@@ -251,6 +251,33 @@ def test_read_report_rejects_bad_input(tmp_path):
         read_report(unknown)
 
 
+@pytest.mark.parametrize("report, key", [(1, "payload"), (2, "payload"), (2, "meta")])
+def test_read_report_missing_key_is_parse_error(tmp_path, reports, report, key):
+    doc = json.loads(render_report(reports[report], "json"))
+    del doc[key]
+    path = write(tmp_path, "r.json", json.dumps(doc))
+    with pytest.raises(ParseError, match=key):
+        read_report(path)
+
+
+def test_read_report_unknown_measure_is_parse_error(tmp_path, reports):
+    doc = json.loads(render_report(reports[2], "json"))
+    doc["payload"]["significant_pairs"] = [["NMD", "XYZ"]]
+    path = write(tmp_path, "r.json", json.dumps(doc))
+    with pytest.raises(ParseError, match="XYZ"):
+        read_report(path)
+    doc["measures"] = ["NMD", "ABC"]
+    path = write(tmp_path, "r.json", json.dumps(doc))
+    with pytest.raises(ParseError, match="ABC"):
+        read_report(path)
+
+
+@pytest.mark.parametrize("text", ["[]", "3", '"score_matrix"', "null"])
+def test_read_report_non_object_is_parse_error(tmp_path, text):
+    with pytest.raises(ParseError, match="JSON object"):
+        read_report(write(tmp_path, "r.json", text))
+
+
 def test_write_report_writes_all_formats(tmp_path, reports):
     matrix, _, _ = reports
     for fmt, name in (("tsv", "m.tsv"), ("json", "m.json"), ("markdown", "m.md")):

@@ -9,10 +9,12 @@ from quantdiv.distributions import (
     cumulative,
     from_votes,
     gold_support,
+    stack_probs,
     validate,
 )
 from quantdiv.errors import (
     AllZeroVotes,
+    LengthMismatch,
     NegativeProbability,
     NotNormalized,
     TooFewClasses,
@@ -129,3 +131,14 @@ def test_random_vectors_validate():
         d = validate(raw / raw.sum())
         assert min(d.probs) >= 0.0
         assert math.fsum(d.probs) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_stack_probs():
+    dists = [validate([0.5, 0.25, 0.25]), validate([0.0, 0.0, 1.0])]
+    arr = stack_probs(dists)
+    assert arr.shape == (2, 3) and arr.dtype == np.float64
+    assert arr.tolist() == [list(d.probs) for d in dists]
+    assert not arr.flags.writeable
+    assert stack_probs([]).shape == (0, 0)
+    with pytest.raises(LengthMismatch):
+        stack_probs([validate([0.5, 0.5]), validate([0.2, 0.3, 0.5])])

@@ -3,16 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from _helpers import random_pair
-from quantdiv.distributions import validate
+from _helpers import random_distribution, random_pair
+from quantdiv import meta_eval, synth
+from quantdiv.distributions import stack_probs, validate
 from quantdiv.errors import IndexOutOfRange, LengthMismatch, OutOfRange
 from quantdiv.measures import (
     ALL_MEASURES,
+    BIN_TIE_EPS,
     DEFAULT_SUITE,
     DistanceScheme,
     MeasureId,
     adw,
     combine_harmonic,
+    combine_harmonic_batch,
     delta,
     dnkt,
     dw,
@@ -27,6 +30,7 @@ from quantdiv.measures import (
     rnss,
     rsnod,
     score,
+    score_batch,
 )
 
 EQ = DistanceScheme.EQUIDISTANT
@@ -284,3 +288,94 @@ def test_range_on_random_pairs():
         for measure in ALL_MEASURES:
             value = score(measure, est, gold)
             assert 0.0 <= value <= 1.0 + 1e-12
+
+
+# --- batch path against the scalar reference ---
+
+# Measures whose batch form repeats the scalar float operations exactly. JSD
+# and RNSS go through numpy's log2 and squaring, which may round differently
+# from libm's by one ulp.
+_NOT_BIT_EXACT = (MeasureId.JSD, MeasureId.RNSS, MeasureId.DNKT_JSD)
+_BIT_EXACT = tuple(m for m in ALL_MEASURES if m not in _NOT_BIT_EXACT)
+
+
+def _tricky_rows(rng, k):
+    """Distributions covering the corner cases of every measure at k classes."""
+    rows = [random_distribution(rng, k, zero_rate=rate) for rate in (0.0, 0.25, 0.6) for _ in range(8)]
+    rows.append(validate([1.0] + [0.0] * (k - 1)))  # point mass at the first class
+    rows.append(validate([0.0] * (k - 1) + [1.0]))  # point mass at the last class
+    rows.append(validate([1.0 / k] * k))  # uniform: every bin tied
+    for gap in (0.0, BIN_TIE_EPS / 4, 3 * BIN_TIE_EPS):  # tied, tied within eps, not tied
+        raw = rng.dirichlet(np.ones(k))
+        raw[-1] = raw[0] + gap
+        rows.append(validate(raw / raw.sum()))
+    return rows
+
+
+@pytest.mark.parametrize("k", range(2, 12))
+def test_batch_matches_scalar_score(k):
+    rng = np.random.default_rng(100 + k)
+    rows = _tricky_rows(rng, k)
+    # every (est, gold) combination of the rows, as two aligned lists
+    est = [e for e in rows for _ in rows]
+    gold = [g for _ in rows for g in rows]
+    est_arr, gold_arr = stack_probs(est), stack_probs(gold)
+    for measure in ALL_MEASURES:
+        batch = score_batch(measure, est_arr, gold_arr)
+        scalar = np.array([score(measure, e, g) for e, g in zip(est, gold)])
+        assert np.abs(batch - scalar).max() <= 1e-15, measure
+        if measure in _BIT_EXACT:
+            assert np.array_equal(batch, scalar), measure
+        assert ((batch >= 0.0) & (batch <= 1.0 + 1e-12)).all(), measure
+
+
+@pytest.mark.parametrize("k", range(2, 12))
+def test_batch_identity_is_zero(k):
+    rows = stack_probs(_tricky_rows(np.random.default_rng(200 + k), k))
+    for measure in ALL_MEASURES:
+        if measure is MeasureId.DNKT:
+            continue
+        assert (score_batch(measure, rows, rows) == 0.0).all(), measure
+
+
+@pytest.mark.parametrize("block", [meta_eval.SCORE_BLOCK, 1])
+def test_score_matrix_matches_scalar_grid(monkeypatch, block):
+    # block=1 scores one system per block, exercising the block loop
+    monkeypatch.setattr(meta_eval, "SCORE_BLOCK", block)
+    dataset, runs = synth.generate(n_systems=5, n_cases=40, n_classes=7, seed=11)
+    for measure in ALL_MEASURES:
+        values = meta_eval.score_matrix(dataset, runs, measure).values
+        grid = np.array([[score(measure, e, g) for e, g in zip(run.est, dataset.gold)] for run in runs])
+        assert np.abs(values - grid).max() <= 1e-15, measure
+        if measure in _BIT_EXACT:
+            assert np.array_equal(values, grid), measure
+
+
+def test_score_batch_broadcasts_systems_against_gold():
+    rng = np.random.default_rng(29)
+    gold = stack_probs([random_distribution(rng, 4) for _ in range(6)])
+    est = np.stack([stack_probs([random_distribution(rng, 4) for _ in range(6)]) for _ in range(3)])
+    grid = score_batch(MeasureId.RNOD2, est, gold)
+    assert grid.shape == (3, 6)
+    assert np.array_equal(grid[1], score_batch(MeasureId.RNOD2, est[1], gold))
+
+
+def test_score_batch_length_mismatch():
+    with pytest.raises(LengthMismatch):
+        score_batch(MeasureId.NMD, np.full((2, 2), 0.5), np.full((2, 3), 1.0 / 3.0))
+
+
+def test_combine_harmonic_batch_matches_scalar():
+    d_vals = np.array([0.0, 0.5, 0.0, 1.0, 0.3])
+    m_vals = np.array([0.0, 0.5, 0.8, 1.0, 0.9])
+    expected = [combine_harmonic(a, b) for a, b in zip(d_vals, m_vals)]
+    assert combine_harmonic_batch(d_vals, m_vals).tolist() == expected
+
+
+@pytest.mark.parametrize(
+    "d_vals, m_vals",
+    [([0.2, 1.5], [0.5, 0.5]), ([0.2, 0.5], [0.5, -0.1]), ([0.2, np.nan], [0.5, 0.5])],
+)
+def test_combine_harmonic_batch_out_of_range(d_vals, m_vals):
+    with pytest.raises(OutOfRange):
+        combine_harmonic_batch(d_vals, m_vals)

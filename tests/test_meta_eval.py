@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,7 @@ from quantdiv.meta_eval import (
     split_half_consistency,
     trial_subsets,
 )
-from quantdiv import synth
+from quantdiv import meta_eval, synth
 
 
 def tiny_dataset():
@@ -233,6 +235,40 @@ def test_consistency_per_trial_errors():
     solo = constant_quality_stack(systems=1)
     with pytest.raises(TooFewSystems):
         consistency_per_trial(solo, FullSplit(), B=5, seed=1)
+
+
+class _SerialPool:
+    """ThreadPoolExecutor stand-in that records max_workers and runs tasks inline."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("cpus, expected", [(64, 5), (3, 3), (None, None)])
+def test_worker_threads_are_clamped(monkeypatch, cpus, expected):
+    # min(threads, cpus, tasks) workers; one CPU (cpu_count() is None) runs inline
+    monkeypatch.setattr(meta_eval, "ThreadPoolExecutor", _SerialPool)
+    monkeypatch.setattr(meta_eval.os, "cpu_count", lambda: cpus)
+    _SerialPool.sizes = []
+    threads_before = threading.active_count()
+    stacked = np.random.default_rng(53).random((2, 6, 20))
+    per_trial = consistency_per_trial(stacked, FullSplit(), B=5, seed=1, threads=100_000)
+    assert np.array_equal(per_trial, consistency_per_trial(stacked, FullSplit(), B=5, seed=1))
+    hsd = randomized_tukey_hsd(per_trial, permutations=5 * meta_eval.HSD_CHUNK, seed=1, threads=100_000)
+    assert hsd == randomized_tukey_hsd(per_trial, permutations=5 * meta_eval.HSD_CHUNK, seed=1)
+    assert _SerialPool.sizes == ([] if expected is None else [expected, expected])
+    assert threading.active_count() == threads_before
 
 
 # --- randomized Tukey HSD ---
