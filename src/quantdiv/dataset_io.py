@@ -429,7 +429,11 @@ def _report_from_doc(doc: dict):
         m = len(measures)
         grid: list[list[TauResult | None]] = [[None] * m for _ in range(m)]
         for pair in payload["pairs"]:
-            i, j = index[pair["first"]], index[pair["second"]]
+            first, second = pair["first"], pair["second"]
+            for tag in (first, second):
+                if tag not in index:
+                    raise ParseError(f"pair measure {tag!r} is not in the report's measure list")
+            i, j = index[first], index[second]
             grid[i][j] = TauResult(
                 tau=pair["tau"], ci_low=pair["ci_low"], ci_high=pair["ci_high"], n=pair["n"]
             )

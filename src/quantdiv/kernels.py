@@ -1,20 +1,43 @@
-"""Backend selection for the hot kernels.
+"""The two hot kernels, in numpy: pair counting and the HSD null statistic."""
 
-Prefers the compiled extension; falls back to the numpy implementation when
-the extension is missing or the environment variable QUANTDIV_PURE is set to
-a non-empty value. BACKEND names the active implementation.
-"""
+from __future__ import annotations
 
-import os
+import numpy as np
 
-if os.environ.get("QUANTDIV_PURE"):
-    from . import _pykernels as _impl
-else:
-    try:
-        from . import _ckernels as _impl  # type: ignore[no-redef]
-    except ImportError:
-        from . import _pykernels as _impl  # type: ignore[no-redef]
 
-BACKEND: str = _impl.BACKEND
-pair_stats = _impl.pair_stats
-hsd_max_stats = _impl.hsd_max_stats
+def pair_stats(x: np.ndarray, y: np.ndarray, tie_eps: float):
+    """Count (concordant, discordant, tied_x, tied_y) over index pairs i < j.
+
+    Pairs are taken along the last axis and the leading axes of x and y
+    broadcast: conc and disc have the broadcast leading shape, tied_x and
+    tied_y the leading shape of x and of y (numpy integers for 1-D inputs).
+    A pair is tied in a list when the absolute difference is <= tie_eps;
+    pairs tied in either list are excluded from the concordance counts.
+    """
+    first, second = np.triu_indices(x.shape[-1], k=1)
+    dx = x[..., first] - x[..., second]
+    dy = y[..., first] - y[..., second]
+    tied_x = np.abs(dx) <= tie_eps
+    tied_y = np.abs(dy) <= tie_eps
+    live = ~tied_x & ~tied_y
+    conc = np.count_nonzero(live & ((dx > 0) == (dy > 0)), axis=-1)
+    disc = np.count_nonzero(live, axis=-1) - conc
+    return conc, disc, np.count_nonzero(tied_x, axis=-1), np.count_nonzero(tied_y, axis=-1)
+
+
+def hsd_max_stats(values: np.ndarray, rng: np.random.Generator, out: np.ndarray) -> None:
+    """Largest gap between row means after relabelling rows, one per round.
+
+    values: (m, B) grid of per-trial scores. Each of the len(out) rounds
+    permutes the m values of every column independently with rng and writes
+    max_i mean_i - min_i mean_i of the permuted rows to out[r]. Permuting the
+    values in place draws the same stream as permuting row labels would.
+    """
+    n_cols = values.shape[1]
+    work = np.empty((out.shape[0], n_cols, values.shape[0]))
+    # Fill a contiguous array first: permuting a broadcast view makes numpy
+    # build a strided copy, which is markedly slower.
+    work[...] = values.T
+    rng.permuted(work, axis=2, out=work)
+    sums = work.sum(axis=1)  # (rounds, m)
+    out[:] = (sums.max(axis=1) - sums.min(axis=1)) / n_cols

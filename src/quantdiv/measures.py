@@ -195,7 +195,8 @@ def jsd(est: Distribution, gold: Distribution) -> float:
     """Jensen-Shannon divergence in bits, bounded by 1."""
     _check_pair(est, gold)
     mid = tuple((a + b) / 2.0 for a, b in zip(est.probs, gold.probs))
-    return (_kld(est.probs, mid) + _kld(gold.probs, mid)) / 2.0
+    # Near-equal inputs can round to about -1e-17; JSD is non-negative.
+    return max(0.0, (_kld(est.probs, mid) + _kld(gold.probs, mid)) / 2.0)
 
 
 def dnkt(est: Distribution, gold: Distribution) -> float:
@@ -248,9 +249,8 @@ def score(measure: MeasureId, est: Distribution, gold: Distribution) -> float:
 # Each function repeats the float operations of its scalar twin in the same
 # order, with _fsum_last in place of math.fsum, so the two paths agree to the
 # last bit except where numpy's log2 or squaring rounds differently from
-# libm's (JSD, RNSS), which stays within one rounding, and where JSD clips a
-# rounding residue below 0. DNKT uses exact integer pair counts. The scalar
-# functions above are the per-pair reference.
+# libm's (JSD, RNSS), which stays within one rounding. DNKT calls tau_b on
+# the stacked rows. The scalar functions above are the per-pair reference.
 
 
 def _fsum_last(x: np.ndarray) -> np.ndarray:
@@ -352,24 +352,12 @@ def _kld_batch(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 def _jsd_batch(est: np.ndarray, gold: np.ndarray) -> np.ndarray:
     mid = (est + gold) / 2.0
     value = (_kld_batch(est, mid) + _kld_batch(gold, mid)) / 2.0
-    # Near-equal rows can round to about -1e-17, which jsd() returns as is;
-    # JSD is non-negative, and ScoreMatrix rejects negative scores.
+    # Clipped at 0 as in jsd(); ScoreMatrix rejects negative scores.
     return np.maximum(value, 0.0)
 
 
 def _dnkt_batch(est: np.ndarray, gold: np.ndarray) -> np.ndarray:
-    """dnkt() from exact integer pair counts over the K(K-1)/2 class pairs."""
-    first, second = np.triu_indices(gold.shape[-1], k=1)
-    dx = est[..., first] - est[..., second]
-    dy = gold[..., first] - gold[..., second]
-    tied_x = np.abs(dx) <= BIN_TIE_EPS
-    tied_y = np.abs(dy) <= BIN_TIE_EPS
-    live = ~tied_x & ~tied_y
-    conc = np.count_nonzero(live & ((dx > 0) == (dy > 0)), axis=-1)
-    disc = np.count_nonzero(live, axis=-1) - conc
-    not_tied_x = np.maximum(1, first.size - np.count_nonzero(tied_x, axis=-1))
-    not_tied_y = np.maximum(1, first.size - np.count_nonzero(tied_y, axis=-1))
-    return (1.0 - (conc - disc) / np.sqrt(not_tied_x * not_tied_y)) / 2.0
+    return (1.0 - tau_b(est, gold, tie_eps=BIN_TIE_EPS)) / 2.0
 
 
 def combine_harmonic_batch(d, m) -> np.ndarray:

@@ -47,6 +47,10 @@ HSD_CHUNK = 256
 # (systems, cases, K, K), which bounds each temporary array of the batch
 # measures to 256 KB and keeps peak memory flat in the number of systems.
 SCORE_BLOCK = 1 << 15
+# consistency_per_trial runs trials in blocks of at most this many elements
+# of case gathers and pair differences (at least one trial per block), so
+# its temporaries stay bounded whatever B and the number of cases.
+TRIAL_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -295,7 +299,8 @@ def consistency_per_trial(
 
     stacked is (measures, systems, cases). Each trial splits the cases per
     mode, computes each measure's per-system mean on both subsets, and
-    records the tau between the two system-score lists.
+    records the tau between the two system-score lists. Trials run a block
+    at a time: one gather per subset and one tau call for the whole block.
     """
     stacked = np.asarray(stacked, dtype=np.float64)
     n_measures, n_systems, n_cases = stacked.shape
@@ -306,22 +311,29 @@ def consistency_per_trial(
     _check_subset_mode(n_cases, mode)
     _check_seed(seed)
     if tau_variant == "b":
-        tau_fn: Callable[[np.ndarray, np.ndarray], float] = lambda a, b: tau_b(a, b, tie_eps=0.0)
+        tau_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] = tau_b  # ties at equality
     elif tau_variant == "plain":
         tau_fn = tau_plain
     else:
         raise OutOfRange(f"unknown tau variant {tau_variant!r}")
 
     per_trial = np.empty((n_measures, B), dtype=np.float64)
+    used_cases = n_cases if isinstance(mode, FullSplit) else 2 * mode.k
+    per_trial_elements = n_measures * (n_systems * used_cases + n_systems * (n_systems - 1) // 2)
+    step = max(1, TRIAL_BLOCK // per_trial_elements)
+    blocks = [(start, min(start + step, B)) for start in range(0, B, step)]
 
-    def run_trial(b: int) -> None:
-        idx1, idx2 = trial_subsets(n_cases, mode, seed, b)
-        first = stacked[:, :, idx1].mean(axis=2)
-        second = stacked[:, :, idx2].mean(axis=2)
-        for k in range(n_measures):
-            per_trial[k, b] = tau_fn(first[k], second[k])
+    def run_block(block: tuple[int, int]) -> None:
+        start, stop = block
+        subsets = [trial_subsets(n_cases, mode, seed, b) for b in range(start, stop)]
+        # (measures, systems, trials, subset) -> per-system means, then
+        # (measures, trials, systems) so tau pairs up the systems.
+        first, second = (
+            stacked[:, :, np.stack(idx)].mean(axis=3).transpose(0, 2, 1) for idx in zip(*subsets)
+        )
+        per_trial[:, start:stop] = tau_fn(first, second)
 
-    _run_all(run_trial, range(B), threads)
+    _run_all(run_block, blocks, threads)
     return per_trial
 
 
@@ -363,11 +375,7 @@ def randomized_tukey_hsd(
     def run_chunk(chunk: tuple[int, int, int]) -> None:
         ci, start, stop = chunk
         rng = np.random.default_rng(np.random.SeedSequence((seed, HSD_STREAM, ci)))
-        base = np.broadcast_to(
-            np.arange(n_measures, dtype=np.intp), (stop - start, n_trials, n_measures)
-        ).copy()
-        perms = rng.permuted(base, axis=2)
-        kernels.hsd_max_stats(arr, np.ascontiguousarray(perms), null_stats[start:stop])
+        kernels.hsd_max_stats(arr, rng, null_stats[start:stop])
 
     _run_all(run_chunk, chunks, threads)
 

@@ -3,7 +3,9 @@
 tau_b follows the tie-adjusted definition with a max(1, .) guard in the
 denominator so fully tied lists give 0 instead of dividing by zero. Pairs
 tied in either list (absolute difference <= tie_eps) are excluded from the
-concordance counts.
+concordance counts. pair_counts, tau_b and tau_plain also take stacked
+(..., n) arrays and then give one result per row of the last axis, which is
+how the batch DNKT and the split-half trials use them.
 """
 
 from __future__ import annotations
@@ -18,15 +20,22 @@ import numpy as np
 from . import kernels
 from .errors import LengthMismatch, OutOfRange, TooShort
 
+# Two aligned lists, or two stacked (..., n) arrays.
+Lists = Sequence[float] | np.ndarray
+
 
 @dataclass(frozen=True)
 class PairCounts:
-    """Pair tallies over all index pairs i < j of two aligned lists."""
+    """Pair tallies over all index pairs i < j of two aligned lists.
 
-    conc: int
-    disc: int
-    tied_x: int
-    tied_y: int
+    For stacked inputs each tally is an integer array with one entry per row
+    (tied_x and tied_y per row of x and of y).
+    """
+
+    conc: int | np.ndarray
+    disc: int | np.ndarray
+    tied_x: int | np.ndarray
+    tied_y: int | np.ndarray
     n: int
 
     @property
@@ -34,11 +43,11 @@ class PairCounts:
         return self.n * (self.n - 1) // 2
 
     @property
-    def not_tied_x(self) -> int:
+    def not_tied_x(self) -> int | np.ndarray:
         return self.total_pairs - self.tied_x
 
     @property
-    def not_tied_y(self) -> int:
+    def not_tied_y(self) -> int | np.ndarray:
         return self.total_pairs - self.tied_y
 
 
@@ -50,46 +59,64 @@ class TauResult:
     n: int
 
 
-def _as_arrays(xs: Sequence[float], ys: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    x = np.ascontiguousarray(xs, dtype=np.float64)
-    y = np.ascontiguousarray(ys, dtype=np.float64)
-    if x.ndim != 1 or y.ndim != 1:
-        raise OutOfRange("inputs must be one-dimensional sequences")
-    if x.shape[0] != y.shape[0]:
-        raise LengthMismatch(f"lists have lengths {x.shape[0]} and {y.shape[0]}")
+def _as_arrays(xs: Lists, ys: Lists) -> tuple[np.ndarray, np.ndarray]:
+    """Two lists, or stacked (..., n) arrays whose leading axes broadcast."""
+    x = np.asarray(xs, dtype=np.float64)
+    y = np.asarray(ys, dtype=np.float64)
+    if x.ndim == 0 or y.ndim == 0:
+        raise OutOfRange("inputs must be sequences")
+    if x.shape[-1] != y.shape[-1]:
+        raise LengthMismatch(f"lists have lengths {x.shape[-1]} and {y.shape[-1]}")
+    try:
+        np.broadcast_shapes(x.shape, y.shape)
+    except ValueError:
+        raise LengthMismatch(f"stacked shapes {x.shape} and {y.shape} do not broadcast") from None
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise OutOfRange("inputs must be finite")
     return x, y
 
 
-def pair_counts(xs: Sequence[float], ys: Sequence[float], tie_eps: float = 0.0) -> PairCounts:
-    """Tally concordant/discordant/tied pairs of two aligned lists."""
+def _scalar_or_array(value: np.ndarray) -> float | np.ndarray:
+    return value if np.ndim(value) else float(value)
+
+
+def pair_counts(xs: Lists, ys: Lists, tie_eps: float = 0.0) -> PairCounts:
+    """Tally concordant/discordant/tied pairs of two aligned lists.
+
+    Stacked (..., n) arrays are tallied row by row along the last axis.
+    """
     if tie_eps < 0.0 or math.isnan(tie_eps):
         raise OutOfRange(f"tie_eps must be >= 0, got {tie_eps}")
     x, y = _as_arrays(xs, ys)
-    n = x.shape[0]
+    n = x.shape[-1]
     if n < 2:
         raise TooShort(f"need at least 2 items, got {n}")
-    conc, disc, tied_x, tied_y = kernels.pair_stats(x, y, tie_eps)
-    return PairCounts(conc=conc, disc=disc, tied_x=tied_x, tied_y=tied_y, n=n)
+    counts = kernels.pair_stats(x, y, tie_eps)
+    if x.ndim == y.ndim == 1:
+        counts = tuple(int(c) for c in counts)
+    return PairCounts(*counts, n=n)
 
 
-def tau_b(xs: Sequence[float], ys: Sequence[float], tie_eps: float = 0.0) -> float:
+def tau_b(xs: Lists, ys: Lists, tie_eps: float = 0.0) -> float | np.ndarray:
     """Tie-adjusted Kendall correlation in [-1, 1]; 0 when a list is fully tied.
 
     tau_b = (conc - disc) / sqrt(max(1, notTied_x) * max(1, notTied_y)),
     where notTied counts pairs not tied in that list. The single sqrt over
     the product keeps tau exactly +-1 for perfect agreement/reversal.
+    Stacked (..., n) inputs give an array of one tau per row.
     """
     c = pair_counts(xs, ys, tie_eps)
-    denom = math.sqrt(max(1, c.not_tied_x) * max(1, c.not_tied_y))
-    return (c.conc - c.disc) / denom
+    denom = np.sqrt(np.maximum(1, c.not_tied_x) * np.maximum(1, c.not_tied_y))
+    return _scalar_or_array((c.conc - c.disc) / denom)
 
 
-def tau_plain(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Unadjusted Kendall correlation: (conc - disc) / (n (n - 1) / 2)."""
+def tau_plain(xs: Lists, ys: Lists) -> float | np.ndarray:
+    """Unadjusted Kendall correlation: (conc - disc) / (n (n - 1) / 2).
+
+    Stacked (..., n) inputs give an array of one tau per row.
+    """
     c = pair_counts(xs, ys, tie_eps=0.0)
-    return (c.conc - c.disc) / c.total_pairs
+    return _scalar_or_array((c.conc - c.disc) / c.total_pairs)
 
 
 def tau_with_ci(
@@ -105,6 +132,8 @@ def tau_with_ci(
     if not 0.0 < confidence < 1.0:
         raise OutOfRange(f"confidence must be in (0, 1), got {confidence}")
     x, y = _as_arrays(xs, ys)
+    if x.ndim != 1 or y.ndim != 1:
+        raise OutOfRange("inputs must be one-dimensional sequences")
     n = x.shape[0]
     if n < 3:
         raise TooShort(f"need at least 3 items, got {n}")

@@ -272,6 +272,14 @@ def test_read_report_unknown_measure_is_parse_error(tmp_path, reports):
         read_report(path)
 
 
+def test_read_report_agreement_pair_outside_measure_list(tmp_path, reports):
+    doc = json.loads(render_report(reports[1], "json"))
+    doc["measures"] = ["NMD", "JSD"]
+    path = write(tmp_path, "r.json", json.dumps(doc))
+    with pytest.raises(ParseError, match="'NVD' is not in the report's measure list"):
+        read_report(path)
+
+
 @pytest.mark.parametrize("text", ["[]", "3", '"score_matrix"', "null"])
 def test_read_report_non_object_is_parse_error(tmp_path, text):
     with pytest.raises(ParseError, match="JSON object"):

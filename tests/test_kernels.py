@@ -1,96 +1,55 @@
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 from _helpers import naive_pair_counts
-from quantdiv import _pykernels
 from quantdiv import kernels
 
-try:
-    from quantdiv import _ckernels
-except ImportError:
-    _ckernels = None
 
-BACKENDS = [("python", _pykernels)] + ([("cython", _ckernels)] if _ckernels else [])
-
-
-def _random_perms(rng, rounds, cols, m):
-    base = np.broadcast_to(np.arange(m, dtype=np.intp), (rounds, cols, m)).copy()
-    return np.ascontiguousarray(rng.permuted(base, axis=2))
-
-
-def test_backend_selected():
-    assert kernels.BACKEND in ("cython", "python")
-
-
-def test_pure_env_forces_python_backend():
-    code = "import quantdiv.kernels as k; print(k.BACKEND)"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "QUANTDIV_PURE": "1"},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "python"
-
-
-@pytest.mark.parametrize("name,impl", BACKENDS)
-def test_pair_stats_matches_naive(name, impl):
+def test_pair_stats_matches_naive():
     rng = np.random.default_rng(41)
     for _ in range(200):
         n = int(rng.integers(2, 30))
         xs = np.round(rng.normal(size=n), 1)
         ys = np.round(rng.normal(size=n), 1)
         for eps in (0.0, 0.05):
-            got = impl.pair_stats(xs, ys, eps)
+            got = kernels.pair_stats(xs, ys, eps)
             assert tuple(got) == naive_pair_counts(list(xs), list(ys), eps)
 
 
-@pytest.mark.skipif(_ckernels is None, reason="compiled kernels not built")
-def test_pair_stats_backends_agree_exactly():
+def test_pair_stats_counts_stacked_rows_independently():
     rng = np.random.default_rng(42)
-    for _ in range(200):
-        n = int(rng.integers(2, 60))
-        xs = rng.normal(size=n)
-        ys = np.round(rng.normal(size=n), 1)
-        for eps in (0.0, 1e-9, 0.1):
-            assert tuple(_ckernels.pair_stats(xs, ys, eps)) == tuple(
-                _pykernels.pair_stats(xs, ys, eps)
-            )
+    xs = np.round(rng.normal(size=(3, 4, 9)), 1)
+    ys = np.round(rng.normal(size=(4, 9)), 1)  # broadcasts against every xs[i]
+    for eps in (0.0, 1e-9, 0.1):
+        conc, disc, tied_x, tied_y = kernels.pair_stats(xs, ys, eps)
+        assert conc.shape == disc.shape == tied_x.shape == (3, 4) and tied_y.shape == (4,)
+        got = np.broadcast_arrays(conc, disc, tied_x, tied_y)
+        for i in range(3):
+            for j in range(4):
+                expected = naive_pair_counts(list(xs[i, j]), list(ys[j]), eps)
+                assert tuple(int(count[i, j]) for count in got) == expected
 
 
-@pytest.mark.parametrize("name,impl", BACKENDS)
-def test_hsd_max_stats_matches_naive(name, impl):
+def test_hsd_max_stats_matches_label_permutation_loop():
+    # Permuting the values of each column must equal permuting row labels
+    # drawn from an identically seeded generator.
     rng = np.random.default_rng(43)
     m, cols, rounds = 4, 30, 25
     values = np.ascontiguousarray(rng.random((m, cols)))
-    perms = _random_perms(rng, rounds, cols, m)
     out = np.empty(rounds)
-    impl.hsd_max_stats(values, perms, out)
+    kernels.hsd_max_stats(values, np.random.default_rng(7), out)
+    labels_rng = np.random.default_rng(7)
     for r in range(rounds):
-        means = [
-            sum(values[perms[r, b, k], b] for b in range(cols)) / cols for k in range(m)
-        ]
+        sums = [0.0] * m
+        for b in range(cols):
+            labels = labels_rng.permutation(m)
+            for k in range(m):
+                sums[k] += values[labels[k], b]
+        means = [s / cols for s in sums]
         expected = max(means) - min(means)
         assert out[r] == pytest.approx(expected, abs=1e-12)
         # the largest pairwise gap of a set is max minus min
         pairwise = max(abs(means[i] - means[j]) for i in range(m) for j in range(m))
         assert math.isclose(expected, pairwise, abs_tol=1e-15)
-
-
-@pytest.mark.skipif(_ckernels is None, reason="compiled kernels not built")
-def test_hsd_max_stats_backends_agree():
-    rng = np.random.default_rng(44)
-    m, cols, rounds = 12, 200, 64
-    values = np.ascontiguousarray(rng.random((m, cols)))
-    perms = _random_perms(rng, rounds, cols, m)
-    out_c = np.empty(rounds)
-    out_p = np.empty(rounds)
-    _ckernels.hsd_max_stats(values, perms, out_c)
-    _pykernels.hsd_max_stats(values, perms, out_p)
-    np.testing.assert_allclose(out_c, out_p, atol=1e-12, rtol=0.0)

@@ -5,7 +5,7 @@ import pytest
 
 from _helpers import random_distribution, random_pair
 from quantdiv import meta_eval, synth
-from quantdiv.distributions import stack_probs, validate
+from quantdiv.distributions import Distribution, stack_probs, validate
 from quantdiv.errors import IndexOutOfRange, LengthMismatch, OutOfRange
 from quantdiv.measures import (
     ALL_MEASURES,
@@ -189,6 +189,15 @@ def test_jsd_examples():
         est, gold = random_pair(rng)
         assert jsd(est, gold) == jsd(gold, est)
         assert 0.0 <= jsd(est, gold) <= 1.0 + 1e-12
+
+
+def test_jsd_clips_rounding_residue_at_zero():
+    # Unclipped, this near-equal pair rounds to about -1.39e-17. The rows are
+    # taken as stored (validate() would rescale them by their float sums).
+    est = Distribution((0.03077187531485318, 0.11253811735760301, 0.8566900073275437))
+    gold = Distribution((0.030771875004854135, 0.1125381166059459, 0.8566900083891998))
+    assert jsd(est, gold) == 0.0
+    assert score_batch(MeasureId.JSD, stack_probs([est]), stack_probs([gold]))[0] == jsd(est, gold)
 
 
 # --- DNKT and hybrids ---

@@ -15,6 +15,7 @@ from quantdiv.errors import (
     TooFewTrials,
 )
 from quantdiv.measures import MeasureId
+from quantdiv.rank_correlation import tau_b, tau_plain
 from quantdiv.meta_eval import (
     FixedSize,
     FullSplit,
@@ -199,6 +200,25 @@ def test_consistency_per_trial_deterministic_and_thread_invariant():
     assert not np.array_equal(a, d)
 
 
+@pytest.mark.parametrize("mode", [FullSplit(), FixedSize(7)])
+@pytest.mark.parametrize("variant", ["b", "plain"])
+@pytest.mark.parametrize("trial_block", [1, 5000, meta_eval.TRIAL_BLOCK])
+def test_consistency_per_trial_matches_per_trial_loop(monkeypatch, mode, variant, trial_block):
+    # Batched blocks (one trial, a few, or all 23 per block) against one
+    # scalar tau per (measure, trial); rounding the scores makes tied means.
+    monkeypatch.setattr(meta_eval, "TRIAL_BLOCK", trial_block)
+    rng = np.random.default_rng(56)
+    stacked = np.round(rng.random((3, 7, 31)), 1)
+    got = consistency_per_trial(stacked, mode, B=23, seed=6, tau_variant=variant)
+    tau = tau_b if variant == "b" else tau_plain
+    expected = np.empty((3, 23))
+    for b in range(23):
+        idx1, idx2 = trial_subsets(31, mode, 6, b)
+        for k in range(3):
+            expected[k, b] = tau(stacked[k][:, idx1].mean(axis=1), stacked[k][:, idx2].mean(axis=1))
+    assert np.array_equal(got, expected)
+
+
 def test_consistency_per_trial_signal_beats_noise():
     # measure 0: pure noise scores; measure 1: graded system quality plus
     # small noise; the signal measure must be far more consistent
@@ -260,6 +280,8 @@ def test_worker_threads_are_clamped(monkeypatch, cpus, expected):
     # min(threads, cpus, tasks) workers; one CPU (cpu_count() is None) runs inline
     monkeypatch.setattr(meta_eval, "ThreadPoolExecutor", _SerialPool)
     monkeypatch.setattr(meta_eval.os, "cpu_count", lambda: cpus)
+    # a budget of one element makes every trial its own task: 5 tasks for B=5
+    monkeypatch.setattr(meta_eval, "TRIAL_BLOCK", 1)
     _SerialPool.sizes = []
     threads_before = threading.active_count()
     stacked = np.random.default_rng(53).random((2, 6, 20))
