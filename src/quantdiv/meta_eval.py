@@ -175,6 +175,13 @@ def _check_seed(seed: int) -> int:
     return int(seed)
 
 
+def _check_hsd_args(alpha: float, permutations: int) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise OutOfRange(f"alpha must be in (0, 1), got {alpha}")
+    if permutations < 1:
+        raise OutOfRange(f"need at least 1 permutation round, got {permutations}")
+
+
 def score_matrix(dataset: "Dataset", runs: Sequence["SystemRun"], measure: MeasureId) -> ScoreMatrix:
     """Score every system on every case with one measure.
 
@@ -360,10 +367,9 @@ def randomized_tukey_hsd(
         raise TooFewMeasures(f"need at least 2 measures, got {n_measures}")
     if n_trials < 2:
         raise TooFewTrials(f"need at least 2 trials, got {n_trials}")
-    if not 0.0 < alpha < 1.0:
-        raise OutOfRange(f"alpha must be in (0, 1), got {alpha}")
-    if permutations < 1:
-        raise OutOfRange(f"need at least 1 permutation round, got {permutations}")
+    if not np.isfinite(arr).all():
+        raise OutOfRange("per-trial grid must be finite")
+    _check_hsd_args(alpha, permutations)
     _check_seed(seed)
 
     null_stats = np.empty(permutations, dtype=np.float64)
@@ -404,12 +410,14 @@ def split_half_consistency(
 ) -> ConsistencyReport:
     """Split-half consistency of each measure plus HSD significance.
 
-    With B = 1 the HSD stage is skipped (no variation to permute) and the
-    significant set is empty.
+    With B = 1 or a single measure the HSD stage is skipped (nothing to
+    compare) and the significant set is empty; alpha and permutations are
+    still validated first, so a report never records an invalid value.
     """
     measures = tuple(measures)
     if len(measures) < 1:
         raise TooFewMeasures("need at least 1 measure")
+    _check_hsd_args(alpha, permutations)
     stacked = np.stack(
         [score_matrix(dataset, runs, m).values for m in measures], axis=0
     )

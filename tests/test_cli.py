@@ -252,6 +252,14 @@ def test_consistency_flag_validation(bench, tmp_path, capsys):
     assert main(consistency_args(bench, out, "--alpha", "1.5")) == 2
     assert main(consistency_args(bench, out, "--tau", "spearman")) == 2
     capsys.readouterr()
+    # B = 1 or one measure skips the HSD, but the report would record the value
+    assert main(consistency_args(bench, out, "--B", "1", "--alpha", "5")) == 2
+    assert "alpha must be in (0, 1), got 5.0" in capsys.readouterr().err
+    assert main(consistency_args(bench, out, "--measures", "NMD", "--alpha", "5")) == 2
+    assert "alpha must be in (0, 1), got 5.0" in capsys.readouterr().err
+    assert main(consistency_args(bench, out, "--B", "1", "--permutations", "0")) == 2
+    assert "need at least 1 permutation round, got 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_consistency_tau_plain_and_fixed_size(bench, tmp_path, capsys):

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from _helpers import naive_pair_counts
 from quantdiv import kernels
+from quantdiv.meta_eval import randomized_tukey_hsd
 
 
 def test_pair_stats_matches_naive():
@@ -53,3 +55,56 @@ def test_hsd_max_stats_matches_label_permutation_loop():
         # the largest pairwise gap of a set is max minus min
         pairwise = max(abs(means[i] - means[j]) for i in range(m) for j in range(m))
         assert math.isclose(expected, pairwise, abs_tol=1e-15)
+
+
+def _whole_chunk_max_stats(values, rng, rounds):
+    # Reference: permute all rounds of a chunk at once, then sum.
+    m, cols = values.shape
+    work = np.empty((rounds, cols, m))
+    work[...] = values.T
+    rng.permuted(work, axis=2, out=work)
+    sums = work.sum(axis=1)
+    return (sums.max(axis=1) - sums.min(axis=1)) / cols
+
+
+COLS = 40
+
+
+def _budget(kind, m):
+    # one round per sub-block; three rounds (which does not divide 256); the default
+    return {"one": 1, "three": 3 * COLS * m, "default": kernels.HSD_BLOCK}[kind]
+
+
+@pytest.mark.parametrize("budget", ["one", "three", "default"])
+@pytest.mark.parametrize("rounds", [136, 256])
+@pytest.mark.parametrize("m", [2, 3, 12])
+def test_hsd_max_stats_sub_blocks_equal_whole_chunk(monkeypatch, budget, rounds, m):
+    monkeypatch.setattr(kernels, "HSD_BLOCK", _budget(budget, m))
+    values = np.random.default_rng(44 + m).random((m, COLS))
+    out = np.empty(rounds)
+    kernels.hsd_max_stats(values, np.random.default_rng(rounds), out)
+    expected = _whole_chunk_max_stats(values, np.random.default_rng(rounds), rounds)
+    assert np.array_equal(out, expected)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("budget", ["one", "three", "default"])
+def test_hsd_significant_set_does_not_depend_on_budget(monkeypatch, budget, threads):
+    m = 5
+    per_trial = np.random.default_rng(45).random((m, COLS)) + np.linspace(0.0, 0.5, m)[:, None]
+    expected = randomized_tukey_hsd(per_trial, permutations=600, seed=3)
+    assert 0 < len(expected) < m * (m - 1) // 2  # some pairs differ, some do not
+    monkeypatch.setattr(kernels, "HSD_BLOCK", _budget(budget, m))
+    assert randomized_tukey_hsd(per_trial, permutations=600, seed=3, threads=threads) == expected
+
+
+def test_hsd_memory_is_bounded_by_block():
+    # A whole 256-round chunk of this grid would take 256 * 5000 * 3 * 8 bytes = 30.7 MB.
+    values = np.random.default_rng(46).random((3, 5000))
+    tracemalloc.start()
+    try:
+        randomized_tukey_hsd(values, permutations=256, seed=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < kernels.HSD_BLOCK * 8 + 4 * values.nbytes

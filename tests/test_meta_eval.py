@@ -337,6 +337,12 @@ def test_hsd_errors():
         randomized_tukey_hsd(two, permutations=0)
     with pytest.raises(OutOfRange):
         randomized_tukey_hsd(two, seed=-5)
+    # one bad cell must not silently drop the pairs between finite rows
+    for bad in (np.nan, np.inf, -np.inf):
+        grid = np.vstack([two, np.full(10, 0.9)])
+        grid[2, 3] = bad
+        with pytest.raises(OutOfRange, match="finite"):
+            randomized_tukey_hsd(grid)
 
 
 # --- end-to-end split-half consistency ---
@@ -363,3 +369,4 @@ def test_split_half_consistency_single_trial_skips_significance():
     report = split_half_consistency(ds, runs, [MeasureId.NMD, MeasureId.NVD], B=1, seed=1)
     assert report.significant_pairs == ()
     assert report.per_trial_tau.shape == (2, 1)
+

@@ -1,11 +1,24 @@
-import tomllib
+import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _build_requires() -> list[str]:
+    # tomllib is 3.11+ and the package supports 3.10, so read the one line
+    # needed: `requires = [...]` in the [build-system] table.
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    table = re.search(r"^\[build-system\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S)
+    assert table is not None
+    line = re.search(r"^requires\s*=\s*(\[.*?\])", table.group(1), re.M | re.S)
+    assert line is not None
+    return ast.literal_eval(line.group(1))
+
+
 def test_build_needs_no_compiled_extension():
-    config = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
-    assert not any("cython" in req.lower() for req in config["build-system"]["requires"])
+    requires = _build_requires()
+    assert requires and all(isinstance(req, str) for req in requires)
+    assert not any("cython" in req.lower() for req in requires)
     assert not (ROOT / "setup.py").exists()
     assert not list(ROOT.rglob("*.pyx"))
