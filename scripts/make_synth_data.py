@@ -9,10 +9,14 @@ reproduces the generated distributions exactly.
 
 import argparse
 import shutil
+import sys
 from pathlib import Path
 
-from quantdiv import synth
-from quantdiv.dataset_io import write_dataset, write_run
+# Import quantdiv from this checkout, installed or not.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from quantdiv import synth  # noqa: E402
+from quantdiv.dataset_io import write_dataset, write_run  # noqa: E402
 
 
 def main() -> None:

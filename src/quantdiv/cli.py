@@ -127,9 +127,9 @@ def cmd_agree(args) -> int:
 
 
 def cmd_consistency(args) -> int:
-    dataset, runs, measures = _load_inputs(args)
     if args.threads < 1:
         raise ValidationError(f"--threads must be >= 1, got {args.threads}")
+    dataset, runs, measures = _load_inputs(args)
     report = split_half_consistency(
         dataset,
         runs,

@@ -8,8 +8,10 @@ significance testing on the per-trial consistency grid.
 Determinism contract: every trial b derives its generator from
 SeedSequence((seed, TRIAL_STREAM, b)) and every permutation chunk c from
 SeedSequence((seed, HSD_STREAM, c)), so results are reproducible for a given
-seed and identical for any thread count. Workers write to pre-assigned slots
-of the output arrays; nothing is accumulated in shared mutable state.
+seed and identical for any thread count. The trial generators are seeded in
+bulk (_trial_seed_words), to the same states those SeedSequences give.
+Workers write to pre-assigned slots of the output arrays; nothing is
+accumulated in shared mutable state.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -48,9 +50,19 @@ HSD_CHUNK = 256
 # measures to 256 KB and keeps peak memory flat in the number of systems.
 SCORE_BLOCK = 1 << 15
 # consistency_per_trial runs trials in blocks of at most this many elements
-# of case gathers and pair differences (at least one trial per block), so
+# of case gathers and n x n pair cells (at least one trial per block), so
 # its temporaries stay bounded whatever B and the number of cases.
-TRIAL_BLOCK = 1 << 20
+TRIAL_BLOCK = 1 << 19
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx) and the
+# multiplier of PCG64's 128-bit LCG (numpy/random/src/pcg64/pcg64.h).
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
 
 
 @dataclass(frozen=True)
@@ -262,15 +274,116 @@ def _split_indices(perm: np.ndarray, mode: SubsetMode) -> tuple[np.ndarray, np.n
     return perm[: mode.k], perm[mode.k : 2 * mode.k]
 
 
+def _uint32_words(n: int) -> list[int]:
+    """n as little-endian 32-bit words, at least one, as SeedSequence reads it."""
+    if n < 0:
+        raise OutOfRange(f"seeds and trial ids must be non-negative, got {n}")
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _seed_sequence_words(entropy: list[np.ndarray]) -> np.ndarray:
+    """generate_state(4, np.uint64) of one SeedSequence per entropy column.
+
+    entropy lists the uint32 entropy words, each an array with one entry per
+    sequence. This repeats numpy's mix_entropy and generate_state on every
+    sequence at once; uint32 array arithmetic wraps as the C code does.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ value >> np.uint32(16)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ result >> np.uint32(16)
+
+    zeros = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zeros) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const = _INIT_B
+    state = np.empty((zeros.shape[0], 8), dtype=np.uint32)
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        state[:, i] = value ^ value >> np.uint32(16)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _trial_seed_words(seed: int, start: int, stop: int) -> np.ndarray:
+    """SeedSequence((seed, TRIAL_STREAM, b)).generate_state(4, np.uint64), b in [start, stop).
+
+    One (stop - start, 4) uint64 array from a vectorised pass over the
+    trials; trial ids with the same number of 32-bit words share a pass.
+    """
+    out = np.empty((stop - start, 4), dtype=np.uint64)
+    head = _uint32_words(seed) + _uint32_words(TRIAL_STREAM)
+    lo = start
+    while lo < stop:
+        n_words = len(_uint32_words(lo))
+        hi = min(stop, 1 << (32 * n_words))
+        trials = np.arange(lo, hi, dtype=np.uint64 if n_words <= 2 else object)
+        entropy = [np.full(hi - lo, word, dtype=np.uint32) for word in head]
+        entropy += [(trials >> (32 * k) & _MASK32).astype(np.uint32) for k in range(n_words)]
+        out[lo - start : hi - start] = _seed_sequence_words(entropy)
+        lo = hi
+    return out
+
+
+def _pcg64_state(words: Sequence[int]) -> tuple[int, int]:
+    """PCG64's (state, inc) when seeded with four 64-bit seed words.
+
+    pcg64_set_seed reads (words[0], words[1]) as the 128-bit initial state
+    and (words[2], words[3]) as the stream, then runs pcg_setseq_128_srandom_r.
+    """
+    w0, w1, w2, w3 = (int(w) for w in words)
+    inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+    return ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128, inc
+
+
+def _trial_permutations(n_cases: int, words: np.ndarray) -> Iterator[np.ndarray]:
+    """rng.permutation(n_cases) for each row of trial seed words, in order.
+
+    Each rng is the default_rng of that trial's SeedSequence; one Generator
+    is reused by assigning its PCG64 state.
+    """
+    rng = np.random.Generator(np.random.PCG64(0))
+    for row in words.tolist():
+        state, inc = _pcg64_state(row)
+        rng.bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng.permutation(n_cases)
+
+
 def trial_subsets(
     n_cases: int, mode: SubsetMode, seed: int, trial: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The two disjoint case-position subsets used by one consistency trial."""
-    rng = np.random.default_rng(np.random.SeedSequence((_check_seed(seed), TRIAL_STREAM, trial)))
-    return _split_indices(rng.permutation(n_cases), mode)
+    words = _trial_seed_words(_check_seed(seed), trial, trial + 1)
+    return _split_indices(next(_trial_permutations(n_cases, words)), mode)
 
 
-def _check_subset_mode(n_cases: int, mode: SubsetMode) -> None:
+def _check_trial_args(n_cases: int, mode: SubsetMode, B: int, seed: int) -> None:
+    if B < 1:
+        raise TooFewTrials(f"need at least 1 trial, got {B}")
     if isinstance(mode, FullSplit):
         if n_cases < 4:
             raise DatasetTooSmall(f"half-split needs at least 4 cases, got {n_cases}")
@@ -281,6 +394,7 @@ def _check_subset_mode(n_cases: int, mode: SubsetMode) -> None:
             raise DatasetTooSmall(
                 f"two disjoint subsets of {mode.k} need {2 * mode.k} cases, got {n_cases}"
             )
+    _check_seed(seed)
 
 
 def _run_all(task: Callable, items: Sequence, threads: int) -> None:
@@ -313,10 +427,7 @@ def consistency_per_trial(
     n_measures, n_systems, n_cases = stacked.shape
     if n_systems < 2:
         raise TooFewSystems(f"need at least 2 systems, got {n_systems}")
-    if B < 1:
-        raise TooFewTrials(f"need at least 1 trial, got {B}")
-    _check_subset_mode(n_cases, mode)
-    _check_seed(seed)
+    _check_trial_args(n_cases, mode, B, seed)
     if tau_variant == "b":
         tau_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] = tau_b  # ties at equality
     elif tau_variant == "plain":
@@ -326,19 +437,25 @@ def consistency_per_trial(
 
     per_trial = np.empty((n_measures, B), dtype=np.float64)
     used_cases = n_cases if isinstance(mode, FullSplit) else 2 * mode.k
-    per_trial_elements = n_measures * (n_systems * used_cases + n_systems * (n_systems - 1) // 2)
+    per_trial_elements = n_measures * n_systems * (used_cases + n_systems)
     step = max(1, TRIAL_BLOCK // per_trial_elements)
     blocks = [(start, min(start + step, B)) for start in range(0, B, step)]
+    words = _trial_seed_words(seed, 0, B)
+    # One row of (measure, system) scores per case: a subset gathers whole
+    # rows, and the mean adds the rows in subset order, one case at a time.
+    cols = np.ascontiguousarray(stacked.reshape(n_measures * n_systems, n_cases).T)
 
     def run_block(block: tuple[int, int]) -> None:
         start, stop = block
-        subsets = [trial_subsets(n_cases, mode, seed, b) for b in range(start, stop)]
-        # (measures, systems, trials, subset) -> per-system means, then
-        # (measures, trials, systems) so tau pairs up the systems.
+        perms = _trial_permutations(n_cases, words[start:stop])
+        subsets = [_split_indices(perm, mode) for perm in perms]
+        # (trials, subset, measures * systems) -> per-system means as
+        # (trials, measures, systems), so tau pairs up the systems.
         first, second = (
-            stacked[:, :, np.stack(idx)].mean(axis=3).transpose(0, 2, 1) for idx in zip(*subsets)
+            cols[np.stack(idx)].mean(axis=1).reshape(-1, n_measures, n_systems)
+            for idx in zip(*subsets)
         )
-        per_trial[:, start:stop] = tau_fn(first, second)
+        per_trial[:, start:stop] = tau_fn(first, second).T
 
     _run_all(run_block, blocks, threads)
     return per_trial
@@ -413,11 +530,13 @@ def split_half_consistency(
     With B = 1 or a single measure the HSD stage is skipped (nothing to
     compare) and the significant set is empty; alpha and permutations are
     still validated first, so a report never records an invalid value.
+    B, seed and the subset mode are validated before any scoring.
     """
     measures = tuple(measures)
     if len(measures) < 1:
         raise TooFewMeasures("need at least 1 measure")
     _check_hsd_args(alpha, permutations)
+    _check_trial_args(len(dataset.case_ids), mode, B, seed)
     stacked = np.stack(
         [score_matrix(dataset, runs, m).values for m in measures], axis=0
     )

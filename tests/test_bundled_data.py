@@ -1,5 +1,8 @@
 """The shipped data/synth tree: regenerable, and the default report is frozen."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,6 +44,27 @@ def test_bundled_data_matches_generator(bundled, tmp_path):
     for run in fresh_runs:
         rebuilt = write_run(run, fresh_dataset, tmp_path / f"{run.system_id}.tsv")
         assert rebuilt.read_bytes() == (DATA / "runs" / f"{run.system_id}.tsv").read_bytes()
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    files = sorted(p for p in root.rglob("*") if p.is_file())
+    return {str(p.relative_to(root)): p.read_bytes() for p in files}
+
+
+def test_make_synth_data_script_rebuilds_tree_from_checkout(tmp_path):
+    # Run as README says, from outside the repo and without PYTHONPATH: the
+    # script finds the checkout's src/ itself.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    out = tmp_path / "synth"
+    subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "make_synth_data.py"), "--out", str(out)],
+        cwd=tmp_path,
+        env=env,
+        check=True,
+        capture_output=True,
+        timeout=120,
+    )
+    assert _tree(out) == _tree(DATA)
 
 
 def test_consistency_defaults_match_golden_report(bundled, tmp_path, capsys):

@@ -262,6 +262,39 @@ def test_consistency_flag_validation(bench, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--B", "0"), "need at least 1 trial, got 0"),
+        (("--seed", "-3"), "seed must be non-negative, got -3"),
+        (("--subset-mode", "k=9"), "two disjoint subsets of 9 need 18 cases, got 16"),
+    ],
+)
+def test_consistency_trial_flags_checked_before_scoring(
+    bench, tmp_path, capsys, monkeypatch, flags, message
+):
+    from quantdiv import meta_eval
+
+    def no_scoring(*args):
+        raise AssertionError("scored before the trial flags were checked")
+
+    monkeypatch.setattr(meta_eval, "score_matrix", no_scoring)
+    out = tmp_path / "r.json"
+    assert main(consistency_args(bench, out, *flags)) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_consistency_threads_checked_before_loading(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    missing = str(tmp_path / "missing.tsv")
+    argv = ["consistency", "--gold", missing, "--runs", missing, "--threads", "0"]
+    argv += ["--output", str(out)]
+    assert main(argv) == 2
+    assert "--threads must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_consistency_tau_plain_and_fixed_size(bench, tmp_path, capsys):
     out = tmp_path / "r.json"
     code = main(consistency_args(bench, out, "--tau", "plain", "--subset-mode", "k=6"))

@@ -6,7 +6,9 @@ import pytest
 
 from _helpers import naive_pair_counts
 from quantdiv import kernels
+from quantdiv.measures import BIN_TIE_EPS
 from quantdiv.meta_eval import randomized_tukey_hsd
+from quantdiv.rank_correlation import tau_with_ci
 
 
 def test_pair_stats_matches_naive():
@@ -32,6 +34,63 @@ def test_pair_stats_counts_stacked_rows_independently():
             for j in range(4):
                 expected = naive_pair_counts(list(xs[i, j]), list(ys[j]), eps)
                 assert tuple(int(count[i, j]) for count in got) == expected
+
+
+def _edge_values(rng, shape, eps):
+    # Half the values come from a pool whose gaps are exact ties, exactly
+    # eps (2 eps - eps, eps - 0) and eps one ulp either side of it: values
+    # within a factor of two subtract exactly. The rest are rounded normals.
+    pool = np.array([0.0, eps, 2 * eps, np.nextafter(eps, 0.0), np.nextafter(eps, 1.0)])
+    edge = rng.choice(pool, size=shape)
+    return np.where(rng.random(shape) < 0.5, edge, np.round(rng.normal(size=shape), 1))
+
+
+@pytest.mark.parametrize("eps", [0.0, BIN_TIE_EPS, 0.05])
+def test_pair_stats_matches_naive_at_tie_edges(eps):
+    rng = np.random.default_rng(47)
+    for n in range(2, 61):
+        xs = _edge_values(rng, (2, 1, n), eps)
+        ys = _edge_values(rng, (3, n), eps)  # broadcasts to (2, 3) rows
+        conc, disc, tied_x, tied_y = kernels.pair_stats(xs, ys, eps)
+        assert conc.shape == disc.shape == (2, 3)
+        assert tied_x.shape == (2, 1) and tied_y.shape == (3,)
+        for i in range(2):
+            for j in range(3):
+                expected = naive_pair_counts(list(xs[i, 0]), list(ys[j]), eps)
+                assert (conc[i, j], disc[i, j], tied_x[i, 0], tied_y[j]) == expected
+
+
+def test_pair_stats_edge_values_hit_the_tie_boundary():
+    # The pool above really produces gaps of eps and one ulp either side.
+    eps = 0.05
+    assert 2 * eps - eps == eps
+    assert 2 * eps - np.nextafter(eps, 0.0) > eps > 2 * eps - np.nextafter(eps, 1.0)
+
+
+@pytest.mark.parametrize("n", [362, 363, 400])
+def test_pair_stats_counts_past_uint16(n):
+    # n (n - 1) / 2 exceeds 65535 from n = 363 on: every pair is concordant
+    # in one row and discordant in the other.
+    xs = np.arange(n, dtype=np.float64)
+    ys = np.stack([xs, -xs])
+    conc, disc, tied_x, tied_y = kernels.pair_stats(xs, ys, 0.0)
+    pairs = n * (n - 1) // 2
+    assert conc.tolist() == [pairs, 0] and disc.tolist() == [0, pairs]
+    assert tied_x == 0 and tied_y.tolist() == [0, 0]
+
+
+def test_tau_with_ci_memory_is_quadratic_bytes():
+    # Three n x n boolean matrices; the float pair differences took 21 n^2 bytes.
+    n = 3000
+    rng = np.random.default_rng(48)
+    xs, ys = rng.random(n), np.round(rng.random(n), 2)
+    tracemalloc.start()
+    try:
+        tau_with_ci(xs, ys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * n * n
 
 
 def test_hsd_max_stats_matches_label_permutation_loop():
@@ -71,8 +130,9 @@ COLS = 40
 
 
 def _budget(kind, m):
-    # one round per sub-block; three rounds (which does not divide 256); the default
-    return {"one": 1, "three": 3 * COLS * m, "default": kernels.HSD_BLOCK}[kind]
+    # one round per sub-block; three rounds (which does not divide 256); the
+    # default. The budget covers the tiled source and the buffer: 2 B m a round.
+    return {"one": 1, "three": 2 * 3 * COLS * m, "default": kernels.HSD_BLOCK}[kind]
 
 
 @pytest.mark.parametrize("budget", ["one", "three", "default"])

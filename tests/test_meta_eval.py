@@ -86,6 +86,35 @@ def test_trial_subsets_negative_seed():
         trial_subsets(10, FullSplit(), seed=-1, trial=0)
 
 
+SEEDS = [0, 1, 42, 2**32 - 1, 2**32, 2**64 + 3]
+TRIALS = list(range(64)) + [2**31, 2**32 - 1, 2**32, 2**40, 2**64 + 5]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_trial_seed_words_equal_seed_sequence(seed):
+    # The bulk derivation must reproduce numpy's SeedSequence and PCG64
+    # seeding exactly; a numpy release that changes either fails here.
+    words = np.concatenate(
+        [meta_eval._trial_seed_words(seed, 0, 64)]
+        + [meta_eval._trial_seed_words(seed, b, b + 1) for b in TRIALS[64:]]
+    )
+    for row, b in zip(words, TRIALS):
+        sequence = np.random.SeedSequence((seed, meta_eval.TRIAL_STREAM, b))
+        assert np.array_equal(row, sequence.generate_state(4, np.uint64))
+        state = np.random.PCG64(sequence).state["state"]
+        assert meta_eval._pcg64_state(row) == (state["state"], state["inc"])
+
+
+def test_trial_seed_words_span_word_boundaries():
+    # A block that crosses 2**32 mixes trials of one and of two entropy words.
+    start = 2**32 - 3
+    words = meta_eval._trial_seed_words(5, start, start + 6)
+    for row, b in zip(words, range(start, start + 6)):
+        sequence = np.random.SeedSequence((5, meta_eval.TRIAL_STREAM, b))
+        expected = sequence.generate_state(4, np.uint64)
+        assert np.array_equal(row, expected)
+
+
 # --- score matrix and means ---
 
 
@@ -202,10 +231,11 @@ def test_consistency_per_trial_deterministic_and_thread_invariant():
 
 @pytest.mark.parametrize("mode", [FullSplit(), FixedSize(7)])
 @pytest.mark.parametrize("variant", ["b", "plain"])
-@pytest.mark.parametrize("trial_block", [1, 5000, meta_eval.TRIAL_BLOCK])
+@pytest.mark.parametrize("trial_block", [1, 5000, 1 << 20])
 def test_consistency_per_trial_matches_per_trial_loop(monkeypatch, mode, variant, trial_block):
-    # Batched blocks (one trial, a few, or all 23 per block) against one
-    # scalar tau per (measure, trial); rounding the scores makes tied means.
+    # Batched blocks (one trial, a few, or all 23 per block, as with the
+    # default TRIAL_BLOCK) against one scalar tau per (measure, trial) from an
+    # independently seeded generator; rounding the scores makes tied means.
     monkeypatch.setattr(meta_eval, "TRIAL_BLOCK", trial_block)
     rng = np.random.default_rng(56)
     stacked = np.round(rng.random((3, 7, 31)), 1)
@@ -213,7 +243,8 @@ def test_consistency_per_trial_matches_per_trial_loop(monkeypatch, mode, variant
     tau = tau_b if variant == "b" else tau_plain
     expected = np.empty((3, 23))
     for b in range(23):
-        idx1, idx2 = trial_subsets(31, mode, 6, b)
+        perm = np.random.default_rng(np.random.SeedSequence((6, 1, b))).permutation(31)
+        idx1, idx2 = (perm[:16], perm[16:]) if mode == FullSplit() else (perm[:7], perm[7:14])
         for k in range(3):
             expected[k, b] = tau(stacked[k][:, idx1].mean(axis=1), stacked[k][:, idx2].mean(axis=1))
     assert np.array_equal(got, expected)
@@ -362,6 +393,24 @@ def test_split_half_consistency_report():
     means = dict(zip(report.measures, report.mean_tau))
     for winner, loser in report.significant_pairs:
         assert means[winner] > means[loser]
+
+
+@pytest.mark.parametrize(
+    "kwargs, error",
+    [
+        ({"B": 0}, TooFewTrials),
+        ({"seed": -1}, OutOfRange),
+        ({"mode": FixedSize(21)}, DatasetTooSmall),
+    ],
+)
+def test_split_half_consistency_validates_before_scoring(monkeypatch, kwargs, error):
+    def no_scoring(*args):
+        raise AssertionError("scored before the trial arguments were checked")
+
+    ds, runs = synth.generate(n_systems=4, n_cases=40, seed=15)
+    monkeypatch.setattr(meta_eval, "score_matrix", no_scoring)
+    with pytest.raises(error):
+        split_half_consistency(ds, runs, [MeasureId.NMD, MeasureId.NVD], **kwargs)
 
 
 def test_split_half_consistency_single_trial_skips_significance():
