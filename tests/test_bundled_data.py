@@ -87,6 +87,29 @@ def test_consistency_defaults_match_golden_report(bundled, tmp_path, capsys):
     assert out.read_bytes() == GOLDEN.read_bytes()
 
 
+GOLDEN_COMMANDS = {
+    "score": ["score", "--measures", "NMD,DNKT"],
+    "agree": ["agree"],
+    "consistency": ["consistency", "--B", "50", "--permutations", "200"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_COMMANDS))
+def test_text_reports_match_golden_files(command, tmp_path, capsys, monkeypatch):
+    # Every text layout the CLI writes: the markdown tables on stdout and the
+    # --format tsv files (score writes one per measure), byte for byte.
+    monkeypatch.delenv("QUANTDIV_SEED", raising=False)
+    argv = GOLDEN_COMMANDS[command] + ["--gold", str(DATA / "gold.tsv"), "--runs", str(DATA / "runs")]
+    argv += ["--format", "tsv", "--output", str(tmp_path / f"{command}.tsv")]
+    assert main(argv) == 0
+    got = {p.name: p.read_bytes() for p in tmp_path.glob(f"{command}.*")}
+    got[f"{command}.stdout.md"] = capsys.readouterr().out.encode("utf-8")
+    expected = {p.name: p.read_bytes() for p in GOLDEN.parent.glob(f"{command}.*")}
+    assert sorted(got) == sorted(expected)
+    for name in expected:
+        assert got[name] == expected[name], name
+
+
 def test_agreement_triangle_on_bundled_runs(bundled):
     dataset, runs = bundled
     nine = [
