@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from ._version import __version__
-from .dataset_io import FORMATS, load_gold, load_run, render_report, write_report
+from .dataset_io import FORMATS, _table, load_gold, load_run, render_report, write_report
 from .errors import ValidationError
 from .measures import ALL_MEASURES, DEFAULT_SUITE, MeasureId
 from .meta_eval import agreement, mean_scores, parse_subset_mode, score_matrix, split_half_consistency
@@ -104,12 +104,9 @@ def cmd_score(args) -> int:
     for matrix in matrices:
         sys.stdout.write(render_report(matrix, "markdown"))
         sys.stdout.write("\n")
-    sys.stdout.write("| system | " + " | ".join(m.value for m in measures) + " |\n")
-    sys.stdout.write("|" + " --- |" * (1 + len(measures)) + "\n")
     means = [mean_scores(matrix) for matrix in matrices]
-    for s, run in enumerate(runs):
-        cells = " | ".join(f"{col[s]:.6f}" for col in means)
-        sys.stdout.write(f"| {run.system_id} | {cells} |\n")
+    rows = ([run.system_id, *(f"{col[s]:.6f}" for col in means)] for s, run in enumerate(runs))
+    sys.stdout.write(_table("markdown", ["system", *(m.value for m in measures)], rows))
     if args.output is not None:
         out = Path(args.output)
         for measure, matrix in zip(measures, matrices):

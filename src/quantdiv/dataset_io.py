@@ -187,36 +187,32 @@ def load_run(path, dataset: Dataset, system_id: str | None = None) -> SystemRun:
     )
 
 
+def _table(fmt: str, header: Sequence[str], rows) -> str:
+    """Rows of cells as TSV lines, or as a markdown table with a --- row."""
+    if fmt == "tsv":
+        return "".join("\t".join(cells) + "\n" for cells in (header, *rows))
+    rows = (header, ["---"] * len(header), *rows)
+    return "".join("| " + " | ".join(cells) + " |\n" for cells in rows)
+
+
+def _write_table(path, mode: str, dataset: Dataset, rows) -> Path:
+    path = Path(path)
+    rows = ([cid, *cells] for cid, cells in zip(dataset.case_ids, rows))
+    body = _table("tsv", ["case_id", *dataset.class_labels], rows)
+    path.write_text(f"#mode: {mode}\n" + body, encoding="utf-8")
+    return path
+
+
 def write_dataset(dataset: Dataset, path) -> Path:
     """Write a gold table; vote counts when available, else full-precision probs."""
-    path = Path(path)
-    lines = []
     if dataset.votes is not None:
-        lines.append("#mode: counts")
-        header_rows = (
-            (cid, [str(v) for v in row]) for cid, row in zip(dataset.case_ids, dataset.votes)
-        )
-    else:
-        lines.append("#mode: probs")
-        header_rows = (
-            (cid, [repr(p) for p in dist.probs])
-            for cid, dist in zip(dataset.case_ids, dataset.gold)
-        )
-    lines.append("case_id\t" + "\t".join(dataset.class_labels))
-    for cid, cells in header_rows:
-        lines.append(cid + "\t" + "\t".join(cells))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+        return _write_table(path, "counts", dataset, (map(str, row) for row in dataset.votes))
+    return _write_table(path, "probs", dataset, (map(repr, dist.probs) for dist in dataset.gold))
 
 
 def write_run(run: SystemRun, dataset: Dataset, path) -> Path:
     """Write one system's table with full-precision probabilities."""
-    path = Path(path)
-    lines = ["#mode: probs", "case_id\t" + "\t".join(dataset.class_labels)]
-    for cid, dist in zip(dataset.case_ids, run.est):
-        lines.append(cid + "\t" + "\t".join(repr(p) for p in dist.probs))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    return _write_table(path, "probs", dataset, (map(repr, dist.probs) for dist in run.est))
 
 
 def _fmt6(x: float) -> str:
@@ -282,106 +278,66 @@ def _json_doc(report) -> dict:
     raise OutOfRange(f"cannot serialize {type(report).__name__}")
 
 
-def _consistency_order(report: ConsistencyReport) -> list[int]:
-    return sorted(range(len(report.measures)), key=lambda i: (-report.mean_tau[i], i))
+def _render_scores(report: ScoreMatrix, fmt: str) -> str:
+    if fmt == "tsv":
+        corner = "system_id"
+    else:
+        corner = f"system ({report.measure.value})" if report.measure is not None else "system"
+    rows = ([sid, *map(_fmt6, row)] for sid, row in zip(report.system_ids, report.values))
+    return _table(fmt, [corner, *report.case_ids], rows)
 
 
-def _outperforms(report: ConsistencyReport, i: int) -> list[str]:
-    return [l.value for w, l in report.significant_pairs if w is report.measures[i]]
+def _render_agreement(report: AgreementReport, fmt: str) -> str:
+    tags = [m.value for m in report.measures]
+    m = len(tags)
+    upper = [(i, j, report.grid[i][j]) for i in range(m) for j in range(i + 1, m)]
+    if fmt == "tsv":
+        pairs = (
+            [tags[i], tags[j], _fmt6(c.tau), _fmt6(c.ci_low), _fmt6(c.ci_high), str(c.n)]
+            for i, j, c in upper
+        )
+        grid = _table(fmt, ["first", "second", "tau", "ci_low", "ci_high", "n"], pairs)
+        avg_header, avg_fmt = "avg_similarity", "{:.6f}"
+    else:
+        # Row i, column j: the upper triangle of measure pairs, blank below it.
+        cells = [[""] * (m - 1) for _ in range(m - 1)]
+        for i, j, c in upper:
+            cells[i][j - 1] = f"{c.tau:.3f} [{c.ci_low:.3f}, {c.ci_high:.3f}]"
+        grid = _table(fmt, ["measure", *tags[1:]], ([tag, *row] for tag, row in zip(tags, cells)))
+        avg_header, avg_fmt = "average tau", "{:.3f}"
+    averages = ([tag, avg_fmt.format(avg)] for tag, avg in zip(tags, report.avg_similarity))
+    return grid + "\n" + _table(fmt, ["measure", avg_header], averages)
 
 
-def _render_tsv(report) -> str:
-    if isinstance(report, ScoreMatrix):
-        lines = ["system_id\t" + "\t".join(report.case_ids)]
-        for sid, row in zip(report.system_ids, report.values):
-            lines.append(sid + "\t" + "\t".join(_fmt6(v) for v in row))
-        return "\n".join(lines) + "\n"
-    if isinstance(report, AgreementReport):
-        lines = ["first\tsecond\ttau\tci_low\tci_high\tn"]
-        m = len(report.measures)
-        for i in range(m):
-            for j in range(i + 1, m):
-                cell = report.grid[i][j]
-                lines.append(
-                    "\t".join(
-                        (
-                            report.measures[i].value,
-                            report.measures[j].value,
-                            _fmt6(cell.tau),
-                            _fmt6(cell.ci_low),
-                            _fmt6(cell.ci_high),
-                            str(cell.n),
-                        )
-                    )
-                )
-        lines.append("")
-        lines.append("measure\tavg_similarity")
-        for mid, avg in zip(report.measures, report.avg_similarity):
-            lines.append(f"{mid.value}\t{_fmt6(avg)}")
-        return "\n".join(lines) + "\n"
-    if isinstance(report, ConsistencyReport):
-        lines = ["measure\tmean_tau\tsignificantly_outperforms"]
-        for i in _consistency_order(report):
-            lines.append(
-                "\t".join(
-                    (
-                        report.measures[i].value,
-                        _fmt6(report.mean_tau[i]),
-                        ",".join(_outperforms(report, i)),
-                    )
-                )
-            )
-        return "\n".join(lines) + "\n"
-    raise OutOfRange(f"cannot serialize {type(report).__name__}")
-
-
-def _render_markdown(report) -> str:
-    if isinstance(report, ScoreMatrix):
-        title = f" ({report.measure.value})" if report.measure is not None else ""
-        lines = [f"| system{title} | " + " | ".join(report.case_ids) + " |"]
-        lines.append("|" + " --- |" * (1 + len(report.case_ids)))
-        for sid, row in zip(report.system_ids, report.values):
-            lines.append(f"| {sid} | " + " | ".join(_fmt6(v) for v in row) + " |")
-        return "\n".join(lines) + "\n"
-    if isinstance(report, AgreementReport):
-        tags = [m.value for m in report.measures]
-        m = len(tags)
-        lines = ["| measure | " + " | ".join(tags[1:]) + " |"]
-        lines.append("|" + " --- |" * m)
-        for i in range(m - 1):
-            cells = []
-            for j in range(1, m):
-                if j > i:
-                    cell = report.grid[i][j]
-                    cells.append(f"{cell.tau:.3f} [{cell.ci_low:.3f}, {cell.ci_high:.3f}]")
-                else:
-                    cells.append("")
-            lines.append(f"| {tags[i]} | " + " | ".join(cells) + " |")
-        lines.append("")
-        lines.append("| measure | average tau |")
-        lines.append("| --- | --- |")
-        for tag, avg in zip(tags, report.avg_similarity):
-            lines.append(f"| {tag} | {avg:.3f} |")
-        return "\n".join(lines) + "\n"
-    if isinstance(report, ConsistencyReport):
-        lines = ["| measure | mean tau | significantly outperforms |"]
-        lines.append("| --- | --- | --- |")
-        for i in _consistency_order(report):
-            beats = ", ".join(_outperforms(report, i)) or "-"
-            lines.append(f"| {report.measures[i].value} | {report.mean_tau[i]:.4f} | {beats} |")
-        return "\n".join(lines) + "\n"
-    raise OutOfRange(f"cannot serialize {type(report).__name__}")
+def _render_consistency(report: ConsistencyReport, fmt: str) -> str:
+    """Measures by descending mean tau, each with the measures it beats."""
+    if fmt == "tsv":
+        header = ["measure", "mean_tau", "significantly_outperforms"]
+        mean_fmt, sep, nobody = "{:.6f}", ",", ""
+    else:
+        header = ["measure", "mean tau", "significantly outperforms"]
+        mean_fmt, sep, nobody = "{:.4f}", ", ", "-"
+    rows = []
+    for i in sorted(range(len(report.measures)), key=lambda i: (-report.mean_tau[i], i)):
+        measure, mean = report.measures[i], mean_fmt.format(report.mean_tau[i])
+        beats = sep.join(l.value for w, l in report.significant_pairs if w is measure)
+        rows.append([measure.value, mean, beats or nobody])
+    return _table(fmt, header, rows)
 
 
 def render_report(report, fmt: str) -> str:
     """Serialize a report to one of FORMATS; JSON keeps full float precision."""
+    if fmt not in FORMATS:
+        raise OutOfRange(f"unknown format {fmt!r}; expected one of {FORMATS}")
     if fmt == "json":
         return json.dumps(_json_doc(report), indent=2) + "\n"
-    if fmt == "tsv":
-        return _render_tsv(report)
-    if fmt == "markdown":
-        return _render_markdown(report)
-    raise OutOfRange(f"unknown format {fmt!r}; expected one of {FORMATS}")
+    if isinstance(report, ScoreMatrix):
+        return _render_scores(report, fmt)
+    if isinstance(report, AgreementReport):
+        return _render_agreement(report, fmt)
+    if isinstance(report, ConsistencyReport):
+        return _render_consistency(report, fmt)
+    raise OutOfRange(f"cannot serialize {type(report).__name__}")
 
 
 def write_report(report, fmt: str, path) -> Path:
