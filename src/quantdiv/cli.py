@@ -16,6 +16,7 @@ from ._version import __version__
 from .dataset_io import FORMATS, _table, load_gold, load_run, render_report, write_report
 from .errors import ValidationError
 from .measures import ALL_MEASURES, DEFAULT_SUITE, MeasureId
+from .meta_eval import _check_threads
 from .meta_eval import agreement, mean_scores, parse_subset_mode, score_matrix, split_half_consistency
 
 _VALID_TAGS = ", ".join(m.value for m in ALL_MEASURES)
@@ -69,9 +70,9 @@ def _expand_runs(paths: list[str]) -> list[Path]:
 
 
 def _load_inputs(args):
+    measures = _parse_measures(args.measures, args.include_rsnod)
     dataset = load_gold(args.gold)
     runs = [load_run(path, dataset) for path in _expand_runs(args.runs)]
-    measures = _parse_measures(args.measures, args.include_rsnod)
     return dataset, runs, measures
 
 
@@ -124,16 +125,17 @@ def cmd_agree(args) -> int:
 
 
 def cmd_consistency(args) -> int:
-    if args.threads < 1:
-        raise ValidationError(f"--threads must be >= 1, got {args.threads}")
+    _check_threads(args.threads)
+    mode = parse_subset_mode(args.subset_mode)
+    seed = _resolve_seed(args.seed)
     dataset, runs, measures = _load_inputs(args)
     report = split_half_consistency(
         dataset,
         runs,
         measures,
-        mode=parse_subset_mode(args.subset_mode),
+        mode=mode,
         B=args.B,
-        seed=_resolve_seed(args.seed),
+        seed=seed,
         alpha=args.alpha,
         permutations=args.permutations,
         threads=args.threads,

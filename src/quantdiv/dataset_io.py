@@ -365,8 +365,17 @@ def read_report(path):
         return _report_from_doc(doc)
     except KeyError as exc:
         raise ParseError(f"report lacks key {exc.args[0]!r}") from None
-    except TypeError as exc:
+    except ValidationError:
+        raise
+    except (TypeError, ValueError) as exc:
         raise ParseError(f"malformed report: {exc}") from None
+
+
+def _float_grid(payload: dict, key: str) -> np.ndarray:
+    try:
+        return np.array(payload[key], dtype=np.float64)
+    except ValueError:
+        raise ParseError(f"report key 'payload.{key}' is not a grid of numbers") from None
 
 
 def _report_from_doc(doc: dict):
@@ -375,7 +384,7 @@ def _report_from_doc(doc: dict):
     payload = doc["payload"]
     if kind == "score_matrix":
         return ScoreMatrix(
-            values=np.array(payload["values"], dtype=np.float64),
+            values=_float_grid(payload, "values"),
             system_ids=tuple(payload["system_ids"]),
             case_ids=tuple(payload["case_ids"]),
             measure=measures[0] if measures else None,
@@ -400,10 +409,12 @@ def _report_from_doc(doc: dict):
         )
     if kind == "consistency":
         meta = doc["meta"]
+        if not isinstance(meta["mode"], str):
+            raise ParseError(f"report key 'meta.mode' must be a string, got {meta['mode']!r}")
         return ConsistencyReport(
             measures=measures,
             mean_tau=tuple(payload["mean_tau"]),
-            per_trial_tau=np.array(payload["per_trial_tau"], dtype=np.float64),
+            per_trial_tau=_float_grid(payload, "per_trial_tau"),
             significant_pairs=tuple(
                 (_measure_tag(w), _measure_tag(l)) for w, l in payload["significant_pairs"]
             ),

@@ -187,6 +187,11 @@ def _check_seed(seed: int) -> int:
     return int(seed)
 
 
+def _check_threads(threads: int) -> None:
+    if threads < 1:
+        raise OutOfRange(f"--threads must be >= 1, got {threads}")
+
+
 def _check_hsd_args(alpha: float, permutations: int) -> None:
     if not 0.0 < alpha < 1.0:
         raise OutOfRange(f"alpha must be in (0, 1), got {alpha}")
@@ -277,7 +282,7 @@ def _split_indices(perm: np.ndarray, mode: SubsetMode) -> tuple[np.ndarray, np.n
 def _uint32_words(n: int) -> list[int]:
     """n as little-endian 32-bit words, at least one, as SeedSequence reads it."""
     if n < 0:
-        raise OutOfRange(f"seeds and trial ids must be non-negative, got {n}")
+        raise OutOfRange(f"seeds must be non-negative, got {n}")
     words = [n & _MASK32]
     while n > _MASK32:
         n >>= 32
@@ -328,20 +333,12 @@ def _trial_seed_words(seed: int, start: int, stop: int) -> np.ndarray:
     """SeedSequence((seed, TRIAL_STREAM, b)).generate_state(4, np.uint64), b in [start, stop).
 
     One (stop - start, 4) uint64 array from a vectorised pass over the
-    trials; trial ids with the same number of 32-bit words share a pass.
+    trials. Trial ids stay below 2**32 (_check_trial_args caps B), so each
+    is a single 32-bit entropy word.
     """
-    out = np.empty((stop - start, 4), dtype=np.uint64)
     head = _uint32_words(seed) + _uint32_words(TRIAL_STREAM)
-    lo = start
-    while lo < stop:
-        n_words = len(_uint32_words(lo))
-        hi = min(stop, 1 << (32 * n_words))
-        trials = np.arange(lo, hi, dtype=np.uint64 if n_words <= 2 else object)
-        entropy = [np.full(hi - lo, word, dtype=np.uint32) for word in head]
-        entropy += [(trials >> (32 * k) & _MASK32).astype(np.uint32) for k in range(n_words)]
-        out[lo - start : hi - start] = _seed_sequence_words(entropy)
-        lo = hi
-    return out
+    entropy = [np.full(stop - start, word, dtype=np.uint32) for word in head]
+    return _seed_sequence_words(entropy + [np.arange(start, stop, dtype=np.uint32)])
 
 
 def _pcg64_state(words: Sequence[int]) -> tuple[int, int]:
@@ -373,17 +370,11 @@ def _trial_permutations(n_cases: int, words: np.ndarray) -> Iterator[np.ndarray]
         yield rng.permutation(n_cases)
 
 
-def trial_subsets(
-    n_cases: int, mode: SubsetMode, seed: int, trial: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The two disjoint case-position subsets used by one consistency trial."""
-    words = _trial_seed_words(_check_seed(seed), trial, trial + 1)
-    return _split_indices(next(_trial_permutations(n_cases, words)), mode)
-
-
 def _check_trial_args(n_cases: int, mode: SubsetMode, B: int, seed: int) -> None:
     if B < 1:
         raise TooFewTrials(f"need at least 1 trial, got {B}")
+    if B > 1 << 32:
+        raise OutOfRange(f"at most 2**32 trials, got {B}")
     if isinstance(mode, FullSplit):
         if n_cases < 4:
             raise DatasetTooSmall(f"half-split needs at least 4 cases, got {n_cases}")
@@ -428,6 +419,7 @@ def consistency_per_trial(
     if n_systems < 2:
         raise TooFewSystems(f"need at least 2 systems, got {n_systems}")
     _check_trial_args(n_cases, mode, B, seed)
+    _check_threads(threads)
     if tau_variant == "b":
         tau_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] = tau_b  # ties at equality
     elif tau_variant == "plain":
@@ -488,6 +480,7 @@ def randomized_tukey_hsd(
         raise OutOfRange("per-trial grid must be finite")
     _check_hsd_args(alpha, permutations)
     _check_seed(seed)
+    _check_threads(threads)
 
     null_stats = np.empty(permutations, dtype=np.float64)
     chunks = [
@@ -530,13 +523,14 @@ def split_half_consistency(
     With B = 1 or a single measure the HSD stage is skipped (nothing to
     compare) and the significant set is empty; alpha and permutations are
     still validated first, so a report never records an invalid value.
-    B, seed and the subset mode are validated before any scoring.
+    B, seed, threads and the subset mode are validated before any scoring.
     """
     measures = tuple(measures)
     if len(measures) < 1:
         raise TooFewMeasures("need at least 1 measure")
     _check_hsd_args(alpha, permutations)
     _check_trial_args(len(dataset.case_ids), mode, B, seed)
+    _check_threads(threads)
     stacked = np.stack(
         [score_matrix(dataset, runs, m).values for m in measures], axis=0
     )

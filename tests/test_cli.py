@@ -295,6 +295,28 @@ def test_consistency_threads_checked_before_loading(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, env_seed, message",
+    [
+        (["consistency", "--subset-mode", "third"], None, "unknown subset mode 'third'"),
+        (["consistency"], "lucky", "QUANTDIV_SEED is not an integer: 'lucky'"),
+        (["score", "--measures", "BOGUS"], None, "unknown measure 'BOGUS'"),
+    ],
+    ids=["subset-mode", "seed-env", "measures"],
+)
+def test_flags_checked_before_loading(tmp_path, capsys, monkeypatch, argv, env_seed, message):
+    # The tables do not exist, so a flag checked after loading would exit 1.
+    if env_seed is None:
+        monkeypatch.delenv("QUANTDIV_SEED", raising=False)
+    else:
+        monkeypatch.setenv("QUANTDIV_SEED", env_seed)
+    out = tmp_path / "r.json"
+    missing = str(tmp_path / "missing.tsv")
+    assert main([*argv, "--gold", missing, "--runs", missing, "--output", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_consistency_tau_plain_and_fixed_size(bench, tmp_path, capsys):
     out = tmp_path / "r.json"
     code = main(consistency_args(bench, out, "--tau", "plain", "--subset-mode", "k=6"))

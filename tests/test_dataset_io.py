@@ -242,13 +242,25 @@ def test_unknown_format_rejected(reports):
         render_report(object(), "tsv")
 
 
-def test_read_report_rejects_bad_input(tmp_path):
+def test_read_report_rejects_bad_input(tmp_path, reports):
     bad = write(tmp_path, "r.json", "not json at all {")
     with pytest.raises(ParseError):
         read_report(bad)
     unknown = write(tmp_path, "r2.json", json.dumps({"kind": "summary", "payload": {}}))
     with pytest.raises(ParseError):
         read_report(unknown)
+    # Ragged grids and a non-string mode, which numpy and str methods reject
+    # with their own exception types.
+    for report, section, key, value, message in (
+        (0, "payload", "values", [[0.1, 0.2], [0.3]], "payload.values"),
+        (2, "payload", "per_trial_tau", [[0.5], [0.5, 0.6]], "payload.per_trial_tau"),
+        (2, "meta", "mode", 3, "meta.mode"),
+        (2, "payload", "significant_pairs", [["NMD"]], "malformed report"),
+    ):
+        doc = json.loads(render_report(reports[report], "json"))
+        doc[section][key] = value
+        with pytest.raises(ParseError, match=message):
+            read_report(write(tmp_path, "r3.json", json.dumps(doc)))
 
 
 @pytest.mark.parametrize("report, key", [(1, "payload"), (2, "payload"), (2, "meta")])

@@ -28,7 +28,6 @@ from quantdiv.meta_eval import (
     randomized_tukey_hsd,
     score_matrix,
     split_half_consistency,
-    trial_subsets,
 )
 from quantdiv import meta_eval, synth
 
@@ -57,37 +56,8 @@ def test_parse_and_format_subset_mode():
             parse_subset_mode(bad)
 
 
-def test_trial_subsets_full_split():
-    for n in (4, 5, 9, 10):
-        idx1, idx2 = trial_subsets(n, FullSplit(), seed=3, trial=0)
-        assert len(idx1) == (n + 1) // 2
-        assert len(idx2) == n // 2
-        assert set(idx1.tolist()).isdisjoint(idx2.tolist())
-        assert sorted(idx1.tolist() + idx2.tolist()) == list(range(n))
-
-
-def test_trial_subsets_fixed_size():
-    idx1, idx2 = trial_subsets(25, FixedSize(10), seed=3, trial=5)
-    assert len(idx1) == len(idx2) == 10
-    merged = idx1.tolist() + idx2.tolist()
-    assert len(set(merged)) == 20
-
-
-def test_trial_subsets_deterministic_per_trial():
-    a1, a2 = trial_subsets(30, FullSplit(), seed=9, trial=4)
-    b1, b2 = trial_subsets(30, FullSplit(), seed=9, trial=4)
-    assert np.array_equal(a1, b1) and np.array_equal(a2, b2)
-    c1, _ = trial_subsets(30, FullSplit(), seed=9, trial=5)
-    assert not np.array_equal(a1, c1)
-
-
-def test_trial_subsets_negative_seed():
-    with pytest.raises(OutOfRange):
-        trial_subsets(10, FullSplit(), seed=-1, trial=0)
-
-
 SEEDS = [0, 1, 42, 2**32 - 1, 2**32, 2**64 + 3]
-TRIALS = list(range(64)) + [2**31, 2**32 - 1, 2**32, 2**40, 2**64 + 5]
+TRIALS = list(range(64)) + [2**31, 2**32 - 1]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -103,16 +73,6 @@ def test_trial_seed_words_equal_seed_sequence(seed):
         assert np.array_equal(row, sequence.generate_state(4, np.uint64))
         state = np.random.PCG64(sequence).state["state"]
         assert meta_eval._pcg64_state(row) == (state["state"], state["inc"])
-
-
-def test_trial_seed_words_span_word_boundaries():
-    # A block that crosses 2**32 mixes trials of one and of two entropy words.
-    start = 2**32 - 3
-    words = meta_eval._trial_seed_words(5, start, start + 6)
-    for row, b in zip(words, range(start, start + 6)):
-        sequence = np.random.SeedSequence((5, meta_eval.TRIAL_STREAM, b))
-        expected = sequence.generate_state(4, np.uint64)
-        assert np.array_equal(row, expected)
 
 
 # --- score matrix and means ---
@@ -236,18 +196,28 @@ def test_consistency_per_trial_matches_per_trial_loop(monkeypatch, mode, variant
     # Batched blocks (one trial, a few, or all 23 per block, as with the
     # default TRIAL_BLOCK) against one scalar tau per (measure, trial) from an
     # independently seeded generator; rounding the scores makes tied means.
+    # With an odd case count a half split gives the extra case to the first half.
     monkeypatch.setattr(meta_eval, "TRIAL_BLOCK", trial_block)
     rng = np.random.default_rng(56)
-    stacked = np.round(rng.random((3, 7, 31)), 1)
-    got = consistency_per_trial(stacked, mode, B=23, seed=6, tau_variant=variant)
     tau = tau_b if variant == "b" else tau_plain
-    expected = np.empty((3, 23))
-    for b in range(23):
-        perm = np.random.default_rng(np.random.SeedSequence((6, 1, b))).permutation(31)
-        idx1, idx2 = (perm[:16], perm[16:]) if mode == FullSplit() else (perm[:7], perm[7:14])
-        for k in range(3):
-            expected[k, b] = tau(stacked[k][:, idx1].mean(axis=1), stacked[k][:, idx2].mean(axis=1))
-    assert np.array_equal(got, expected)
+    for n_cases in (31, 30):
+        stacked = np.round(rng.random((3, 7, n_cases)), 1)
+        got = consistency_per_trial(stacked, mode, B=23, seed=6, tau_variant=variant)
+        expected = np.empty((3, 23))
+        for b in range(23):
+            perm = np.random.default_rng(np.random.SeedSequence((6, 1, b))).permutation(n_cases)
+            if mode == FullSplit():
+                idx1, idx2 = perm[: (n_cases + 1) // 2], perm[(n_cases + 1) // 2 :]
+                assert len(idx1) - len(idx2) == n_cases % 2
+                assert sorted(idx1.tolist() + idx2.tolist()) == list(range(n_cases))
+            else:
+                idx1, idx2 = perm[: mode.k], perm[mode.k : 2 * mode.k]
+                assert len(idx1) == len(idx2) == mode.k
+            assert set(idx1.tolist()).isdisjoint(idx2.tolist())
+            for k in range(3):
+                halves = stacked[k][:, idx1].mean(axis=1), stacked[k][:, idx2].mean(axis=1)
+                expected[k, b] = tau(*halves)
+        assert np.array_equal(got, expected)
 
 
 def test_consistency_per_trial_signal_beats_noise():
@@ -283,9 +253,15 @@ def test_consistency_per_trial_errors():
     consistency_per_trial(ok, FixedSize(10), B=1, seed=1)
     with pytest.raises(TooFewTrials):
         consistency_per_trial(ok, FixedSize(10), B=0, seed=1)
+    # trial ids must fit one 32-bit seed word; rejected before any allocation
+    with pytest.raises(OutOfRange, match="at most 2\\*\\*32 trials"):
+        consistency_per_trial(ok, FixedSize(10), B=2**32 + 1, seed=1)
     solo = constant_quality_stack(systems=1)
     with pytest.raises(TooFewSystems):
         consistency_per_trial(solo, FullSplit(), B=5, seed=1)
+    for threads in (0, -3):
+        with pytest.raises(OutOfRange, match=f"--threads must be >= 1, got {threads}"):
+            consistency_per_trial(ok, FixedSize(10), B=5, seed=1, threads=threads)
 
 
 class _SerialPool:
@@ -368,6 +344,9 @@ def test_hsd_errors():
         randomized_tukey_hsd(two, permutations=0)
     with pytest.raises(OutOfRange):
         randomized_tukey_hsd(two, seed=-5)
+    for threads in (0, -3):
+        with pytest.raises(OutOfRange, match=f"--threads must be >= 1, got {threads}"):
+            randomized_tukey_hsd(two, threads=threads)
     # one bad cell must not silently drop the pairs between finite rows
     for bad in (np.nan, np.inf, -np.inf):
         grid = np.vstack([two, np.full(10, 0.9)])
@@ -401,6 +380,8 @@ def test_split_half_consistency_report():
         ({"B": 0}, TooFewTrials),
         ({"seed": -1}, OutOfRange),
         ({"mode": FixedSize(21)}, DatasetTooSmall),
+        ({"threads": 0}, OutOfRange),
+        ({"threads": -3}, OutOfRange),
     ],
 )
 def test_split_half_consistency_validates_before_scoring(monkeypatch, kwargs, error):
