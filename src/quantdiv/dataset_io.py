@@ -191,8 +191,8 @@ def _table(fmt: str, header: Sequence[str], rows) -> str:
     """Rows of cells as TSV lines, or as a markdown table with a --- row."""
     if fmt == "tsv":
         return "".join("\t".join(cells) + "\n" for cells in (header, *rows))
-    rows = (header, ["---"] * len(header), *rows)
-    return "".join("| " + " | ".join(cells) + " |\n" for cells in rows)
+    lines = (header, ["---"] * len(header), *rows)
+    return "".join("| " + " | ".join(cells) + " |\n" for cells in lines)
 
 
 def _write_table(path, mode: str, dataset: Dataset, rows) -> Path:
