@@ -16,8 +16,8 @@ from ._version import __version__
 from .dataset_io import FORMATS, _table, load_gold, load_run, render_report, write_report
 from .errors import ValidationError
 from .measures import ALL_MEASURES, DEFAULT_SUITE, MeasureId
-from .meta_eval import _check_threads
-from .meta_eval import agreement, mean_scores, parse_subset_mode, score_matrix, split_half_consistency
+from .meta_eval import agreement, check_consistency_args, mean_scores, parse_subset_mode
+from .meta_eval import score_matrix, split_half_consistency
 
 _VALID_TAGS = ", ".join(m.value for m in ALL_MEASURES)
 
@@ -125,22 +125,18 @@ def cmd_agree(args) -> int:
 
 
 def cmd_consistency(args) -> int:
-    _check_threads(args.threads)
     mode = parse_subset_mode(args.subset_mode)
-    seed = _resolve_seed(args.seed)
-    dataset, runs, measures = _load_inputs(args)
-    report = split_half_consistency(
-        dataset,
-        runs,
-        measures,
-        mode=mode,
+    trial_args = dict(
         B=args.B,
-        seed=seed,
+        seed=_resolve_seed(args.seed),
         alpha=args.alpha,
         permutations=args.permutations,
         threads=args.threads,
         tau_variant="plain" if args.tau == "plain" else "b",
     )
+    check_consistency_args(**trial_args)
+    dataset, runs, measures = _load_inputs(args)
+    report = split_half_consistency(dataset, runs, measures, mode=mode, **trial_args)
     _emit(report, args)
     return 0
 

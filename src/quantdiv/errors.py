@@ -49,10 +49,6 @@ class MisalignedRun(ValidationError):
     pass
 
 
-class EmptySubset(ValidationError):
-    pass
-
-
 class TooFewSystems(ValidationError):
     pass
 

@@ -20,14 +20,13 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from . import kernels
 from .errors import (
     DatasetTooSmall,
-    EmptySubset,
     MisalignedRun,
     OutOfRange,
     TooFewMeasures,
@@ -50,8 +49,8 @@ HSD_CHUNK = 256
 # measures to 256 KB and keeps peak memory flat in the number of systems.
 SCORE_BLOCK = 1 << 15
 # consistency_per_trial runs trials in blocks of at most this many elements
-# of case gathers and n x n pair cells (at least one trial per block), so
-# its temporaries stay bounded whatever B and the number of cases.
+# of permutations, case gathers and n x n pair cells (at least one trial per
+# block), so its temporaries stay bounded whatever B and the number of cases.
 TRIAL_BLOCK = 1 << 19
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx) and the
@@ -69,12 +68,30 @@ _PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
 class FullSplit:
     """Shuffle all cases and split in half; odd case goes to the first half."""
 
+    def bounds(self, n_cases: int) -> tuple[int, int]:
+        """(split, end): a trial's subsets are perm[:split] and perm[split:end]."""
+        if n_cases < 4:
+            raise DatasetTooSmall(f"half-split needs at least 4 cases, got {n_cases}")
+        return (n_cases + 1) // 2, n_cases
+
 
 @dataclass(frozen=True)
 class FixedSize:
     """Draw two disjoint subsets of exactly k cases each."""
 
     k: int
+
+    def __post_init__(self):
+        if self.k < 1:
+            raise OutOfRange(f"subset size must be >= 1, got {self.k}")
+
+    def bounds(self, n_cases: int) -> tuple[int, int]:
+        """(split, end): a trial's subsets are perm[:split] and perm[split:end]."""
+        if n_cases < 2 * self.k:
+            raise DatasetTooSmall(
+                f"two disjoint subsets of {self.k} need {2 * self.k} cases, got {n_cases}"
+            )
+        return self.k, 2 * self.k
 
 
 SubsetMode = FullSplit | FixedSize
@@ -94,8 +111,6 @@ def parse_subset_mode(text: str) -> SubsetMode:
             k = int(text[2:])
         except ValueError:
             raise OutOfRange(f"bad subset size in {text!r}") from None
-        if k < 1:
-            raise OutOfRange(f"subset size must be >= 1, got {k}")
         return FixedSize(k)
     raise OutOfRange(f"unknown subset mode {text!r}; expected 'half' or 'k=<int>'")
 
@@ -181,22 +196,31 @@ class ConsistencyReport:
         )
 
 
-def _check_seed(seed: int) -> int:
+def check_consistency_args(
+    B: int = 1,
+    seed: int = 0,
+    alpha: float = 0.05,
+    permutations: int = 1,
+    threads: int = 1,
+    tau_variant: str = "b",
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Reject a bad consistency argument before any work; return the tau function."""
+    if B < 1:
+        raise TooFewTrials(f"need at least 1 trial, got {B}")
+    if B > 1 << 32:
+        raise OutOfRange(f"at most 2**32 trials, got {B}")
     if seed < 0:
         raise OutOfRange(f"seed must be non-negative, got {seed}")
-    return int(seed)
-
-
-def _check_threads(threads: int) -> None:
-    if threads < 1:
-        raise OutOfRange(f"--threads must be >= 1, got {threads}")
-
-
-def _check_hsd_args(alpha: float, permutations: int) -> None:
     if not 0.0 < alpha < 1.0:
         raise OutOfRange(f"alpha must be in (0, 1), got {alpha}")
     if permutations < 1:
         raise OutOfRange(f"need at least 1 permutation round, got {permutations}")
+    if threads < 1:
+        raise OutOfRange(f"--threads must be >= 1, got {threads}")
+    tau_fn = {"b": tau_b, "plain": tau_plain}.get(tau_variant)  # tau_b: ties at equality
+    if tau_fn is None:
+        raise OutOfRange(f"unknown tau variant {tau_variant!r}")
+    return tau_fn
 
 
 def score_matrix(dataset: "Dataset", runs: Sequence["SystemRun"], measure: MeasureId) -> ScoreMatrix:
@@ -226,14 +250,9 @@ def score_matrix(dataset: "Dataset", runs: Sequence["SystemRun"], measure: Measu
     )
 
 
-def mean_scores(matrix: ScoreMatrix, case_subset: Sequence[int] | None = None) -> np.ndarray:
-    """Mean score per system, over all cases or a subset of case positions."""
-    if case_subset is None:
-        return matrix.values.mean(axis=1)
-    idx = np.asarray(case_subset, dtype=np.intp)
-    if idx.size == 0:
-        raise EmptySubset("case subset is empty")
-    return matrix.values[:, idx].mean(axis=1)
+def mean_scores(matrix: ScoreMatrix) -> np.ndarray:
+    """Mean score per system over all cases."""
+    return matrix.values.mean(axis=1)
 
 
 def agreement(
@@ -252,6 +271,8 @@ def agreement(
         raise TooFewSystems(f"need at least 3 systems, got {len(runs)}")
     if len(measures) < 2:
         raise TooFewMeasures(f"need at least 2 measures, got {len(measures)}")
+    if not 0.0 < confidence < 1.0:
+        raise OutOfRange(f"confidence must be in (0, 1), got {confidence}")
     means = [mean_scores(score_matrix(dataset, runs, m)) for m in measures]
     m = len(measures)
     grid: list[list[TauResult | None]] = [[None] * m for _ in range(m)]
@@ -272,17 +293,8 @@ def agreement(
     )
 
 
-def _split_indices(perm: np.ndarray, mode: SubsetMode) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(mode, FullSplit):
-        half = (perm.shape[0] + 1) // 2
-        return perm[:half], perm[half:]
-    return perm[: mode.k], perm[mode.k : 2 * mode.k]
-
-
 def _uint32_words(n: int) -> list[int]:
-    """n as little-endian 32-bit words, at least one, as SeedSequence reads it."""
-    if n < 0:
-        raise OutOfRange(f"seeds must be non-negative, got {n}")
+    """n >= 0 as little-endian 32-bit words, at least one, as SeedSequence reads it."""
     words = [n & _MASK32]
     while n > _MASK32:
         n >>= 32
@@ -333,7 +345,7 @@ def _trial_seed_words(seed: int, start: int, stop: int) -> np.ndarray:
     """SeedSequence((seed, TRIAL_STREAM, b)).generate_state(4, np.uint64), b in [start, stop).
 
     One (stop - start, 4) uint64 array from a vectorised pass over the
-    trials. Trial ids stay below 2**32 (_check_trial_args caps B), so each
+    trials. Trial ids stay below 2**32 (check_consistency_args caps B), so each
     is a single 32-bit entropy word.
     """
     head = _uint32_words(seed) + _uint32_words(TRIAL_STREAM)
@@ -352,14 +364,17 @@ def _pcg64_state(words: Sequence[int]) -> tuple[int, int]:
     return ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128, inc
 
 
-def _trial_permutations(n_cases: int, words: np.ndarray) -> Iterator[np.ndarray]:
-    """rng.permutation(n_cases) for each row of trial seed words, in order.
+def _trial_permutations(n_cases: int, words: np.ndarray) -> np.ndarray:
+    """(trials, n_cases) block: rng.permutation(n_cases) per row of trial seed words.
 
     Each rng is the default_rng of that trial's SeedSequence; one Generator
-    is reused by assigning its PCG64 state.
+    is reused by assigning its PCG64 state. Each row starts as arange and is
+    shuffled in place, which is how Generator.permutation(n) draws.
     """
     rng = np.random.Generator(np.random.PCG64(0))
-    for row in words.tolist():
+    perms = np.empty((len(words), n_cases), dtype=np.intp)
+    perms[:] = np.arange(n_cases)
+    for perm, row in zip(perms, words.tolist()):
         state, inc = _pcg64_state(row)
         rng.bit_generator.state = {
             "bit_generator": "PCG64",
@@ -367,25 +382,8 @@ def _trial_permutations(n_cases: int, words: np.ndarray) -> Iterator[np.ndarray]
             "has_uint32": 0,
             "uinteger": 0,
         }
-        yield rng.permutation(n_cases)
-
-
-def _check_trial_args(n_cases: int, mode: SubsetMode, B: int, seed: int) -> None:
-    if B < 1:
-        raise TooFewTrials(f"need at least 1 trial, got {B}")
-    if B > 1 << 32:
-        raise OutOfRange(f"at most 2**32 trials, got {B}")
-    if isinstance(mode, FullSplit):
-        if n_cases < 4:
-            raise DatasetTooSmall(f"half-split needs at least 4 cases, got {n_cases}")
-    else:
-        if mode.k < 1:
-            raise OutOfRange(f"subset size must be >= 1, got {mode.k}")
-        if n_cases < 2 * mode.k:
-            raise DatasetTooSmall(
-                f"two disjoint subsets of {mode.k} need {2 * mode.k} cases, got {n_cases}"
-            )
-    _check_seed(seed)
+        rng.shuffle(perm)
+    return perms
 
 
 def _run_all(task: Callable, items: Sequence, threads: int) -> None:
@@ -418,18 +416,11 @@ def consistency_per_trial(
     n_measures, n_systems, n_cases = stacked.shape
     if n_systems < 2:
         raise TooFewSystems(f"need at least 2 systems, got {n_systems}")
-    _check_trial_args(n_cases, mode, B, seed)
-    _check_threads(threads)
-    if tau_variant == "b":
-        tau_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] = tau_b  # ties at equality
-    elif tau_variant == "plain":
-        tau_fn = tau_plain
-    else:
-        raise OutOfRange(f"unknown tau variant {tau_variant!r}")
+    tau_fn = check_consistency_args(B=B, seed=seed, threads=threads, tau_variant=tau_variant)
+    split, end = mode.bounds(n_cases)
 
     per_trial = np.empty((n_measures, B), dtype=np.float64)
-    used_cases = n_cases if isinstance(mode, FullSplit) else 2 * mode.k
-    per_trial_elements = n_measures * n_systems * (used_cases + n_systems)
+    per_trial_elements = n_cases + n_measures * n_systems * (end + n_systems)
     step = max(1, TRIAL_BLOCK // per_trial_elements)
     blocks = [(start, min(start + step, B)) for start in range(0, B, step)]
     words = _trial_seed_words(seed, 0, B)
@@ -440,12 +431,11 @@ def consistency_per_trial(
     def run_block(block: tuple[int, int]) -> None:
         start, stop = block
         perms = _trial_permutations(n_cases, words[start:stop])
-        subsets = [_split_indices(perm, mode) for perm in perms]
         # (trials, subset, measures * systems) -> per-system means as
         # (trials, measures, systems), so tau pairs up the systems.
         first, second = (
-            cols[np.stack(idx)].mean(axis=1).reshape(-1, n_measures, n_systems)
-            for idx in zip(*subsets)
+            cols[idx].mean(axis=1).reshape(-1, n_measures, n_systems)
+            for idx in (perms[:, :split], perms[:, split:end])
         )
         per_trial[:, start:stop] = tau_fn(first, second).T
 
@@ -478,9 +468,7 @@ def randomized_tukey_hsd(
         raise TooFewTrials(f"need at least 2 trials, got {n_trials}")
     if not np.isfinite(arr).all():
         raise OutOfRange("per-trial grid must be finite")
-    _check_hsd_args(alpha, permutations)
-    _check_seed(seed)
-    _check_threads(threads)
+    check_consistency_args(seed=seed, alpha=alpha, permutations=permutations, threads=threads)
 
     null_stats = np.empty(permutations, dtype=np.float64)
     chunks = [
@@ -523,14 +511,16 @@ def split_half_consistency(
     With B = 1 or a single measure the HSD stage is skipped (nothing to
     compare) and the significant set is empty; alpha and permutations are
     still validated first, so a report never records an invalid value.
-    B, seed, threads and the subset mode are validated before any scoring.
+    Every argument, the subset mode and the number of systems are
+    validated before any scoring.
     """
     measures = tuple(measures)
     if len(measures) < 1:
         raise TooFewMeasures("need at least 1 measure")
-    _check_hsd_args(alpha, permutations)
-    _check_trial_args(len(dataset.case_ids), mode, B, seed)
-    _check_threads(threads)
+    if len(runs) < 2:
+        raise TooFewSystems(f"need at least 2 systems, got {len(runs)}")
+    check_consistency_args(B, seed, alpha, permutations, threads, tau_variant)
+    mode.bounds(len(dataset.case_ids))
     stacked = np.stack(
         [score_matrix(dataset, runs, m).values for m in measures], axis=0
     )

@@ -301,8 +301,12 @@ def test_consistency_threads_checked_before_loading(tmp_path, capsys):
         (["consistency", "--subset-mode", "third"], None, "unknown subset mode 'third'"),
         (["consistency"], "lucky", "QUANTDIV_SEED is not an integer: 'lucky'"),
         (["score", "--measures", "BOGUS"], None, "unknown measure 'BOGUS'"),
+        (["consistency", "--B", "0"], None, "need at least 1 trial, got 0"),
+        (["consistency", "--alpha", "5"], None, "alpha must be in (0, 1), got 5.0"),
+        (["consistency", "--permutations", "0"], None, "need at least 1 permutation round, got 0"),
+        (["consistency", "--seed", "-3"], None, "seed must be non-negative, got -3"),
     ],
-    ids=["subset-mode", "seed-env", "measures"],
+    ids=["subset-mode", "seed-env", "measures", "B", "alpha", "permutations", "seed"],
 )
 def test_flags_checked_before_loading(tmp_path, capsys, monkeypatch, argv, env_seed, message):
     # The tables do not exist, so a flag checked after loading would exit 1.

@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from quantdiv.dataset_io import Dataset, SystemRun
 from quantdiv.distributions import validate
 from quantdiv.errors import (
     DatasetTooSmall,
-    EmptySubset,
     MisalignedRun,
     OutOfRange,
     TooFewMeasures,
@@ -54,6 +54,19 @@ def test_parse_and_format_subset_mode():
     for bad in ("third", "k=", "k=x", "k=0"):
         with pytest.raises(OutOfRange):
             parse_subset_mode(bad)
+    with pytest.raises(OutOfRange, match="subset size must be >= 1, got 0"):
+        FixedSize(0)
+
+
+def test_subset_mode_bounds():
+    assert FullSplit().bounds(4) == (2, 4)
+    assert FullSplit().bounds(31) == (16, 31)
+    assert FixedSize(10).bounds(20) == (10, 20)
+    assert FixedSize(10).bounds(31) == (10, 20)
+    with pytest.raises(DatasetTooSmall, match="half-split needs at least 4 cases, got 3"):
+        FullSplit().bounds(3)
+    with pytest.raises(DatasetTooSmall, match="subsets of 10 need 20 cases, got 19"):
+        FixedSize(10).bounds(19)
 
 
 SEEDS = [0, 1, 42, 2**32 - 1, 2**32, 2**64 + 3]
@@ -73,6 +86,15 @@ def test_trial_seed_words_equal_seed_sequence(seed):
         assert np.array_equal(row, sequence.generate_state(4, np.uint64))
         state = np.random.PCG64(sequence).state["state"]
         assert meta_eval._pcg64_state(row) == (state["state"], state["inc"])
+
+
+@pytest.mark.parametrize("n_cases", [1, 2, 31, 200])
+def test_trial_permutations_equal_generator_permutation(n_cases):
+    perms = meta_eval._trial_permutations(n_cases, meta_eval._trial_seed_words(9, 0, 40))
+    streams = (np.random.SeedSequence((9, meta_eval.TRIAL_STREAM, b)) for b in range(40))
+    expected = np.stack([np.random.default_rng(seq).permutation(n_cases) for seq in streams])
+    assert perms.shape == (40, n_cases) and perms.dtype == np.intp
+    assert np.array_equal(perms, expected)
 
 
 # --- score matrix and means ---
@@ -117,9 +139,6 @@ def test_mean_scores():
         case_ids=("a", "b", "c"),
     )
     assert mean_scores(matrix).tolist() == [pytest.approx(0.2), 1.0]
-    assert mean_scores(matrix, [0, 2]).tolist() == [pytest.approx(0.2), 1.0]
-    with pytest.raises(EmptySubset):
-        mean_scores(matrix, [])
 
 
 # --- agreement ---
@@ -157,6 +176,16 @@ def test_agreement_errors():
         agreement(ds, runs[:2], [MeasureId.NVD, MeasureId.RNSS])
     with pytest.raises(TooFewMeasures):
         agreement(ds, runs, [MeasureId.NVD])
+
+
+def test_agreement_checks_confidence_before_scoring(monkeypatch):
+    def no_scoring(*args):
+        raise AssertionError("scored before the confidence was checked")
+
+    ds, runs = synth.generate(n_systems=3, n_cases=10, seed=7)
+    monkeypatch.setattr(meta_eval, "score_matrix", no_scoring)
+    with pytest.raises(OutOfRange, match="confidence must be in \\(0, 1\\), got 1.5"):
+        agreement(ds, runs, [MeasureId.NVD, MeasureId.RNSS], confidence=1.5)
 
 
 # --- consistency trials ---
@@ -262,6 +291,19 @@ def test_consistency_per_trial_errors():
     for threads in (0, -3):
         with pytest.raises(OutOfRange, match=f"--threads must be >= 1, got {threads}"):
             consistency_per_trial(ok, FixedSize(10), B=5, seed=1, threads=threads)
+
+
+def test_consistency_per_trial_memory_counts_the_permutations():
+    # Two subsets of one case out of 2000: the block's permutations, not its
+    # gathers, are what TRIAL_BLOCK must bound (32 MB for B = 2000 if not).
+    stacked = np.random.default_rng(0).random((1, 2, 2000))
+    tracemalloc.start()
+    try:
+        consistency_per_trial(stacked, FixedSize(1), B=2000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * meta_eval.TRIAL_BLOCK * 8
 
 
 class _SerialPool:
@@ -382,13 +424,16 @@ def test_split_half_consistency_report():
         ({"mode": FixedSize(21)}, DatasetTooSmall),
         ({"threads": 0}, OutOfRange),
         ({"threads": -3}, OutOfRange),
+        ({"n_systems": 1}, TooFewSystems),
+        ({"tau_variant": "kendall"}, OutOfRange),
     ],
 )
 def test_split_half_consistency_validates_before_scoring(monkeypatch, kwargs, error):
     def no_scoring(*args):
         raise AssertionError("scored before the trial arguments were checked")
 
-    ds, runs = synth.generate(n_systems=4, n_cases=40, seed=15)
+    kwargs = dict(kwargs)
+    ds, runs = synth.generate(n_systems=kwargs.pop("n_systems", 4), n_cases=40, seed=15)
     monkeypatch.setattr(meta_eval, "score_matrix", no_scoring)
     with pytest.raises(error):
         split_half_consistency(ds, runs, [MeasureId.NMD, MeasureId.NVD], **kwargs)
