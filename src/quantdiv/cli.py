@@ -14,7 +14,7 @@ from pathlib import Path
 
 from ._version import __version__
 from .dataset_io import FORMATS, _table, load_gold, load_run, render_report, write_report
-from .errors import ValidationError
+from .errors import TooFewMeasures, ValidationError
 from .measures import ALL_MEASURES, DEFAULT_SUITE, MeasureId
 from .meta_eval import agreement, check_consistency_args, mean_scores, parse_subset_mode
 from .meta_eval import score_matrix, split_half_consistency
@@ -69,8 +69,10 @@ def _expand_runs(paths: list[str]) -> list[Path]:
     return files
 
 
-def _load_inputs(args):
+def _load_inputs(args, min_measures: int = 1):
     measures = _parse_measures(args.measures, args.include_rsnod)
+    if len(measures) < min_measures:
+        raise TooFewMeasures(f"need at least {min_measures} measures, got {len(measures)}")
     dataset = load_gold(args.gold)
     runs = [load_run(path, dataset) for path in _expand_runs(args.runs)]
     return dataset, runs, measures
@@ -118,7 +120,7 @@ def cmd_score(args) -> int:
 
 
 def cmd_agree(args) -> int:
-    dataset, runs, measures = _load_inputs(args)
+    dataset, runs, measures = _load_inputs(args, min_measures=2)
     report = agreement(dataset, runs, measures)
     _emit(report, args)
     return 0

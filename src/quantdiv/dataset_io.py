@@ -227,7 +227,7 @@ def _json_doc(report) -> dict:
     if isinstance(report, ScoreMatrix):
         return {
             "kind": "score_matrix",
-            "measures": [report.measure.value] if report.measure is not None else [],
+            "measures": [report.measure.value],
             "payload": {
                 "system_ids": list(report.system_ids),
                 "case_ids": list(report.case_ids),
@@ -279,10 +279,7 @@ def _json_doc(report) -> dict:
 
 
 def _render_scores(report: ScoreMatrix, fmt: str) -> str:
-    if fmt == "tsv":
-        corner = "system_id"
-    else:
-        corner = f"system ({report.measure.value})" if report.measure is not None else "system"
+    corner = "system_id" if fmt == "tsv" else f"system ({report.measure.value})"
     rows = ([sid, *map(_fmt6, row)] for sid, row in zip(report.system_ids, report.values))
     return _table(fmt, [corner, *report.case_ids], rows)
 
@@ -318,8 +315,9 @@ def _render_consistency(report: ConsistencyReport, fmt: str) -> str:
         header = ["measure", "mean tau", "significantly outperforms"]
         mean_fmt, sep, nobody = "{:.4f}", ", ", "-"
     rows = []
-    for i in sorted(range(len(report.measures)), key=lambda i: (-report.mean_tau[i], i)):
-        measure, mean = report.measures[i], mean_fmt.format(report.mean_tau[i])
+    means = report.mean_tau
+    for i in sorted(range(len(report.measures)), key=lambda i: (-means[i], i)):
+        measure, mean = report.measures[i], mean_fmt.format(means[i])
         beats = sep.join(l.value for w, l in report.significant_pairs if w is measure)
         rows.append([measure.value, mean, beats or nobody])
     return _table(fmt, header, rows)
@@ -365,9 +363,9 @@ def read_report(path):
         return _report_from_doc(doc)
     except KeyError as exc:
         raise ParseError(f"report lacks key {exc.args[0]!r}") from None
-    except ValidationError:
+    except ParseError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:  # the reports' own checks raise ValidationError
         raise ParseError(f"malformed report: {exc}") from None
 
 
@@ -378,16 +376,25 @@ def _float_grid(payload: dict, key: str) -> np.ndarray:
         raise ParseError(f"report key 'payload.{key}' is not a grid of numbers") from None
 
 
+def _check_stored(doc: dict, section: str, key: str, derived) -> None:
+    """A summary key the writer stores must equal the value the report derives."""
+    stored = doc[section][key]
+    if stored != derived:
+        raise ParseError(f"report key '{section}.{key}' is {stored!r}, the data give {derived!r}")
+
+
 def _report_from_doc(doc: dict):
     kind = doc.get("kind")
     measures = tuple(_measure_tag(tag) for tag in doc.get("measures", []))
     payload = doc["payload"]
     if kind == "score_matrix":
+        if len(measures) != 1:
+            raise ParseError(f"report key 'measures' must name one measure, got {len(measures)}")
         return ScoreMatrix(
             values=_float_grid(payload, "values"),
             system_ids=tuple(payload["system_ids"]),
             case_ids=tuple(payload["case_ids"]),
-            measure=measures[0] if measures else None,
+            measure=measures[0],
         )
     if kind == "agreement":
         index = {m.value: i for i, m in enumerate(measures)}
@@ -402,27 +409,26 @@ def _report_from_doc(doc: dict):
             grid[i][j] = TauResult(
                 tau=pair["tau"], ci_low=pair["ci_low"], ci_high=pair["ci_high"], n=pair["n"]
             )
-        return AgreementReport(
-            measures=measures,
-            grid=tuple(tuple(row) for row in grid),
-            avg_similarity=tuple(payload["avg_similarity"]),
-        )
+        report = AgreementReport(measures=measures, grid=tuple(tuple(row) for row in grid))
+        _check_stored(doc, "payload", "avg_similarity", list(report.avg_similarity))
+        return report
     if kind == "consistency":
         meta = doc["meta"]
         if not isinstance(meta["mode"], str):
             raise ParseError(f"report key 'meta.mode' must be a string, got {meta['mode']!r}")
-        return ConsistencyReport(
+        report = ConsistencyReport(
             measures=measures,
-            mean_tau=tuple(payload["mean_tau"]),
             per_trial_tau=_float_grid(payload, "per_trial_tau"),
             significant_pairs=tuple(
                 (_measure_tag(w), _measure_tag(l)) for w, l in payload["significant_pairs"]
             ),
             mode=parse_subset_mode(meta["mode"]),
             seed=meta["seed"],
-            B=meta["B"],
             alpha=meta["alpha"],
             permutations=payload["permutations"],
             tau_variant=payload["tau_variant"],
         )
+        _check_stored(doc, "payload", "mean_tau", list(report.mean_tau))
+        _check_stored(doc, "meta", "B", report.B)
+        return report
     raise ParseError(f"unknown report kind {kind!r}")

@@ -60,7 +60,10 @@ def validate(raw: Iterable[float]) -> Distribution:
     for i, p in enumerate(probs, start=1):
         if p < 0.0 or math.isnan(p):
             raise NegativeProbability(f"class {i} has probability {p}")
-    total = math.fsum(probs)
+    try:
+        total = math.fsum(probs)
+    except OverflowError:  # finite entries whose exact sum is beyond the float range
+        total = math.inf
     if abs(total - 1.0) > SUM_TOLERANCE:
         raise NotNormalized(f"probabilities sum to {total!r}")
     return Distribution(tuple(p / total for p in probs))

@@ -27,6 +27,7 @@ import numpy as np
 from . import kernels
 from .errors import (
     DatasetTooSmall,
+    LengthMismatch,
     MisalignedRun,
     OutOfRange,
     TooFewMeasures,
@@ -122,7 +123,7 @@ class ScoreMatrix:
     values: np.ndarray
     system_ids: tuple[str, ...]
     case_ids: tuple[str, ...]
-    measure: MeasureId | None = None
+    measure: MeasureId
 
     def __post_init__(self):
         values = np.array(self.values, dtype=np.float64)
@@ -148,19 +149,32 @@ class ScoreMatrix:
 
 @dataclass(frozen=True)
 class AgreementReport:
-    """Pairwise tau/CI between measures plus each measure's average tau."""
+    """Pairwise tau/CI between measures; each measure's average tau is derived."""
 
     measures: tuple[MeasureId, ...]
-    grid: tuple[tuple[TauResult | None, ...], ...]  # upper triangle filled
-    avg_similarity: tuple[float, ...]
+    grid: tuple[tuple[TauResult | None, ...], ...]  # a TauResult exactly where i < j
+
+    def __post_init__(self):
+        m = len(self.measures)
+        if m < 2:
+            raise TooFewMeasures(f"need at least 2 measures, got {m}")
+        filled = [[isinstance(cell, TauResult) for cell in row] for row in self.grid]
+        if filled != [[i < j for j in range(m)] for i in range(m)]:
+            raise LengthMismatch(f"agreement grid of {m} measures needs a tau exactly where i < j")
+
+    @property
+    def avg_similarity(self) -> tuple[float, ...]:
+        """Each measure's mean tau against every other measure."""
+        m = len(self.measures)
+        return tuple(
+            math.fsum(self.pair(i, j).tau for j in range(m) if j != i) / (m - 1)
+            for i in range(m)
+        )
 
     def pair(self, i: int, j: int) -> TauResult:
         if i == j:
             raise OutOfRange("no self-pair in the agreement grid")
-        lo, hi = min(i, j), max(i, j)
-        cell = self.grid[lo][hi]
-        assert cell is not None
-        return cell
+        return self.grid[min(i, j)][max(i, j)]
 
 
 @dataclass(eq=False)
@@ -168,12 +182,10 @@ class ConsistencyReport:
     """Split-half consistency of each measure plus HSD significance."""
 
     measures: tuple[MeasureId, ...]
-    mean_tau: tuple[float, ...]
     per_trial_tau: np.ndarray  # (measures, B)
     significant_pairs: tuple[tuple[MeasureId, MeasureId], ...]  # (winner, loser)
     mode: SubsetMode
     seed: int
-    B: int
     alpha: float
     permutations: int
     tau_variant: str = "b"
@@ -182,17 +194,38 @@ class ConsistencyReport:
         arr = np.array(self.per_trial_tau, dtype=np.float64)
         arr.setflags(write=False)
         object.__setattr__(self, "per_trial_tau", arr)
+        if not self.measures or arr.ndim != 2 or arr.shape[0] != len(self.measures):
+            raise LengthMismatch(
+                f"per-trial tau grid {arr.shape} must be (measures, B) with >= 1 measure, "
+                f"got {len(self.measures)} measures"
+            )
+        check_consistency_args(
+            self.B, self.seed, self.alpha, self.permutations, tau_variant=self.tau_variant
+        )
+        for winner, loser in self.significant_pairs:
+            if winner == loser or winner not in self.measures or loser not in self.measures:
+                raise OutOfRange(
+                    f"significant pair ({winner}, {loser}) must name two different report measures"
+                )
+
+    @property
+    def mean_tau(self) -> tuple[float, ...]:
+        """Each measure's mean per-trial tau."""
+        return tuple(float(v) for v in self.per_trial_tau.mean(axis=1))
+
+    @property
+    def B(self) -> int:
+        return self.per_trial_tau.shape[1]
 
     def __eq__(self, other):
         return (
             isinstance(other, ConsistencyReport)
             and self.measures == other.measures
-            and self.mean_tau == other.mean_tau
             and np.array_equal(self.per_trial_tau, other.per_trial_tau)
             and self.significant_pairs == other.significant_pairs
             and self.mode == other.mode
-            and (self.seed, self.B, self.alpha, self.permutations, self.tau_variant)
-            == (other.seed, other.B, other.alpha, other.permutations, other.tau_variant)
+            and (self.seed, self.alpha, self.permutations, self.tau_variant)
+            == (other.seed, other.alpha, other.permutations, other.tau_variant)
         )
 
 
@@ -279,18 +312,7 @@ def agreement(
     for i in range(m):
         for j in range(i + 1, m):
             grid[i][j] = tau_with_ci(means[i], means[j], confidence)
-    avg = tuple(
-        math.fsum(
-            grid[min(i, j)][max(i, j)].tau for j in range(m) if j != i  # type: ignore[union-attr]
-        )
-        / (m - 1)
-        for i in range(m)
-    )
-    return AgreementReport(
-        measures=measures,
-        grid=tuple(tuple(row) for row in grid),
-        avg_similarity=avg,
-    )
+    return AgreementReport(measures=measures, grid=tuple(tuple(row) for row in grid))
 
 
 def _uint32_words(n: int) -> list[int]:
@@ -534,12 +556,10 @@ def split_half_consistency(
     )
     return ConsistencyReport(
         measures=measures,
-        mean_tau=tuple(float(v) for v in per_trial.mean(axis=1)),
         per_trial_tau=per_trial,
         significant_pairs=pairs,
         mode=mode,
         seed=seed,
-        B=B,
         alpha=alpha,
         permutations=permutations,
         tau_variant=tau_variant,

@@ -109,6 +109,9 @@ def test_score_rejects_bad_run(perfect, tmp_path, capsys):
     assert main(["score", "--gold", str(gold), "--runs", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "q1" in err
+    bad.write_text("case_id\tlow\tmid\thigh\nx1\t1e308\t1e308\t0\n", "utf-8")
+    assert main(["score", "--gold", str(gold), "--runs", str(bad)]) == 2
+    assert "error: case 'x1': probabilities sum to inf" in capsys.readouterr().err
 
 
 def test_missing_gold_is_io_error(tmp_path, capsys):
@@ -305,8 +308,9 @@ def test_consistency_threads_checked_before_loading(tmp_path, capsys):
         (["consistency", "--alpha", "5"], None, "alpha must be in (0, 1), got 5.0"),
         (["consistency", "--permutations", "0"], None, "need at least 1 permutation round, got 0"),
         (["consistency", "--seed", "-3"], None, "seed must be non-negative, got -3"),
+        (["agree", "--measures", "NMD"], None, "need at least 2 measures, got 1"),
     ],
-    ids=["subset-mode", "seed-env", "measures", "B", "alpha", "permutations", "seed"],
+    ids=["subset-mode", "seed-env", "measures", "B", "alpha", "permutations", "seed", "agree-measures"],
 )
 def test_flags_checked_before_loading(tmp_path, capsys, monkeypatch, argv, env_seed, message):
     # The tables do not exist, so a flag checked after loading would exit 1.

@@ -86,6 +86,7 @@ def test_load_gold_skips_blank_lines(tmp_path):
         ("case_id\ta\tb\n\t0.5\t0.5\n", ParseError, "empty case id"),
         ("", ParseError, "missing header"),
         ("case_id\ta\tb\n", ParseError, "no data rows"),
+        ("case_id\ta\tb\nx1\t1e308\t1e308\n", NotNormalized, "case 'x1': probabilities sum to inf"),
     ],
 )
 def test_parse_errors(tmp_path, text, exc, fragment):
@@ -180,7 +181,10 @@ def reports():
 def test_json_round_trip_is_exact(tmp_path, reports):
     for report in reports:
         path = write_report(report, "json", tmp_path / "r.json")
-        assert read_report(path) == report
+        back = read_report(path)
+        assert back == report
+        for fmt in ("tsv", "markdown"):
+            assert render_report(back, fmt) == render_report(report, fmt)
 
 
 def test_json_meta_fields(reports):
@@ -250,15 +254,26 @@ def test_read_report_rejects_bad_input(tmp_path, reports):
     with pytest.raises(ParseError):
         read_report(unknown)
     # Ragged grids and a non-string mode, which numpy and str methods reject
-    # with their own exception types.
+    # with their own exception types; then documents whose stored summaries
+    # or settings contradict their data (section None is the top level).
+    docs = [json.loads(render_report(report, "json")) for report in reports]
+    pairs, averages = docs[1]["payload"]["pairs"], docs[1]["payload"]["avg_similarity"]
     for report, section, key, value, message in (
         (0, "payload", "values", [[0.1, 0.2], [0.3]], "payload.values"),
         (2, "payload", "per_trial_tau", [[0.5], [0.5, 0.6]], "payload.per_trial_tau"),
         (2, "meta", "mode", 3, "meta.mode"),
         (2, "payload", "significant_pairs", [["NMD"]], "malformed report"),
+        (2, "payload", "mean_tau", docs[2]["payload"]["mean_tau"][:1], "payload.mean_tau"),
+        (2, "meta", "B", 7, "meta.B"),
+        (2, "meta", "B", "five", "meta.B"),
+        (2, "meta", "seed", -3, "seed must be non-negative"),
+        (2, "meta", "alpha", 7, "alpha must be in"),
+        (1, "payload", "pairs", pairs[1:], "needs a tau exactly where i < j"),
+        (1, "payload", "avg_similarity", averages[:2], "payload.avg_similarity"),
+        (0, None, "measures", [], "'measures' must name one measure"),
     ):
         doc = json.loads(render_report(reports[report], "json"))
-        doc[section][key] = value
+        (doc if section is None else doc[section])[key] = value
         with pytest.raises(ParseError, match=message):
             read_report(write(tmp_path, "r3.json", json.dumps(doc)))
 

@@ -50,6 +50,8 @@ def test_validate_rejects_bad_sum():
         validate([0.5, 0.6])
     with pytest.raises(NotNormalized):
         validate([0.5, 0.5 - 1e-8])
+    with pytest.raises(NotNormalized):
+        validate([1e308, 1e308])  # the exact sum overflows
 
 
 def test_validate_rejects_single_class():

@@ -8,6 +8,7 @@ from quantdiv.dataset_io import Dataset, SystemRun
 from quantdiv.distributions import validate
 from quantdiv.errors import (
     DatasetTooSmall,
+    LengthMismatch,
     MisalignedRun,
     OutOfRange,
     TooFewMeasures,
@@ -15,8 +16,10 @@ from quantdiv.errors import (
     TooFewTrials,
 )
 from quantdiv.measures import MeasureId
-from quantdiv.rank_correlation import tau_b, tau_plain
+from quantdiv.rank_correlation import tau_b, tau_plain, tau_with_ci
 from quantdiv.meta_eval import (
+    AgreementReport,
+    ConsistencyReport,
     FixedSize,
     FullSplit,
     ScoreMatrix,
@@ -127,9 +130,9 @@ def test_score_matrix_values_read_only():
 
 def test_score_matrix_rejects_bad_values():
     with pytest.raises(OutOfRange):
-        ScoreMatrix(values=np.array([[0.1, -0.2]]), system_ids=("s",), case_ids=("a", "b"))
+        ScoreMatrix(np.array([[0.1, -0.2]]), ("s",), ("a", "b"), MeasureId.NMD)
     with pytest.raises(MisalignedRun):
-        ScoreMatrix(values=np.zeros((2, 2)), system_ids=("s",), case_ids=("a", "b"))
+        ScoreMatrix(np.zeros((2, 2)), ("s",), ("a", "b"), MeasureId.NMD)
 
 
 def test_mean_scores():
@@ -137,6 +140,7 @@ def test_mean_scores():
         values=np.array([[0.0, 0.2, 0.4], [1.0, 1.0, 1.0]]),
         system_ids=("s1", "s2"),
         case_ids=("a", "b", "c"),
+        measure=MeasureId.NMD,
     )
     assert mean_scores(matrix).tolist() == [pytest.approx(0.2), 1.0]
 
@@ -414,6 +418,35 @@ def test_split_half_consistency_report():
     means = dict(zip(report.measures, report.mean_tau))
     for winner, loser in report.significant_pairs:
         assert means[winner] > means[loser]
+
+
+def test_reports_check_their_invariants():
+    nmd, nvd, jsd = MeasureId.NMD, MeasureId.NVD, MeasureId.JSD
+    settings = dict(mode=FullSplit(), seed=1, alpha=0.05, permutations=10)
+    grid = np.full((2, 5), 0.5)
+    assert ConsistencyReport((nmd, nvd), grid, (), **settings).B == 5
+    for measures, per_trial, pairs, error in (
+        ((nmd,), grid, (), LengthMismatch),
+        ((), np.empty((0, 5)), (), LengthMismatch),
+        ((nmd, nvd), grid[:, :0], (), TooFewTrials),
+        ((nmd, nvd), grid, ((nmd, nmd),), OutOfRange),
+        ((nmd, nvd), grid, ((nmd, jsd),), OutOfRange),
+    ):
+        with pytest.raises(error):
+            ConsistencyReport(measures, per_trial, pairs, **settings)
+    with pytest.raises(OutOfRange, match="alpha"):
+        ConsistencyReport((nmd, nvd), grid, (), **{**settings, "alpha": 7})
+
+    tau = tau_with_ci([1.0, 2.0, 3.0], [1.0, 3.0, 2.0])
+    assert AgreementReport((nmd, nvd), ((None, tau), (None, None))).avg_similarity == (tau.tau,) * 2
+    for measures, cells, error in (
+        ((nmd,), ((None,),), TooFewMeasures),
+        ((nmd, nvd), ((None, None), (None, None)), LengthMismatch),
+        ((nmd, nvd), ((None, tau), (tau, None)), LengthMismatch),
+        ((nmd, nvd), ((None, tau),), LengthMismatch),
+    ):
+        with pytest.raises(error):
+            AgreementReport(measures, cells)
 
 
 @pytest.mark.parametrize(
