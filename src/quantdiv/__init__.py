@@ -14,14 +14,7 @@ from .dataset_io import (
     write_report,
     write_run,
 )
-from .distributions import (
-    Distribution,
-    GoldSupport,
-    cumulative,
-    from_votes,
-    gold_support,
-    validate,
-)
+from .distributions import Distribution, from_votes, validate
 from .measures import (
     ALL_MEASURES,
     DEFAULT_SUITE,
@@ -55,7 +48,6 @@ __all__ = [
     "Distribution",
     "FixedSize",
     "FullSplit",
-    "GoldSupport",
     "MeasureId",
     "PairCounts",
     "ScoreMatrix",
@@ -63,9 +55,7 @@ __all__ = [
     "TauResult",
     "agreement",
     "combine_harmonic",
-    "cumulative",
     "from_votes",
-    "gold_support",
     "load_gold",
     "load_run",
     "mean_scores",

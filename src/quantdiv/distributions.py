@@ -35,19 +35,6 @@ class Distribution:
         return len(self.probs)
 
 
-@dataclass(frozen=True)
-class GoldSupport:
-    """1-based indices of the classes a gold distribution puts mass on."""
-
-    indices: frozenset[int]
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __iter__(self):
-        return iter(sorted(self.indices))
-
-
 def validate(raw: Iterable[float]) -> Distribution:
     """Check raw probabilities and return a normalized Distribution.
 
@@ -83,21 +70,6 @@ def from_votes(counts: Sequence[int]) -> Distribution:
     if total == 0:
         raise AllZeroVotes("all vote counts are zero")
     return validate(c / total for c in counts)
-
-
-def cumulative(d: Distribution) -> tuple[float, ...]:
-    """Prefix sums of the class probabilities; final entry is 1 up to rounding."""
-    out = []
-    acc = 0.0
-    for p in d.probs:
-        acc += p
-        out.append(acc)
-    return tuple(out)
-
-
-def gold_support(d: Distribution) -> GoldSupport:
-    """Indices of classes with strictly positive probability."""
-    return GoldSupport(frozenset(i for i, p in enumerate(d.probs, start=1) if p > 0.0))
 
 
 def stack_probs(dists: Sequence[Distribution]) -> np.ndarray:

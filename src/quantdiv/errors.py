@@ -33,10 +33,6 @@ class LengthMismatch(ValidationError):
     pass
 
 
-class IndexOutOfRange(ValidationError):
-    pass
-
-
 class OutOfRange(ValidationError):
     pass
 

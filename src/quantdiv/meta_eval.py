@@ -17,6 +17,8 @@ accumulated in shared mutable state.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -126,6 +128,11 @@ class ScoreMatrix:
     measure: MeasureId
 
     def __post_init__(self):
+        for name, ids in (("system_ids", self.system_ids), ("case_ids", self.case_ids)):
+            if not all(isinstance(i, str) for i in ids):
+                raise OutOfRange(f"{name} must be strings")
+            if len(set(ids)) != len(ids):
+                raise OutOfRange(f"{name} must be unique")
         values = np.array(self.values, dtype=np.float64)
         if values.ndim != 2 or values.shape != (len(self.system_ids), len(self.case_ids)):
             raise MisalignedRun(
@@ -237,7 +244,21 @@ def check_consistency_args(
     threads: int = 1,
     tau_variant: str = "b",
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Reject a bad consistency argument before any work; return the tau function."""
+    """Reject a bad consistency argument before any work; return the tau function.
+
+    B, seed, permutations and threads must be integers (bool is not one);
+    alpha must be a real number.
+    """
+    integers = {"B": B, "seed": seed, "permutations": permutations, "threads": threads}
+    for name, value in integers.items():
+        try:
+            if isinstance(value, bool):
+                raise TypeError
+            operator.index(value)
+        except TypeError:
+            raise OutOfRange(f"{name} must be an integer, got {value!r}") from None
+    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real):
+        raise OutOfRange(f"alpha must be a real number, got {alpha!r}")
     if B < 1:
         raise TooFewTrials(f"need at least 1 trial, got {B}")
     if B > 1 << 32:

@@ -267,10 +267,15 @@ def test_read_report_rejects_bad_input(tmp_path, reports):
         (2, "meta", "B", 7, "meta.B"),
         (2, "meta", "B", "five", "meta.B"),
         (2, "meta", "seed", -3, "seed must be non-negative"),
+        (2, "meta", "seed", 1.5, "seed must be an integer"),
+        (2, "payload", "permutations", 2.5, "permutations must be an integer"),
         (2, "meta", "alpha", 7, "alpha must be in"),
         (1, "payload", "pairs", pairs[1:], "needs a tau exactly where i < j"),
         (1, "payload", "avg_similarity", averages[:2], "payload.avg_similarity"),
         (0, None, "measures", [], "'measures' must name one measure"),
+        (0, "payload", "system_ids", ["a"] * 6, "system_ids must be unique"),
+        (0, "payload", "system_ids", list(range(6)), "system_ids must be strings"),
+        (0, "payload", "case_ids", ["c"] * 24, "case_ids must be unique"),
     ):
         doc = json.loads(render_report(reports[report], "json"))
         (doc if section is None else doc[section])[key] = value

@@ -3,32 +3,35 @@ import math
 import numpy as np
 import pytest
 
+import _oracle
 from _helpers import random_distribution, random_pair
-from quantdiv import meta_eval, synth
-from quantdiv.distributions import Distribution, stack_probs, validate
-from quantdiv.errors import IndexOutOfRange, LengthMismatch, OutOfRange
-from quantdiv.measures import (
-    ALL_MEASURES,
-    BIN_TIE_EPS,
-    DEFAULT_SUITE,
-    DistanceScheme,
-    MeasureId,
+from _oracle import (
+    IndexOutOfRange,
     adw,
-    combine_harmonic,
-    combine_harmonic_batch,
     delta,
     dnkt,
     dw,
     jsd,
     nmd,
     nvd,
-    od,
     rnadw,
-    rnadw2,
     rnod,
     rnod2,
     rnss,
     rsnod,
+)
+from quantdiv import meta_eval, synth
+from quantdiv.distributions import Distribution, stack_probs, validate
+from quantdiv.errors import LengthMismatch, OutOfRange
+from quantdiv.measures import (
+    ALL_MEASURES,
+    BIN_TIE_EPS,
+    DEFAULT_SUITE,
+    DistanceScheme,
+    MeasureId,
+    combine_harmonic,
+    combine_harmonic_batch,
+    od,
     score,
     score_batch,
 )
@@ -39,6 +42,11 @@ GM = DistanceScheme.GOLD_MASS
 
 def d(*probs):
     return validate(probs)
+
+
+# The per-pair functions (delta, dw, adw, rnod, ...) come from the test
+# oracle; score, od and combine_harmonic are the library's one-pair wrappers
+# over score_batch.
 
 
 # --- class distances ---
@@ -99,9 +107,12 @@ def test_dw_length_mismatch():
 
 
 def test_od_examples():
-    assert od(d(0.3, 0.7), d(0.3, 0.7), EQ) == 0.0
-    assert od(d(0.0, 1.0), d(1.0, 0.0), EQ) == 1.0
-    assert od(d(0.0, 1.0, 0.0), d(0.5, 0.0, 0.5), GM) == pytest.approx(0.375, abs=1e-15)
+    for od_fn in (od, _oracle.od):
+        assert od_fn(d(0.3, 0.7), d(0.3, 0.7), EQ) == 0.0
+        assert od_fn(d(0.0, 1.0), d(1.0, 0.0), EQ) == 1.0
+        assert od_fn(d(0.0, 1.0, 0.0), d(0.5, 0.0, 0.5), GM) == pytest.approx(0.375, abs=1e-15)
+    with pytest.raises(LengthMismatch):
+        od(d(0.5, 0.5), d(0.2, 0.3, 0.5), EQ)
 
 
 def test_adw_example_and_equidistant_symmetry():
@@ -198,6 +209,7 @@ def test_jsd_clips_rounding_residue_at_zero():
     gold = Distribution((0.030771875004854135, 0.1125381166059459, 0.8566900083891998))
     assert jsd(est, gold) == 0.0
     assert score_batch(MeasureId.JSD, stack_probs([est]), stack_probs([gold]))[0] == jsd(est, gold)
+    assert score(MeasureId.JSD, est, gold) == 0.0
 
 
 # --- DNKT and hybrids ---
@@ -299,11 +311,11 @@ def test_range_on_random_pairs():
             assert 0.0 <= value <= 1.0 + 1e-12
 
 
-# --- batch path against the scalar reference ---
+# --- the library against the per-pair oracle ---
 
-# Measures whose batch form repeats the scalar float operations exactly. JSD
-# and RNSS go through numpy's log2 and squaring, which may round differently
-# from libm's by one ulp.
+# Measures whose batch form repeats the oracle's float operations exactly.
+# JSD and RNSS go through numpy's log2 and squaring, which may round
+# differently from libm's by one ulp.
 _NOT_BIT_EXACT = (MeasureId.JSD, MeasureId.RNSS, MeasureId.DNKT_JSD)
 _BIT_EXACT = tuple(m for m in ALL_MEASURES if m not in _NOT_BIT_EXACT)
 
@@ -331,7 +343,7 @@ def test_batch_matches_scalar_score(k):
     est_arr, gold_arr = stack_probs(est), stack_probs(gold)
     for measure in ALL_MEASURES:
         batch = score_batch(measure, est_arr, gold_arr)
-        scalar = np.array([score(measure, e, g) for e, g in zip(est, gold)])
+        scalar = np.array([_oracle.score(measure, e, g) for e, g in zip(est, gold)])
         assert np.abs(batch - scalar).max() <= 1e-15, measure
         if measure in _BIT_EXACT:
             assert np.array_equal(batch, scalar), measure
@@ -349,15 +361,19 @@ def test_batch_identity_is_zero(k):
 
 @pytest.mark.parametrize("block", [meta_eval.SCORE_BLOCK, 1])
 def test_score_matrix_matches_scalar_grid(monkeypatch, block):
-    # block=1 scores one system per block, exercising the block loop
+    # block=1 scores one system per block, exercising the block loop; 11
+    # classes is the class count of the score-wide benchmark workload
     monkeypatch.setattr(meta_eval, "SCORE_BLOCK", block)
-    dataset, runs = synth.generate(n_systems=5, n_cases=40, n_classes=7, seed=11)
-    for measure in ALL_MEASURES:
-        values = meta_eval.score_matrix(dataset, runs, measure).values
-        grid = np.array([[score(measure, e, g) for e, g in zip(run.est, dataset.gold)] for run in runs])
-        assert np.abs(values - grid).max() <= 1e-15, measure
-        if measure in _BIT_EXACT:
-            assert np.array_equal(values, grid), measure
+    for n_classes in (7, 11):
+        dataset, runs = synth.generate(n_systems=5, n_cases=40, n_classes=n_classes, seed=11)
+        for measure in ALL_MEASURES:
+            values = meta_eval.score_matrix(dataset, runs, measure).values
+            grid = np.array(
+                [[_oracle.score(measure, e, g) for e, g in zip(run.est, dataset.gold)] for run in runs]
+            )
+            assert np.abs(values - grid).max() <= 1e-15, (n_classes, measure)
+            if measure in _BIT_EXACT:
+                assert np.array_equal(values, grid), (n_classes, measure)
 
 
 def test_score_batch_broadcasts_systems_against_gold():
@@ -377,7 +393,7 @@ def test_score_batch_length_mismatch():
 def test_combine_harmonic_batch_matches_scalar():
     d_vals = np.array([0.0, 0.5, 0.0, 1.0, 0.3])
     m_vals = np.array([0.0, 0.5, 0.8, 1.0, 0.9])
-    expected = [combine_harmonic(a, b) for a, b in zip(d_vals, m_vals)]
+    expected = [_oracle.combine_harmonic(a, b) for a, b in zip(d_vals, m_vals)]
     assert combine_harmonic_batch(d_vals, m_vals).tolist() == expected
 
 

@@ -133,6 +133,13 @@ def test_score_matrix_rejects_bad_values():
         ScoreMatrix(np.array([[0.1, -0.2]]), ("s",), ("a", "b"), MeasureId.NMD)
     with pytest.raises(MisalignedRun):
         ScoreMatrix(np.zeros((2, 2)), ("s",), ("a", "b"), MeasureId.NMD)
+    for system_ids, case_ids in (
+        (("s", "s"), ("a", "b")),
+        (("s", "t"), ("a", 2)),
+        ((1, 2), ("a", "b")),
+    ):
+        with pytest.raises(OutOfRange):
+            ScoreMatrix(np.zeros((2, 2)), system_ids, case_ids, MeasureId.NMD)
 
 
 def test_mean_scores():
@@ -390,6 +397,9 @@ def test_hsd_errors():
         randomized_tukey_hsd(two, permutations=0)
     with pytest.raises(OutOfRange):
         randomized_tukey_hsd(two, seed=-5)
+    for kwargs in ({"seed": 1.5}, {"permutations": 10.5}, {"alpha": "0.05"}, {"threads": 1.5}):
+        with pytest.raises(OutOfRange, match=next(iter(kwargs))):
+            randomized_tukey_hsd(two, **kwargs)
     for threads in (0, -3):
         with pytest.raises(OutOfRange, match=f"--threads must be >= 1, got {threads}"):
             randomized_tukey_hsd(two, threads=threads)
@@ -459,6 +469,13 @@ def test_reports_check_their_invariants():
         ({"threads": -3}, OutOfRange),
         ({"n_systems": 1}, TooFewSystems),
         ({"tau_variant": "kendall"}, OutOfRange),
+        ({"seed": 1.5}, OutOfRange),
+        ({"seed": True}, OutOfRange),
+        ({"B": 2.5}, OutOfRange),
+        ({"B": True}, OutOfRange),
+        ({"permutations": 10.5}, OutOfRange),
+        ({"threads": 1.5}, OutOfRange),
+        ({"alpha": "0.05"}, OutOfRange),
     ],
 )
 def test_split_half_consistency_validates_before_scoring(monkeypatch, kwargs, error):
