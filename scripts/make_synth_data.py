@@ -3,8 +3,9 @@
 
 The output is fully determined by the generator defaults, so running this
 script twice produces byte-identical files. The gold table keeps the raw
-vote counts; run tables store full-precision probabilities so reloading
-reproduces the generated distributions exactly.
+vote counts; run tables store full-precision probabilities (repr). The
+loader divides every row by its float sum again, so a reloaded run matches
+the generated one up to one rounding in rows whose sum is not exactly 1.0.
 """
 
 import argparse

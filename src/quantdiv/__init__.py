@@ -14,7 +14,7 @@ from .dataset_io import (
     write_report,
     write_run,
 )
-from .distributions import Distribution, from_votes, validate
+from .distributions import from_votes, validate
 from .measures import (
     ALL_MEASURES,
     DEFAULT_SUITE,
@@ -45,7 +45,6 @@ __all__ = [
     "ConsistencyReport",
     "Dataset",
     "DistanceScheme",
-    "Distribution",
     "FixedSize",
     "FullSplit",
     "MeasureId",

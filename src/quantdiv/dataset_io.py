@@ -3,21 +3,22 @@
 Table files are UTF-8 TSV with a header row `case_id<TAB><label>...` and one
 row per case. An optional directive line `#mode: counts` or `#mode: probs`
 before the header says whether rows hold raw vote counts or probabilities
-(default probs). OS-level failures are not wrapped; OSError propagates.
+(default probs). The loader checks the rows one at a time, in file order,
+and stores each table as one read-only (cases, K) float64 array. OS-level
+failures are not wrapped; OSError propagates.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from ._version import __version__
-from .distributions import Distribution, from_votes, stack_probs, validate
+from .distributions import _frozen, _normalized, _vote_shares
 from .errors import (
     DuplicateCaseId,
     InconsistentClassCount,
@@ -40,32 +41,40 @@ from .rank_correlation import TauResult
 FORMATS = ("tsv", "json", "markdown")
 
 
-@dataclass(frozen=True)
+def _fields_equal(a, b) -> bool:
+    """Field-by-field equality of two instances of one dataclass; arrays by value."""
+    return type(a) is type(b) and all(
+        np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+        for x, y in zip(vars(a).values(), vars(b).values())
+    )
+
+
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Gold distributions per case; votes kept when loaded from counts."""
+    """Gold distributions as one (cases, K) array; votes kept when loaded from counts."""
 
     case_ids: tuple[str, ...]
     class_labels: tuple[str, ...]
-    gold: tuple[Distribution, ...]
-    votes: tuple[tuple[int, ...], ...] | None = None
+    gold: np.ndarray  # stored read-only; any (cases, K) rows are accepted
+    votes: tuple[tuple[int, ...], ...] | None = None  # Python ints: counts may exceed int64
 
-    @cached_property
-    def gold_array(self) -> np.ndarray:
-        """gold as a read-only (cases, K) array, built on first use."""
-        return stack_probs(self.gold)
+    def __post_init__(self):
+        object.__setattr__(self, "gold", _frozen(self.gold))
+
+    __eq__ = _fields_equal
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SystemRun:
-    """One system's estimated distributions, aligned with the dataset order."""
+    """One system's estimated distributions as one (cases, K) array, in dataset order."""
 
     system_id: str
-    est: tuple[Distribution, ...]
+    est: np.ndarray  # stored read-only; any (cases, K) rows are accepted
 
-    @cached_property
-    def est_array(self) -> np.ndarray:
-        """est as a read-only (cases, K) array, built on first use."""
-        return stack_probs(self.est)
+    def __post_init__(self):
+        object.__setattr__(self, "est", _frozen(self.est))
+
+    __eq__ = _fields_equal
 
 
 def _parse_table(path) -> tuple[str, tuple[str, ...], list[tuple[int, str, list[str]]]]:
@@ -117,9 +126,9 @@ def _parse_table(path) -> tuple[str, tuple[str, ...], list[tuple[int, str, list[
     return mode, labels, rows
 
 
-def _row_distribution(
+def _row_values(
     mode: str, case_id: str, ln: int, cells: list[str]
-) -> tuple[Distribution, tuple[int, ...] | None]:
+) -> tuple[list[float], tuple[int, ...] | None]:
     if mode == "counts":
         counts = []
         for cell in cells:
@@ -128,7 +137,7 @@ def _row_distribution(
             except ValueError:
                 raise ParseError(f"bad vote count {cell!r}", ln) from None
         try:
-            return from_votes(counts), tuple(counts)
+            return _vote_shares(counts), tuple(counts)
         except ValidationError as exc:
             raise type(exc)(f"case {case_id!r}: {exc}") from exc
     values = []
@@ -138,7 +147,7 @@ def _row_distribution(
         except ValueError:
             raise ParseError(f"bad probability {cell!r}", ln) from None
     try:
-        return validate(values), None
+        return _normalized(values), None
     except ValidationError as exc:
         raise type(exc)(f"case {case_id!r}: {exc}") from exc
 
@@ -149,13 +158,13 @@ def load_gold(path) -> Dataset:
     gold = []
     votes = []
     for ln, case_id, cells in rows:
-        dist, row_votes = _row_distribution(mode, case_id, ln, cells)
-        gold.append(dist)
+        row, row_votes = _row_values(mode, case_id, ln, cells)
+        gold.append(row)
         votes.append(row_votes)
     return Dataset(
         case_ids=tuple(cid for _, cid, _ in rows),
         class_labels=labels,
-        gold=tuple(gold),
+        gold=gold,
         votes=tuple(votes) if mode == "counts" else None,  # type: ignore[arg-type]
     )
 
@@ -171,9 +180,9 @@ def load_run(path, dataset: Dataset, system_id: str | None = None) -> SystemRun:
         raise InconsistentClassCount(
             f"run class labels {labels!r} differ from dataset's {dataset.class_labels!r}"
         )
-    by_case: dict[str, Distribution] = {}
+    by_case: dict[str, list[float]] = {}
     for ln, case_id, cells in rows:
-        by_case[case_id], _ = _row_distribution(mode, case_id, ln, cells)
+        by_case[case_id], _ = _row_values(mode, case_id, ln, cells)
     wanted = set(dataset.case_ids)
     missing = [cid for cid in dataset.case_ids if cid not in by_case]
     if missing:
@@ -183,7 +192,7 @@ def load_run(path, dataset: Dataset, system_id: str | None = None) -> SystemRun:
         raise UnknownCase(f"run has {len(extra)} unknown case(s), e.g. {extra[0]!r}")
     return SystemRun(
         system_id=system_id if system_id is not None else Path(path).stem,
-        est=tuple(by_case[cid] for cid in dataset.case_ids),
+        est=[by_case[cid] for cid in dataset.case_ids],
     )
 
 
@@ -207,12 +216,12 @@ def write_dataset(dataset: Dataset, path) -> Path:
     """Write a gold table; vote counts when available, else full-precision probs."""
     if dataset.votes is not None:
         return _write_table(path, "counts", dataset, (map(str, row) for row in dataset.votes))
-    return _write_table(path, "probs", dataset, (map(repr, dist.probs) for dist in dataset.gold))
+    return _write_table(path, "probs", dataset, (map(repr, row) for row in dataset.gold.tolist()))
 
 
 def write_run(run: SystemRun, dataset: Dataset, path) -> Path:
     """Write one system's table with full-precision probabilities."""
-    return _write_table(path, "probs", dataset, (map(repr, dist.probs) for dist in run.est))
+    return _write_table(path, "probs", dataset, (map(repr, row) for row in run.est.tolist()))
 
 
 def _fmt6(x: float) -> str:
@@ -406,6 +415,8 @@ def _report_from_doc(doc: dict):
                 if tag not in index:
                     raise ParseError(f"pair measure {tag!r} is not in the report's measure list")
             i, j = index[first], index[second]
+            if grid[i][j] is not None:
+                raise ParseError(f"measure pair ({first}, {second}) is listed twice")
             grid[i][j] = TauResult(
                 tau=pair["tau"], ci_low=pair["ci_low"], ci_high=pair["ci_high"], n=pair["n"]
             )

@@ -1,47 +1,36 @@
 """Validated categorical distributions over ordered classes.
 
-Classes are indexed 1..K in rank order (e.g. worst to best). A Distribution
-stores the probability of each class; construction goes through validate()
-or from_votes() so downstream code can assume a clean simplex point.
+Classes are indexed 1..K in rank order (e.g. worst to best). A distribution
+is a float64 array whose last axis is the classes: one pair is two (K,)
+arrays, a table of cases is one (cases, K) array. validate() and
+from_votes() check one row and return it as a read-only (K,) array, so
+downstream code can assume a clean simplex point; the table loader checks
+each row the same way.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import AllZeroVotes, LengthMismatch, NegativeProbability, NotNormalized, TooFewClasses
+from .errors import AllZeroVotes, NegativeProbability, NotNormalized, TooFewClasses
 
 # Absolute slack allowed on sum(probs) == 1 before rejecting; inputs inside
 # the slack are renormalized so stored values sum to 1 up to float rounding.
 SUM_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
-class Distribution:
-    """Probability per class, classes implicitly indexed 1..K."""
-
-    probs: tuple[float, ...]
-
-    @property
-    def num_classes(self) -> int:
-        return len(self.probs)
-
-    def __len__(self) -> int:
-        return len(self.probs)
+def _frozen(values) -> np.ndarray:
+    """values (a row, or a list of rows) as a new read-only float64 array."""
+    out = np.array(values, dtype=np.float64)
+    out.setflags(write=False)
+    return out
 
 
-def validate(raw: Iterable[float]) -> Distribution:
-    """Check raw probabilities and return a normalized Distribution.
-
-    Requirements: at least two classes, no negative entry, total within
-    SUM_TOLERANCE of 1. The stored values are divided by the actual total.
-    """
-    probs = tuple(float(p) for p in raw)
+def _normalized(probs: list[float]) -> list[float]:
+    """probs checked as validate() documents, each divided by their exact total."""
     if len(probs) < 2:
         raise TooFewClasses(f"need at least 2 classes, got {len(probs)}")
     for i, p in enumerate(probs, start=1):
@@ -53,12 +42,11 @@ def validate(raw: Iterable[float]) -> Distribution:
         total = math.inf
     if abs(total - 1.0) > SUM_TOLERANCE:
         raise NotNormalized(f"probabilities sum to {total!r}")
-    return Distribution(tuple(p / total for p in probs))
+    return [p / total for p in probs]
 
 
-def from_votes(counts: Sequence[int]) -> Distribution:
-    """Turn per-class vote counts (non-negative integers) into a Distribution."""
-    counts = tuple(counts)
+def _vote_shares(counts: Sequence[int]) -> list[float]:
+    """Vote counts checked as from_votes() documents, as normalized shares."""
     if len(counts) < 2:
         raise TooFewClasses(f"need at least 2 classes, got {len(counts)}")
     for i, c in enumerate(counts, start=1):
@@ -69,15 +57,18 @@ def from_votes(counts: Sequence[int]) -> Distribution:
     total = sum(counts)
     if total == 0:
         raise AllZeroVotes("all vote counts are zero")
-    return validate(c / total for c in counts)
+    return _normalized([float(c / total) for c in counts])
 
 
-def stack_probs(dists: Sequence[Distribution]) -> np.ndarray:
-    """The distributions as a read-only (len(dists), K) float array."""
-    k = len(dists[0]) if dists else 0
-    if any(len(d) != k for d in dists):
-        raise LengthMismatch("distributions differ in their number of classes")
-    out = np.fromiter(chain.from_iterable(d.probs for d in dists), np.float64, len(dists) * k)
-    out = out.reshape(len(dists), k)
-    out.setflags(write=False)
-    return out
+def validate(raw: Iterable[float]) -> np.ndarray:
+    """Check raw probabilities and return them as a normalized read-only (K,) array.
+
+    Requirements: at least two classes, no negative entry, total within
+    SUM_TOLERANCE of 1. The stored values are divided by the actual total.
+    """
+    return _frozen(_normalized([float(p) for p in raw]))
+
+
+def from_votes(counts: Sequence[int]) -> np.ndarray:
+    """Turn per-class vote counts (non-negative integers) into a read-only (K,) array."""
+    return _frozen(_vote_shares(tuple(counts)))

@@ -15,7 +15,6 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import Distribution
 from .errors import LengthMismatch, OutOfRange
 from .rank_correlation import tau_b
 
@@ -262,19 +261,19 @@ def score_batch(measure: MeasureId, est, gold) -> np.ndarray:
     Smaller is better; 0 means the estimate matches the gold. The leading
     axes broadcast: (systems, cases, K) estimates against (cases, K) gold
     give a (systems, cases) grid. Rows are not re-validated; they must be
-    simplex points as Distribution guarantees.
+    simplex points, as validate() and the table loader guarantee.
     """
     return _IMPLEMENTATIONS[measure](*_class_arrays(est, gold))
 
 
-def score(measure: MeasureId, est: Distribution, gold: Distribution) -> float:
-    """Evaluate one measure on one pair; smaller is better, 0 means est matches gold."""
-    return float(score_batch(measure, est.probs, gold.probs))
+def score(measure: MeasureId, est: np.ndarray, gold: np.ndarray) -> float:
+    """Evaluate one measure on one (K,) pair; smaller is better, 0 means est matches gold."""
+    return float(score_batch(measure, est, gold))
 
 
-def od(est: Distribution, gold: Distribution, scheme: DistanceScheme) -> float:
-    """Order-aware divergence of one pair: mean DW over the gold support."""
-    return float(_od_batch(*_class_arrays(est.probs, gold.probs), scheme))
+def od(est: np.ndarray, gold: np.ndarray, scheme: DistanceScheme) -> float:
+    """Order-aware divergence of one (K,) pair: mean DW over the gold support."""
+    return float(_od_batch(*_class_arrays(est, gold), scheme))
 
 
 def combine_harmonic(d: float, m: float) -> float:

@@ -209,10 +209,25 @@ class ConsistencyReport:
         check_consistency_args(
             self.B, self.seed, self.alpha, self.permutations, tau_variant=self.tau_variant
         )
+        # Each pair once, winner first: randomized_tukey_hsd reports a pair
+        # only when the winner's mean per-trial tau is strictly higher.
+        means = dict(zip(self.measures, self.mean_tau))
+        listed = set()
         for winner, loser in self.significant_pairs:
             if winner == loser or winner not in self.measures or loser not in self.measures:
                 raise OutOfRange(
                     f"significant pair ({winner}, {loser}) must name two different report measures"
+                )
+            if frozenset((winner, loser)) in listed:
+                raise OutOfRange(
+                    f"significant pair ({winner.value}, {loser.value}) is listed twice "
+                    "(in either orientation)"
+                )
+            listed.add(frozenset((winner, loser)))
+            if not means[winner] > means[loser]:
+                raise OutOfRange(
+                    f"significant pair ({winner.value}, {loser.value}): the winner's mean tau "
+                    f"{means[winner]!r} is not above the loser's {means[loser]!r}"
                 )
 
     @property
@@ -289,12 +304,12 @@ def score_matrix(dataset: "Dataset", runs: Sequence["SystemRun"], measure: Measu
             raise MisalignedRun(
                 f"system {run.system_id!r} has {len(run.est)} cases, dataset has {n_cases}"
             )
-    gold = dataset.gold_array
+    gold = dataset.gold
     k = gold.shape[1]
     rows = max(1, SCORE_BLOCK // max(1, n_cases * k * k))
     values = np.empty((len(runs), n_cases), dtype=np.float64)
     for start in range(0, len(runs), rows):
-        block = np.stack([run.est_array for run in runs[start : start + rows]])
+        block = np.stack([run.est for run in runs[start : start + rows]])
         values[start : start + rows] = score_batch(measure, block, gold)
     return ScoreMatrix(
         values=values,

@@ -11,6 +11,7 @@ how the batch DNKT and the split-half trials use them.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Sequence
@@ -53,10 +54,29 @@ class PairCounts:
 
 @dataclass(frozen=True)
 class TauResult:
+    """A tau with its confidence interval; checked when built.
+
+    tau and both bounds are real numbers in [-1, 1] (so not NaN), with
+    ci_low <= tau <= ci_high; n is an integer of at least 3. A bool is
+    neither a number nor an integer here.
+    """
+
     tau: float
     ci_low: float
     ci_high: float
     n: int
+
+    def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 3:
+            raise OutOfRange(f"n must be an integer >= 3, got {self.n!r}")
+        for name in ("tau", "ci_low", "ci_high"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not -1.0 <= value <= 1.0:
+                raise OutOfRange(f"{name} must be a number in [-1, 1], got {value!r}")
+        if not self.ci_low <= self.tau <= self.ci_high:
+            raise OutOfRange(
+                f"need ci_low <= tau <= ci_high, got {self.ci_low!r}, {self.tau!r}, {self.ci_high!r}"
+            )
 
 
 def _as_arrays(xs: Lists, ys: Lists) -> tuple[np.ndarray, np.ndarray]:

@@ -46,13 +46,11 @@ def generate(
     class_labels = tuple(f"c{i}" for i in range(1, n_classes + 1))
 
     votes = []
-    gold = []
     for _ in range(n_cases):
         latent = rng.dirichlet(np.full(n_classes, 0.8))
-        counts = rng.multinomial(assessors, latent)
-        votes.append(tuple(int(v) for v in counts))
-        gold.append(from_votes(votes[-1]))
-    dataset = Dataset(case_ids=case_ids, class_labels=class_labels, gold=tuple(gold), votes=tuple(votes))
+        votes.append(tuple(int(v) for v in rng.multinomial(assessors, latent)))
+    gold = [from_votes(v) for v in votes]
+    dataset = Dataset(case_ids=case_ids, class_labels=class_labels, gold=gold, votes=tuple(votes))
 
     if n_systems == 1:
         levels = [noise_lo]
@@ -61,10 +59,9 @@ def generate(
     sys_width = len(str(n_systems))
     runs = []
     for s, level in enumerate(levels, start=1):
-        est = []
-        for c in range(n_cases):
-            noise = rng.dirichlet(np.ones(n_classes))
-            mixed = (1.0 - level) * np.asarray(gold[c].probs) + level * noise
-            est.append(validate(mixed))
-        runs.append(SystemRun(system_id=f"s{s:0{sys_width}d}", est=tuple(est)))
+        est = [
+            validate((1.0 - level) * row + level * rng.dirichlet(np.ones(n_classes)))
+            for row in dataset.gold
+        ]
+        runs.append(SystemRun(system_id=f"s{s:0{sys_width}d}", est=est))
     return dataset, runs

@@ -12,10 +12,10 @@ import random
 
 import numpy as np
 
-from quantdiv.distributions import Distribution, validate
+from quantdiv.distributions import validate
 
 
-def random_distribution(rng: np.random.Generator, k: int, zero_rate: float = 0.25) -> Distribution:
+def random_distribution(rng: np.random.Generator, k: int, zero_rate: float = 0.25) -> np.ndarray:
     """Random k-class distribution; some classes get exactly zero mass."""
     raw = rng.dirichlet(np.ones(k))
     mask = rng.random(k) < zero_rate
@@ -25,13 +25,13 @@ def random_distribution(rng: np.random.Generator, k: int, zero_rate: float = 0.2
     return validate(raw / raw.sum())
 
 
-def positive_distribution(rng: np.random.Generator, k: int) -> Distribution:
+def positive_distribution(rng: np.random.Generator, k: int) -> np.ndarray:
     """Random k-class distribution with strictly positive entries."""
     raw = rng.uniform(0.05, 1.0, size=k)
     return validate(raw / raw.sum())
 
 
-def random_pair(rng: np.random.Generator, k: int | None = None) -> tuple[Distribution, Distribution]:
+def random_pair(rng: np.random.Generator, k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     if k is None:
         k = int(rng.integers(2, 8))
     return random_distribution(rng, k), random_distribution(rng, k)

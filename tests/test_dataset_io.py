@@ -1,4 +1,6 @@
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,6 @@ from quantdiv.dataset_io import (
     write_report,
     write_run,
 )
-from quantdiv.distributions import validate
 from quantdiv.errors import (
     DuplicateCaseId,
     InconsistentClassCount,
@@ -55,15 +56,14 @@ def test_load_gold_probs(tmp_path):
     ds = load_gold(write(tmp_path, "g.tsv", GOLD_PROBS))
     assert ds.case_ids == ("q1", "q2")
     assert ds.class_labels == ("low", "mid", "high")
-    assert ds.gold[0].probs == (0.5, 0.3, 0.2)
+    assert ds.gold[0].tolist() == [0.5, 0.3, 0.2]
     assert ds.votes is None
 
 
 def test_load_gold_counts(tmp_path):
     ds = load_gold(write(tmp_path, "g.tsv", GOLD_COUNTS))
     assert ds.votes == ((5, 3, 2), (0, 2, 8))
-    assert ds.gold[0].probs == (0.5, 0.3, 0.2)
-    assert ds.gold[1].probs == (0.0, 0.2, 0.8)
+    assert ds.gold.tolist() == [[0.5, 0.3, 0.2], [0.0, 0.2, 0.8]]
 
 
 def test_load_gold_skips_blank_lines(tmp_path):
@@ -107,8 +107,7 @@ def test_load_run_alignment(tmp_path):
     run_text = "case_id\tlow\tmid\thigh\nq2\t0.1\t0.1\t0.8\nq1\t0.6\t0.2\t0.2\n"
     run = load_run(write(tmp_path, "sysA.tsv", run_text), ds)
     assert run.system_id == "sysA"
-    assert run.est[0].probs == (0.6, 0.2, 0.2)
-    assert run.est[1].probs == (0.1, 0.1, 0.8)
+    assert run.est.tolist() == [[0.6, 0.2, 0.2], [0.1, 0.1, 0.8]]
     named = load_run(tmp_path / "sysA.tsv", ds, system_id="alias")
     assert named.system_id == "alias"
 
@@ -139,6 +138,94 @@ def test_load_run_case_and_label_mismatches(tmp_path):
             ),
             ds,
         )
+
+
+# --- loaded values: bit for bit the plain-Python normalisation ---
+
+def _fuzzed_probs_row(rng, k):
+    """Cells of one probs row: zeros of both signs, subnormals, tiny normals,
+    and a total off 1 by less than 1e-9, in several float spellings."""
+    raw = rng.dirichlet(np.full(k, 0.5))
+    for i in rng.choice(k, size=int(rng.integers(0, k - 1)), replace=False):
+        raw[i] = rng.choice([0.0, -0.0, 5e-324, 2.5e-310, 1e-308, 2.2250738585072014e-308])
+    raw = raw / math.fsum(raw) * (1.0 + rng.uniform(-5e-10, 5e-10))
+    spellings = (repr, "{:.17e}".format, "{:.12g}".format)
+    return [spellings[int(rng.integers(3))](float(v)) for v in raw]
+
+
+def _fuzzed_counts_row(rng, k):
+    """Cells of one counts row: zeros, small counts and counts far beyond int64."""
+    pool = [0, 0, 1, 7, 20, 10**18, 10**308, 10**308 + 1, 3 * 10**400]
+    counts = [pool[i] for i in rng.integers(len(pool), size=k)]
+    counts[int(rng.integers(k))] = pool[int(rng.integers(2, len(pool)))]
+    return [str(c) for c in counts]
+
+
+def _reference_rows(mode, rows):
+    """Plain-Python normalisation: a float per cell, math.fsum, then divide."""
+    out = []
+    for cells in rows:
+        if mode == "counts":
+            counts = [int(c) for c in cells]
+            values = [c / sum(counts) for c in counts]
+        else:
+            values = [float(c) for c in cells]
+        total = math.fsum(values)
+        out.append([v / total for v in values])
+    return np.array(out, dtype=np.float64)
+
+
+def _table_text(mode, ids, rows):
+    header = "\t".join(["case_id"] + [f"c{i}" for i in range(1, len(rows[0]) + 1)])
+    body = "".join("\t".join([cid, *cells]) + "\n" for cid, cells in zip(ids, rows))
+    return f"#mode: {mode}\n{header}\n{body}"
+
+
+@pytest.mark.parametrize("mode", ["probs", "counts"])
+@pytest.mark.parametrize("seed", range(4))
+def test_loaded_arrays_equal_plain_python_reference(tmp_path, mode, seed):
+    rng = np.random.default_rng(seed)
+    k, n = int(rng.integers(2, 12)), int(rng.integers(1, 60))
+    fuzz = _fuzzed_counts_row if mode == "counts" else _fuzzed_probs_row
+    rows = [fuzz(rng, k) for _ in range(n)]
+    ids = [f"q{i}" for i in range(n)]
+    expected = _reference_rows(mode, rows)
+    ds = load_gold(write(tmp_path, "g.tsv", _table_text(mode, ids, rows)))
+    assert ds.gold.dtype == np.float64 and ds.gold.shape == (n, k)
+    assert not ds.gold.flags.writeable
+    assert ds.gold.tobytes() == expected.tobytes()
+    if mode == "counts":
+        assert ds.votes == tuple(tuple(int(c) for c in cells) for cells in rows)
+    # A run lists its cases in any order; est follows the dataset's order.
+    order = rng.permutation(n)
+    text = _table_text(mode, [ids[i] for i in order], [rows[i] for i in order])
+    run = load_run(write(tmp_path, "r.tsv", text), ds)
+    assert run.est.tobytes() == expected.tobytes()
+
+
+def _fixed_point_rows(rng, n, k):
+    """Probs rows whose exact float sum rounds to 1.0, so loading keeps every bit.
+
+    The loader divides every row by its math.fsum; a row summing to 1.0 up to
+    a rounding is divided again, so only such rows survive a reload unchanged.
+    """
+    rows = []
+    for _ in range(n):
+        units = rng.multinomial(1 << 52, rng.dirichlet(np.ones(k - 1)))
+        values = [float(u) / (1 << 52) for u in units]
+        values.insert(int(rng.integers(k)), float(rng.choice([0.0, -0.0, 5e-324])))
+        rows.append([repr(v) for v in values])
+    return rows
+
+
+def test_write_run_reproduces_the_file_it_loaded(tmp_path):
+    rng = np.random.default_rng(5)
+    for n, k in ((40, 6), (25, 2), (10, 11)):
+        rows = _fixed_point_rows(rng, n, k)
+        f = write(tmp_path, "f.tsv", _table_text("probs", [f"q{i}" for i in range(n)], rows))
+        ds = load_gold(f)
+        back = write_run(load_run(f, ds), ds, tmp_path / "back.tsv")
+        assert back.read_bytes() == f.read_bytes()
 
 
 # --- writers round-trip ---
@@ -310,6 +397,63 @@ def test_read_report_agreement_pair_outside_measure_list(tmp_path, reports):
     path = write(tmp_path, "r.json", json.dumps(doc))
     with pytest.raises(ParseError, match="'NVD' is not in the report's measure list"):
         read_report(path)
+
+
+def _averages(pairs, measures):
+    """avg_similarity as the report derives it from its pairs."""
+    return [
+        math.fsum(p["tau"] for p in pairs if tag in (p["first"], p["second"])) / (len(measures) - 1)
+        for tag in measures
+    ]
+
+
+def test_read_report_checks_each_agreement_pair(tmp_path, reports):
+    doc = json.loads(render_report(reports[1], "json"))
+    pairs = doc["payload"]["pairs"]
+    for key, value, message in (
+        ("tau", 7, "tau must be a number in"),
+        ("tau", -1.5, "tau must be a number in"),
+        ("ci_high", None, "ci_high must be a number"),
+        ("n", "twelve", "n must be an integer"),
+        ("n", 2, "n must be an integer >= 3"),
+    ):
+        bad = [{**pairs[0], key: value}, *pairs[1:]]
+        edited = {**doc, "payload": {"pairs": bad, "avg_similarity": doc["payload"]["avg_similarity"]}}
+        if key == "tau":  # the stored averages agree, so only the tau check can object
+            edited["payload"]["avg_similarity"] = _averages(bad, doc["measures"])
+        with pytest.raises(ParseError, match=message):
+            read_report(write(tmp_path, "r.json", json.dumps(edited)))
+    # A pair listed twice would leave only its last entry in the report.
+    for extra in (pairs[0], {**pairs[0], "tau": 0.5}):
+        doc["payload"]["pairs"] = [*pairs, extra]
+        with pytest.raises(ParseError, match=r"pair \(NMD, NVD\) is listed twice"):
+            read_report(write(tmp_path, "r.json", json.dumps(doc)))
+
+
+@pytest.fixture(scope="module")
+def bundled_consistency():
+    """The bundled data's `consistency --B 50 --permutations 200` report, as JSON."""
+    data = Path(__file__).resolve().parent.parent / "data" / "synth"
+    ds = load_gold(data / "gold.tsv")
+    runs = [load_run(path, ds) for path in sorted((data / "runs").glob("*.tsv"))]
+    report = split_half_consistency(ds, runs, DEFAULT_SUITE, B=50, permutations=200)
+    return json.loads(render_report(report, "json"))
+
+
+def test_read_report_checks_the_significant_pairs(tmp_path, bundled_consistency):
+    doc = bundled_consistency
+    pairs = doc["payload"]["significant_pairs"]
+    assert len(pairs) > 2
+    read_report(write(tmp_path, "r.json", json.dumps(doc)))
+    for bad, message in (
+        ([*pairs, pairs[1]], "listed twice"),
+        ([*pairs, pairs[1][::-1]], "listed twice"),
+        ([pairs[0][::-1], *pairs[1:]], "is not above the loser's"),
+        ([pair[::-1] for pair in pairs], "is not above the loser's"),
+    ):
+        edited = {**doc, "payload": {**doc["payload"], "significant_pairs": bad}}
+        with pytest.raises(ParseError, match=message):
+            read_report(write(tmp_path, "r.json", json.dumps(edited)))
 
 
 @pytest.mark.parametrize("text", ["[]", "3", '"score_matrix"', "null"])

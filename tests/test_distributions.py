@@ -1,14 +1,12 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from _oracle import cumulative, gold_support
-from quantdiv.distributions import Distribution, from_votes, stack_probs, validate
+from quantdiv.distributions import from_votes, validate
 from quantdiv.errors import (
     AllZeroVotes,
-    LengthMismatch,
     NegativeProbability,
     NotNormalized,
     TooFewClasses,
@@ -17,16 +15,16 @@ from quantdiv.errors import (
 
 def test_validate_happy():
     d = validate([0.3, 0.7])
-    assert isinstance(d, Distribution)
-    assert d.probs == (0.3, 0.7)
-    assert d.num_classes == 2
+    assert isinstance(d, np.ndarray) and d.dtype == np.float64
+    assert d.tolist() == [0.3, 0.7]
+    assert d.shape == (2,)
     assert len(d) == 2
 
 
 def test_validate_renormalizes_within_tolerance():
     d = validate([0.5, 0.5 + 1e-10])
-    assert math.fsum(d.probs) == pytest.approx(1.0, abs=1e-15)
-    assert d.probs[0] != 0.5  # actually divided by the true total
+    assert math.fsum(d.tolist()) == pytest.approx(1.0, abs=1e-15)
+    assert d[0] != 0.5  # actually divided by the true total
 
 
 def test_validate_rejects_negative():
@@ -54,23 +52,24 @@ def test_validate_rejects_single_class():
 
 
 def test_distribution_is_immutable():
-    d = validate([0.3, 0.7])
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        d.probs = (1.0, 0.0)
+    for d in (validate([0.3, 0.7]), from_votes((3, 7))):
+        assert not d.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            d[0] = 1.0
 
 
 def test_from_votes_unanimous():
     d = from_votes((19, 0, 0, 0, 0))
-    assert d.probs == (1.0, 0.0, 0.0, 0.0, 0.0)
+    assert d.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
 
 
 def test_from_votes_simple_split():
-    assert from_votes((3, 1)).probs == (0.75, 0.25)
+    assert from_votes((3, 1)).tolist() == [0.75, 0.25]
 
 
 def test_from_votes_scale_invariant():
-    assert from_votes((3, 1)).probs == from_votes((6, 2)).probs
-    assert from_votes((1, 2, 3)).probs == from_votes((2, 4, 6)).probs
+    assert from_votes((3, 1)).tolist() == from_votes((6, 2)).tolist()
+    assert from_votes((1, 2, 3)).tolist() == from_votes((2, 4, 6)).tolist()
 
 
 def test_from_votes_all_zero():
@@ -125,16 +124,6 @@ def test_random_vectors_validate():
         k = int(rng.integers(2, 9))
         raw = rng.random(k)
         d = validate(raw / raw.sum())
-        assert min(d.probs) >= 0.0
-        assert math.fsum(d.probs) == pytest.approx(1.0, abs=1e-12)
+        assert min(d.tolist()) >= 0.0
+        assert math.fsum(d.tolist()) == pytest.approx(1.0, abs=1e-12)
 
-
-def test_stack_probs():
-    dists = [validate([0.5, 0.25, 0.25]), validate([0.0, 0.0, 1.0])]
-    arr = stack_probs(dists)
-    assert arr.shape == (2, 3) and arr.dtype == np.float64
-    assert arr.tolist() == [list(d.probs) for d in dists]
-    assert not arr.flags.writeable
-    assert stack_probs([]).shape == (0, 0)
-    with pytest.raises(LengthMismatch):
-        stack_probs([validate([0.5, 0.5]), validate([0.2, 0.3, 0.5])])

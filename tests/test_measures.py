@@ -21,7 +21,7 @@ from _oracle import (
     rsnod,
 )
 from quantdiv import meta_eval, synth
-from quantdiv.distributions import Distribution, stack_probs, validate
+from quantdiv.distributions import validate
 from quantdiv.errors import LengthMismatch, OutOfRange
 from quantdiv.measures import (
     ALL_MEASURES,
@@ -205,10 +205,10 @@ def test_jsd_examples():
 def test_jsd_clips_rounding_residue_at_zero():
     # Unclipped, this near-equal pair rounds to about -1.39e-17. The rows are
     # taken as stored (validate() would rescale them by their float sums).
-    est = Distribution((0.03077187531485318, 0.11253811735760301, 0.8566900073275437))
-    gold = Distribution((0.030771875004854135, 0.1125381166059459, 0.8566900083891998))
+    est = np.array([0.03077187531485318, 0.11253811735760301, 0.8566900073275437])
+    gold = np.array([0.030771875004854135, 0.1125381166059459, 0.8566900083891998])
     assert jsd(est, gold) == 0.0
-    assert score_batch(MeasureId.JSD, stack_probs([est]), stack_probs([gold]))[0] == jsd(est, gold)
+    assert score_batch(MeasureId.JSD, np.stack([est]), np.stack([gold]))[0] == jsd(est, gold)
     assert score(MeasureId.JSD, est, gold) == 0.0
 
 
@@ -340,7 +340,7 @@ def test_batch_matches_scalar_score(k):
     # every (est, gold) combination of the rows, as two aligned lists
     est = [e for e in rows for _ in rows]
     gold = [g for _ in rows for g in rows]
-    est_arr, gold_arr = stack_probs(est), stack_probs(gold)
+    est_arr, gold_arr = np.stack(est), np.stack(gold)
     for measure in ALL_MEASURES:
         batch = score_batch(measure, est_arr, gold_arr)
         scalar = np.array([_oracle.score(measure, e, g) for e, g in zip(est, gold)])
@@ -352,7 +352,7 @@ def test_batch_matches_scalar_score(k):
 
 @pytest.mark.parametrize("k", range(2, 12))
 def test_batch_identity_is_zero(k):
-    rows = stack_probs(_tricky_rows(np.random.default_rng(200 + k), k))
+    rows = np.stack(_tricky_rows(np.random.default_rng(200 + k), k))
     for measure in ALL_MEASURES:
         if measure is MeasureId.DNKT:
             continue
@@ -378,8 +378,8 @@ def test_score_matrix_matches_scalar_grid(monkeypatch, block):
 
 def test_score_batch_broadcasts_systems_against_gold():
     rng = np.random.default_rng(29)
-    gold = stack_probs([random_distribution(rng, 4) for _ in range(6)])
-    est = np.stack([stack_probs([random_distribution(rng, 4) for _ in range(6)]) for _ in range(3)])
+    gold = np.stack([random_distribution(rng, 4) for _ in range(6)])
+    est = np.stack([np.stack([random_distribution(rng, 4) for _ in range(6)]) for _ in range(3)])
     grid = score_batch(MeasureId.RNOD2, est, gold)
     assert grid.shape == (3, 6)
     assert np.array_equal(grid[1], score_batch(MeasureId.RNOD2, est[1], gold))

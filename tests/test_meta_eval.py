@@ -446,6 +446,18 @@ def test_reports_check_their_invariants():
             ConsistencyReport(measures, per_trial, pairs, **settings)
     with pytest.raises(OutOfRange, match="alpha"):
         ConsistencyReport((nmd, nvd), grid, (), **{**settings, "alpha": 7})
+    # A significant pair is listed once, winner first, and its winner has the
+    # strictly higher mean per-trial tau, as randomized_tukey_hsd reports it.
+    apart = np.array([[0.9] * 5, [0.1] * 5, [0.5] * 5])
+    assert ConsistencyReport((nmd, nvd, jsd), apart, ((nmd, nvd), (jsd, nvd)), **settings)
+    for per_trial, pairs, message in (
+        (apart, ((nmd, nvd), (nmd, nvd)), "listed twice"),
+        (apart, ((nmd, nvd), (nvd, nmd)), "listed twice"),
+        (apart, ((nvd, nmd),), "winner's mean tau 0.1 is not above the loser's 0.9"),
+        (np.full((3, 5), 0.5), ((nmd, nvd),), "is not above"),
+    ):
+        with pytest.raises(OutOfRange, match=message):
+            ConsistencyReport((nmd, nvd, jsd), per_trial, pairs, **settings)
 
     tau = tau_with_ci([1.0, 2.0, 3.0], [1.0, 3.0, 2.0])
     assert AgreementReport((nmd, nvd), ((None, tau), (None, None))).avg_similarity == (tau.tau,) * 2

@@ -22,3 +22,23 @@ def test_build_needs_no_compiled_extension():
     assert not any("cython" in req.lower() for req in requires)
     assert not (ROOT / "setup.py").exists()
     assert not list(ROOT.rglob("*.pyx"))
+
+
+def test_readme_library_example_gives_its_commented_results():
+    # The "Library" section's Python block, run as written; each line ending
+    # in a `# <number>` comment must give that number at the digits shown.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S)
+    assert code is not None
+    namespace: dict = {}
+    exec(code.group(1), namespace)
+    checked = 0
+    for line in code.group(1).splitlines():
+        result = re.fullmatch(r"(.+?)\s+# (-?\d+\.(\d+))\b.*", line)
+        if result is None:
+            continue
+        value = eval(result.group(1), namespace)
+        assert round(value, len(result.group(3))) == float(result.group(2)), line
+        checked += 1
+    assert checked == 2

@@ -5,7 +5,14 @@ import pytest
 
 from _helpers import naive_pair_counts, naive_tau_b, tied_lists
 from quantdiv.errors import LengthMismatch, OutOfRange, TooShort
-from quantdiv.rank_correlation import PairCounts, pair_counts, tau_b, tau_plain, tau_with_ci
+from quantdiv.rank_correlation import (
+    PairCounts,
+    TauResult,
+    pair_counts,
+    tau_b,
+    tau_plain,
+    tau_with_ci,
+)
 
 
 def test_pair_counts_basic():
@@ -153,3 +160,24 @@ def test_tau_with_ci_errors():
         tau_with_ci([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], confidence=1.0)
     with pytest.raises(OutOfRange):
         tau_with_ci([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], confidence=0.0)
+
+
+def test_tau_result_checks_itself():
+    assert TauResult(tau=1.0, ci_low=1.0, ci_high=1.0, n=3).n == 3
+    assert TauResult(tau=0.2, ci_low=-1.0, ci_high=1.0, n=4).tau == 0.2
+    good = dict(tau=0.2, ci_low=-0.1, ci_high=0.5, n=12)
+    for key, value, message in (
+        ("tau", 7, r"tau must be a number in \[-1, 1\], got 7"),
+        ("tau", float("nan"), "tau must be a number"),
+        ("ci_low", -1.5, "ci_low must be a number"),
+        ("ci_high", True, "ci_high must be a number"),
+        ("ci_high", "0.5", "ci_high must be a number"),
+        ("tau", 0.6, "need ci_low <= tau <= ci_high"),
+        ("ci_low", 0.3, "need ci_low <= tau <= ci_high"),
+        ("n", "twelve", "n must be an integer >= 3, got 'twelve'"),
+        ("n", True, "n must be an integer"),
+        ("n", 12.0, "n must be an integer"),
+        ("n", 2, "n must be an integer >= 3, got 2"),
+    ):
+        with pytest.raises(OutOfRange, match=message):
+            TauResult(**{**good, key: value})

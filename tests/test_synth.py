@@ -24,7 +24,7 @@ def test_votes_sum_to_assessors():
     assert ds.votes is not None
     assert all(sum(v) == 17 for v in ds.votes)
     for dist, votes in zip(ds.gold, ds.votes):
-        for p, v in zip(dist.probs, votes):
+        for p, v in zip(dist.tolist(), votes):
             assert p == pytest.approx(v / 17)
 
 
@@ -40,8 +40,8 @@ def test_deterministic():
 def test_distributions_are_valid():
     ds, runs = synth.generate(n_systems=4, n_cases=20, seed=2)
     for dist in list(ds.gold) + [d for r in runs for d in r.est]:
-        assert all(p >= 0.0 for p in dist.probs)
-        assert math.fsum(dist.probs) == pytest.approx(1.0, abs=1e-12)
+        assert all(p >= 0.0 for p in dist.tolist())
+        assert math.fsum(dist.tolist()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_quality_is_graded():
