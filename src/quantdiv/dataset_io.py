@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from ._version import __version__
-from .distributions import _frozen, _normalized, _vote_shares
+from .distributions import _fields_equal, _frozen, _normalized, _vote_shares
 from .errors import (
     DuplicateCaseId,
     InconsistentClassCount,
@@ -39,14 +39,6 @@ from .meta_eval import (
 from .rank_correlation import TauResult
 
 FORMATS = ("tsv", "json", "markdown")
-
-
-def _fields_equal(a, b) -> bool:
-    """Field-by-field equality of two instances of one dataclass; arrays by value."""
-    return type(a) is type(b) and all(
-        np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
-        for x, y in zip(vars(a).values(), vars(b).values())
-    )
 
 
 @dataclass(frozen=True, eq=False)

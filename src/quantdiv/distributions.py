@@ -29,6 +29,14 @@ def _frozen(values) -> np.ndarray:
     return out
 
 
+def _fields_equal(a, b) -> bool:
+    """Field-by-field equality of two instances of one dataclass; arrays by value."""
+    return type(a) is type(b) and all(
+        np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+        for x, y in zip(vars(a).values(), vars(b).values())
+    )
+
+
 def _normalized(probs: list[float]) -> list[float]:
     """probs checked as validate() documents, each divided by their exact total."""
     if len(probs) < 2:

@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from . import kernels
+from .distributions import _fields_equal, _frozen
 from .errors import (
     DatasetTooSmall,
     LengthMismatch,
@@ -67,6 +68,23 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
 
 
+def _check_integer(name: str, value) -> None:
+    """Reject a value that operator.index does not take, or a bool."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        operator.index(value)
+    except TypeError:
+        raise OutOfRange(f"{name} must be an integer, got {value!r}") from None
+
+
+def _check_unique(measures: Sequence[MeasureId]) -> None:
+    """Reject a measure listed twice: a report has one row per measure."""
+    for i, measure in enumerate(measures):
+        if measure in measures[:i]:
+            raise OutOfRange(f"measure {measure.value} is listed twice")
+
+
 @dataclass(frozen=True)
 class FullSplit:
     """Shuffle all cases and split in half; odd case goes to the first half."""
@@ -85,6 +103,7 @@ class FixedSize:
     k: int
 
     def __post_init__(self):
+        _check_integer("subset size", self.k)
         if self.k < 1:
             raise OutOfRange(f"subset size must be >= 1, got {self.k}")
 
@@ -118,7 +137,7 @@ def parse_subset_mode(text: str) -> SubsetMode:
     raise OutOfRange(f"unknown subset mode {text!r}; expected 'half' or 'k=<int>'")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ScoreMatrix:
     """Per-system, per-case scores for one measure (rows align with systems)."""
 
@@ -133,25 +152,16 @@ class ScoreMatrix:
                 raise OutOfRange(f"{name} must be strings")
             if len(set(ids)) != len(ids):
                 raise OutOfRange(f"{name} must be unique")
-        values = np.array(self.values, dtype=np.float64)
-        if values.ndim != 2 or values.shape != (len(self.system_ids), len(self.case_ids)):
+        object.__setattr__(self, "values", _frozen(self.values))
+        if self.values.shape != (len(self.system_ids), len(self.case_ids)):
             raise MisalignedRun(
-                f"score grid {values.shape} does not match "
+                f"score grid {self.values.shape} does not match "
                 f"{len(self.system_ids)} systems x {len(self.case_ids)} cases"
             )
-        if not np.isfinite(values).all() or (values < 0).any():
+        if not np.isfinite(self.values).all() or (self.values < 0).any():
             raise OutOfRange("scores must be finite and >= 0")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ScoreMatrix)
-            and self.system_ids == other.system_ids
-            and self.case_ids == other.case_ids
-            and self.measure == other.measure
-            and np.array_equal(self.values, other.values)
-        )
+    __eq__ = _fields_equal
 
 
 @dataclass(frozen=True)
@@ -184,7 +194,7 @@ class AgreementReport:
         return self.grid[min(i, j)][max(i, j)]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ConsistencyReport:
     """Split-half consistency of each measure plus HSD significance."""
 
@@ -198,14 +208,14 @@ class ConsistencyReport:
     tau_variant: str = "b"
 
     def __post_init__(self):
-        arr = np.array(self.per_trial_tau, dtype=np.float64)
-        arr.setflags(write=False)
-        object.__setattr__(self, "per_trial_tau", arr)
+        object.__setattr__(self, "per_trial_tau", _frozen(self.per_trial_tau))
+        arr = self.per_trial_tau
         if not self.measures or arr.ndim != 2 or arr.shape[0] != len(self.measures):
             raise LengthMismatch(
                 f"per-trial tau grid {arr.shape} must be (measures, B) with >= 1 measure, "
                 f"got {len(self.measures)} measures"
             )
+        _check_unique(self.measures)
         check_consistency_args(
             self.B, self.seed, self.alpha, self.permutations, tau_variant=self.tau_variant
         )
@@ -239,16 +249,7 @@ class ConsistencyReport:
     def B(self) -> int:
         return self.per_trial_tau.shape[1]
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ConsistencyReport)
-            and self.measures == other.measures
-            and np.array_equal(self.per_trial_tau, other.per_trial_tau)
-            and self.significant_pairs == other.significant_pairs
-            and self.mode == other.mode
-            and (self.seed, self.alpha, self.permutations, self.tau_variant)
-            == (other.seed, other.alpha, other.permutations, other.tau_variant)
-        )
+    __eq__ = _fields_equal
 
 
 def check_consistency_args(
@@ -266,12 +267,7 @@ def check_consistency_args(
     """
     integers = {"B": B, "seed": seed, "permutations": permutations, "threads": threads}
     for name, value in integers.items():
-        try:
-            if isinstance(value, bool):
-                raise TypeError
-            operator.index(value)
-        except TypeError:
-            raise OutOfRange(f"{name} must be an integer, got {value!r}") from None
+        _check_integer(name, value)
     if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real):
         raise OutOfRange(f"alpha must be a real number, got {alpha!r}")
     if B < 1:
@@ -575,6 +571,7 @@ def split_half_consistency(
     measures = tuple(measures)
     if len(measures) < 1:
         raise TooFewMeasures("need at least 1 measure")
+    _check_unique(measures)
     if len(runs) < 2:
         raise TooFewSystems(f"need at least 2 systems, got {len(runs)}")
     check_consistency_args(B, seed, alpha, permutations, threads, tau_variant)

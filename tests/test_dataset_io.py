@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -17,16 +18,26 @@ from quantdiv.dataset_io import (
     write_run,
 )
 from quantdiv.errors import (
+    AllZeroVotes,
     DuplicateCaseId,
     InconsistentClassCount,
     MissingCase,
+    NegativeProbability,
     NotNormalized,
     OutOfRange,
     ParseError,
     UnknownCase,
 )
 from quantdiv.measures import DEFAULT_SUITE, MeasureId
-from quantdiv.meta_eval import agreement, score_matrix, split_half_consistency
+from quantdiv.meta_eval import (
+    ConsistencyReport,
+    FixedSize,
+    FullSplit,
+    agreement,
+    score_matrix,
+    split_half_consistency,
+)
+import quantdiv
 from quantdiv import synth
 
 GOLD_PROBS = """\
@@ -83,6 +94,12 @@ def test_load_gold_skips_blank_lines(tmp_path):
         ("case_id\ta\tb\nq1\t0.5\n", InconsistentClassCount, "line 2"),
         ("case_id\ta\tb\nq1\t0.5\tx\n", ParseError, "bad probability"),
         ("#mode: counts\ncase_id\ta\tb\nq1\t1\t1.5\n", ParseError, "bad vote count"),
+        ("#mode: counts\ncase_id\ta\tb\nq1\t0\t0\n", AllZeroVotes, "case 'q1': all vote counts"),
+        (
+            "#mode: counts\ncase_id\ta\tb\nq1\t-1\t3\n",
+            NegativeProbability,
+            "case 'q1': class 1 has negative vote count -1",
+        ),
         ("case_id\ta\tb\n\t0.5\t0.5\n", ParseError, "empty case id"),
         ("", ParseError, "missing header"),
         ("case_id\ta\tb\n", ParseError, "no data rows"),
@@ -274,6 +291,62 @@ def test_json_round_trip_is_exact(tmp_path, reports):
             assert render_report(back, fmt) == render_report(report, fmt)
 
 
+def test_public_records_are_frozen_with_read_only_arrays(reports):
+    records = [getattr(quantdiv, name) for name in quantdiv.__all__]
+    records = [cls for cls in records if isinstance(cls, type) and dataclasses.is_dataclass(cls)]
+    for cls in records:
+        assert cls.__dataclass_params__.frozen, cls.__name__
+    ds, runs = synth.generate(n_systems=2, n_cases=5, seed=1)
+    matrix, _, consistency = reports
+    for record in (ds, runs[0], matrix, consistency):
+        arrays = [getattr(record, f.name) for f in dataclasses.fields(record)]
+        arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+        assert len(arrays) == 1 and not arrays[0].flags.writeable, type(record).__name__
+
+
+def test_reports_are_frozen_records_equal_field_by_field(tmp_path, reports):
+    # A report cannot change after its checks ran; changing any one field
+    # gives an unequal report, and JSON keeps every field.
+    matrix, _, _ = reports
+    nmd, nvd, jsd = MeasureId.NMD, MeasureId.NVD, MeasureId.JSD
+    apart = np.array([[0.9] * 5, [0.1] * 5])
+    consistency = ConsistencyReport(
+        (nmd, nvd), apart, (), FullSplit(), seed=1, alpha=0.05, permutations=10
+    )
+    for record, changes in (
+        (
+            matrix,
+            {
+                "values": matrix.values + 1.0,
+                "system_ids": matrix.system_ids[::-1],
+                "case_ids": matrix.case_ids[::-1],
+                "measure": nvd,
+            },
+        ),
+        (
+            consistency,
+            {
+                "measures": (nmd, jsd),
+                "per_trial_tau": consistency.per_trial_tau[::-1],
+                "significant_pairs": ((nmd, nvd),),
+                "mode": FixedSize(2),
+                "seed": 2,
+                "alpha": 0.01,
+                "permutations": 11,
+                "tau_variant": "plain",
+            },
+        ),
+    ):
+        assert set(changes) == {f.name for f in dataclasses.fields(record)}
+        assert dataclasses.replace(record) == record
+        for name, value in changes.items():
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, name, value)
+            changed = dataclasses.replace(record, **{name: value})
+            assert changed != record, name
+            assert read_report(write_report(changed, "json", tmp_path / "r.json")) == changed
+
+
 def test_json_meta_fields(reports):
     _, _, consistency = reports
     doc = json.loads(render_report(consistency, "json"))
@@ -329,8 +402,9 @@ def test_markdown_tables(reports):
 def test_unknown_format_rejected(reports):
     with pytest.raises(OutOfRange):
         render_report(reports[0], "yaml")
-    with pytest.raises(OutOfRange):
-        render_report(object(), "tsv")
+    for fmt in ("tsv", "json"):
+        with pytest.raises(OutOfRange, match="cannot serialize object"):
+            render_report(object(), fmt)
 
 
 def test_read_report_rejects_bad_input(tmp_path, reports):
@@ -363,6 +437,7 @@ def test_read_report_rejects_bad_input(tmp_path, reports):
         (0, "payload", "system_ids", ["a"] * 6, "system_ids must be unique"),
         (0, "payload", "system_ids", list(range(6)), "system_ids must be strings"),
         (0, "payload", "case_ids", ["c"] * 24, "case_ids must be unique"),
+        (2, None, "measures", ["NMD", "NMD"], "measure NMD is listed twice"),
     ):
         doc = json.loads(render_report(reports[report], "json"))
         (doc if section is None else doc[section])[key] = value

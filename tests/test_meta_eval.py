@@ -59,6 +59,10 @@ def test_parse_and_format_subset_mode():
             parse_subset_mode(bad)
     with pytest.raises(OutOfRange, match="subset size must be >= 1, got 0"):
         FixedSize(0)
+    # A bool would be written as "k=True", which no report reader parses.
+    for k in (True, 1.5):
+        with pytest.raises(OutOfRange, match=f"subset size must be an integer, got {k}"):
+            FixedSize(k)
 
 
 def test_subset_mode_bounds():
@@ -187,6 +191,9 @@ def test_agreement_errors():
         agreement(ds, runs[:2], [MeasureId.NVD, MeasureId.RNSS])
     with pytest.raises(TooFewMeasures):
         agreement(ds, runs, [MeasureId.NVD])
+    report = agreement(ds, runs, [MeasureId.NVD, MeasureId.RNSS])
+    with pytest.raises(OutOfRange, match="no self-pair"):
+        report.pair(1, 1)
 
 
 def test_agreement_checks_confidence_before_scoring(monkeypatch):
@@ -391,6 +398,8 @@ def test_hsd_errors():
         randomized_tukey_hsd(two[:1])
     with pytest.raises(TooFewTrials):
         randomized_tukey_hsd(two[:, :1])
+    with pytest.raises(OutOfRange, match="2-dimensional"):
+        randomized_tukey_hsd(two[0])
     with pytest.raises(OutOfRange):
         randomized_tukey_hsd(two, alpha=0.0)
     with pytest.raises(OutOfRange):
@@ -446,6 +455,8 @@ def test_reports_check_their_invariants():
             ConsistencyReport(measures, per_trial, pairs, **settings)
     with pytest.raises(OutOfRange, match="alpha"):
         ConsistencyReport((nmd, nvd), grid, (), **{**settings, "alpha": 7})
+    with pytest.raises(OutOfRange, match="measure NMD is listed twice"):
+        ConsistencyReport((nmd, nmd), grid, (), **settings)
     # A significant pair is listed once, winner first, and its winner has the
     # strictly higher mean per-trial tau, as randomized_tukey_hsd reports it.
     apart = np.array([[0.9] * 5, [0.1] * 5, [0.5] * 5])
@@ -488,6 +499,8 @@ def test_reports_check_their_invariants():
         ({"permutations": 10.5}, OutOfRange),
         ({"threads": 1.5}, OutOfRange),
         ({"alpha": "0.05"}, OutOfRange),
+        ({"measures": []}, TooFewMeasures),
+        ({"measures": [MeasureId.NMD, MeasureId.NVD, MeasureId.NMD]}, OutOfRange),
     ],
 )
 def test_split_half_consistency_validates_before_scoring(monkeypatch, kwargs, error):
@@ -496,9 +509,10 @@ def test_split_half_consistency_validates_before_scoring(monkeypatch, kwargs, er
 
     kwargs = dict(kwargs)
     ds, runs = synth.generate(n_systems=kwargs.pop("n_systems", 4), n_cases=40, seed=15)
+    measures = kwargs.pop("measures", [MeasureId.NMD, MeasureId.NVD])
     monkeypatch.setattr(meta_eval, "score_matrix", no_scoring)
     with pytest.raises(error):
-        split_half_consistency(ds, runs, [MeasureId.NMD, MeasureId.NVD], **kwargs)
+        split_half_consistency(ds, runs, measures, **kwargs)
 
 
 def test_split_half_consistency_single_trial_skips_significance():

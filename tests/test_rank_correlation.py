@@ -48,6 +48,10 @@ def test_pair_counts_errors():
         pair_counts([1.0, 2.0], [1.0, 2.0], tie_eps=-1e-9)
     with pytest.raises(OutOfRange):
         pair_counts([1.0, float("nan")], [1.0, 2.0])
+    with pytest.raises(OutOfRange, match="inputs must be sequences"):
+        pair_counts(1.0, [1.0, 2.0])
+    with pytest.raises(LengthMismatch, match=r"shapes \(2, 3\) and \(3, 3\) do not broadcast"):
+        pair_counts(np.zeros((2, 3)), np.zeros((3, 3)))
 
 
 def test_tau_b_exact_endpoints():
@@ -160,6 +164,8 @@ def test_tau_with_ci_errors():
         tau_with_ci([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], confidence=1.0)
     with pytest.raises(OutOfRange):
         tau_with_ci([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], confidence=0.0)
+    with pytest.raises(OutOfRange, match="one-dimensional"):
+        tau_with_ci(np.zeros((2, 3)), np.zeros((2, 3)))
 
 
 def test_tau_result_checks_itself():
