@@ -11,7 +11,7 @@ failures are not wrapped; OSError propagates.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -237,24 +237,13 @@ def _json_doc(report) -> dict:
             "meta": _meta(),
         }
     if isinstance(report, AgreementReport):
-        pairs = []
-        m = len(report.measures)
-        for i in range(m):
-            for j in range(i + 1, m):
-                cell = report.grid[i][j]
-                pairs.append(
-                    {
-                        "first": report.measures[i].value,
-                        "second": report.measures[j].value,
-                        "tau": cell.tau,
-                        "ci_low": cell.ci_low,
-                        "ci_high": cell.ci_high,
-                        "n": cell.n,
-                    }
-                )
+        tags = [m.value for m in report.measures]
+        pairs = [
+            {"first": tags[i], "second": tags[j], **asdict(cell)} for i, j, cell in report.pairs()
+        ]
         return {
             "kind": "agreement",
-            "measures": [m.value for m in report.measures],
+            "measures": tags,
             "payload": {"pairs": pairs, "avg_similarity": list(report.avg_similarity)},
             "meta": _meta(),
         }
@@ -288,18 +277,17 @@ def _render_scores(report: ScoreMatrix, fmt: str) -> str:
 def _render_agreement(report: AgreementReport, fmt: str) -> str:
     tags = [m.value for m in report.measures]
     m = len(tags)
-    upper = [(i, j, report.grid[i][j]) for i in range(m) for j in range(i + 1, m)]
     if fmt == "tsv":
         pairs = (
             [tags[i], tags[j], _fmt6(c.tau), _fmt6(c.ci_low), _fmt6(c.ci_high), str(c.n)]
-            for i, j, c in upper
+            for i, j, c in report.pairs()
         )
         grid = _table(fmt, ["first", "second", "tau", "ci_low", "ci_high", "n"], pairs)
         avg_header, avg_fmt = "avg_similarity", "{:.6f}"
     else:
         # Row i, column j: the upper triangle of measure pairs, blank below it.
         cells = [[""] * (m - 1) for _ in range(m - 1)]
-        for i, j, c in upper:
+        for i, j, c in report.pairs():
             cells[i][j - 1] = f"{c.tau:.3f} [{c.ci_low:.3f}, {c.ci_high:.3f}]"
         grid = _table(fmt, ["measure", *tags[1:]], ([tag, *row] for tag, row in zip(tags, cells)))
         avg_header, avg_fmt = "average tau", "{:.3f}"
@@ -361,27 +349,52 @@ def read_report(path):
     if not isinstance(doc, dict):
         raise ParseError(f"report must be a JSON object, got {type(doc).__name__}")
     try:
-        return _report_from_doc(doc)
+        report = _report_from_doc(doc)
     except KeyError as exc:
         raise ParseError(f"report lacks key {exc.args[0]!r}") from None
     except ParseError:
         raise
     except (TypeError, ValueError) as exc:  # the reports' own checks raise ValidationError
         raise ParseError(f"malformed report: {exc}") from None
+    _check_written_form(doc, _json_doc(report))
+    return report
 
 
 def _float_grid(payload: dict, key: str) -> np.ndarray:
     try:
         return np.array(payload[key], dtype=np.float64)
-    except ValueError:
+    except (ValueError, OverflowError):
         raise ParseError(f"report key 'payload.{key}' is not a grid of numbers") from None
 
 
-def _check_stored(doc: dict, section: str, key: str, derived) -> None:
-    """A summary key the writer stores must equal the value the report derives."""
-    stored = doc[section][key]
-    if stored != derived:
-        raise ParseError(f"report key '{section}.{key}' is {stored!r}, the data give {derived!r}")
+class _Absent:
+    """Stands for a key that one document lacks; None is a JSON value."""
+
+    def __repr__(self) -> str:
+        return "absent"
+
+
+_ABSENT = _Absent()
+
+
+def _check_written_form(doc: dict, written: dict) -> None:
+    """A document must be the one the writer writes for its report, tool_version apart.
+
+    Objects in both documents are compared key by key, so the first differing
+    'section.key' is named; values compare as parsed JSON.
+    """
+    for key in {**written, **doc}:
+        stored, derived = doc.get(key, _ABSENT), written.get(key, _ABSENT)
+        if isinstance(stored, dict) and isinstance(derived, dict):
+            entries = [
+                (f"{key}.{sub}", stored.get(sub, _ABSENT), derived.get(sub, _ABSENT))
+                for sub in {**derived, **stored}
+            ]
+        else:
+            entries = [(key, stored, derived)]
+        for name, value, wanted in entries:
+            if name != "meta.tool_version" and value != wanted:
+                raise ParseError(f"report key '{name}' is {value!r}, the data give {wanted!r}")
 
 
 def _report_from_doc(doc: dict):
@@ -398,28 +411,13 @@ def _report_from_doc(doc: dict):
             measure=measures[0],
         )
     if kind == "agreement":
-        index = {m.value: i for i, m in enumerate(measures)}
-        m = len(measures)
-        grid: list[list[TauResult | None]] = [[None] * m for _ in range(m)]
-        for pair in payload["pairs"]:
-            first, second = pair["first"], pair["second"]
-            for tag in (first, second):
-                if tag not in index:
-                    raise ParseError(f"pair measure {tag!r} is not in the report's measure list")
-            i, j = index[first], index[second]
-            if grid[i][j] is not None:
-                raise ParseError(f"measure pair ({first}, {second}) is listed twice")
-            grid[i][j] = TauResult(
-                tau=pair["tau"], ci_low=pair["ci_low"], ci_high=pair["ci_high"], n=pair["n"]
-            )
-        report = AgreementReport(measures=measures, grid=tuple(tuple(row) for row in grid))
-        _check_stored(doc, "payload", "avg_similarity", list(report.avg_similarity))
-        return report
+        taus = (TauResult(p["tau"], p["ci_low"], p["ci_high"], p["n"]) for p in payload["pairs"])
+        return AgreementReport(measures=measures, taus=tuple(taus))
     if kind == "consistency":
         meta = doc["meta"]
         if not isinstance(meta["mode"], str):
             raise ParseError(f"report key 'meta.mode' must be a string, got {meta['mode']!r}")
-        report = ConsistencyReport(
+        return ConsistencyReport(
             measures=measures,
             per_trial_tau=_float_grid(payload, "per_trial_tau"),
             significant_pairs=tuple(
@@ -431,7 +429,4 @@ def _report_from_doc(doc: dict):
             permutations=payload["permutations"],
             tau_variant=payload["tau_variant"],
         )
-        _check_stored(doc, "payload", "mean_tau", list(report.mean_tau))
-        _check_stored(doc, "meta", "B", report.B)
-        return report
     raise ParseError(f"unknown report kind {kind!r}")

@@ -22,7 +22,8 @@ import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from itertools import combinations
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -78,9 +79,11 @@ def _check_integer(name: str, value) -> None:
         raise OutOfRange(f"{name} must be an integer, got {value!r}") from None
 
 
-def _check_unique(measures: Sequence[MeasureId]) -> None:
-    """Reject a measure listed twice: a report has one row per measure."""
+def _check_measures(measures: Sequence[MeasureId]) -> None:
+    """Reject a measure listed twice, or a value that is not a MeasureId, such as a plain "NMD"."""
     for i, measure in enumerate(measures):
+        if not isinstance(measure, MeasureId):
+            raise OutOfRange(f"measure {measure!r} is not a MeasureId")
         if measure in measures[:i]:
             raise OutOfRange(f"measure {measure.value} is listed twice")
 
@@ -147,6 +150,7 @@ class ScoreMatrix:
     measure: MeasureId
 
     def __post_init__(self):
+        _check_measures((self.measure,))
         for name, ids in (("system_ids", self.system_ids), ("case_ids", self.case_ids)):
             if not all(isinstance(i, str) for i in ids):
                 raise OutOfRange(f"{name} must be strings")
@@ -166,32 +170,32 @@ class ScoreMatrix:
 
 @dataclass(frozen=True)
 class AgreementReport:
-    """Pairwise tau/CI between measures; each measure's average tau is derived."""
+    """Tau/CI for each pair of measures; each measure's average tau is derived."""
 
     measures: tuple[MeasureId, ...]
-    grid: tuple[tuple[TauResult | None, ...], ...]  # a TauResult exactly where i < j
+    taus: tuple[TauResult, ...]  # one per pair, in itertools.combinations order
 
     def __post_init__(self):
         m = len(self.measures)
         if m < 2:
             raise TooFewMeasures(f"need at least 2 measures, got {m}")
-        filled = [[isinstance(cell, TauResult) for cell in row] for row in self.grid]
-        if filled != [[i < j for j in range(m)] for i in range(m)]:
-            raise LengthMismatch(f"agreement grid of {m} measures needs a tau exactly where i < j")
+        _check_measures(self.measures)
+        n_pairs = m * (m - 1) // 2
+        if len(self.taus) != n_pairs or not all(isinstance(t, TauResult) for t in self.taus):
+            raise LengthMismatch(f"agreement of {m} measures needs {n_pairs} TauResults, one per pair")
+
+    def pairs(self) -> Iterator[tuple[int, int, TauResult]]:
+        """(i, j, tau) for each pair of measure indices i < j, in the order taus holds them."""
+        for (i, j), tau in zip(combinations(range(len(self.measures)), 2), self.taus):
+            yield i, j, tau
 
     @property
     def avg_similarity(self) -> tuple[float, ...]:
         """Each measure's mean tau against every other measure."""
         m = len(self.measures)
         return tuple(
-            math.fsum(self.pair(i, j).tau for j in range(m) if j != i) / (m - 1)
-            for i in range(m)
+            math.fsum(t.tau for i, j, t in self.pairs() if k in (i, j)) / (m - 1) for k in range(m)
         )
-
-    def pair(self, i: int, j: int) -> TauResult:
-        if i == j:
-            raise OutOfRange("no self-pair in the agreement grid")
-        return self.grid[min(i, j)][max(i, j)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,7 +219,7 @@ class ConsistencyReport:
                 f"per-trial tau grid {arr.shape} must be (measures, B) with >= 1 measure, "
                 f"got {len(self.measures)} measures"
             )
-        _check_unique(self.measures)
+        _check_measures(self.measures)
         check_consistency_args(
             self.B, self.seed, self.alpha, self.permutations, tau_variant=self.tau_variant
         )
@@ -294,6 +298,7 @@ def score_matrix(dataset: "Dataset", runs: Sequence["SystemRun"], measure: Measu
     Systems are scored a block of rows at a time, so temporaries stay within
     SCORE_BLOCK elements whatever the number of systems.
     """
+    _check_measures((measure,))
     n_cases = len(dataset.case_ids)
     for run in runs:
         if len(run.est) != n_cases:
@@ -338,13 +343,10 @@ def agreement(
         raise TooFewMeasures(f"need at least 2 measures, got {len(measures)}")
     if not 0.0 < confidence < 1.0:
         raise OutOfRange(f"confidence must be in (0, 1), got {confidence}")
+    _check_measures(measures)
     means = [mean_scores(score_matrix(dataset, runs, m)) for m in measures]
-    m = len(measures)
-    grid: list[list[TauResult | None]] = [[None] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            grid[i][j] = tau_with_ci(means[i], means[j], confidence)
-    return AgreementReport(measures=measures, grid=tuple(tuple(row) for row in grid))
+    taus = tuple(tau_with_ci(x, y, confidence) for x, y in combinations(means, 2))
+    return AgreementReport(measures=measures, taus=taus)
 
 
 def _uint32_words(n: int) -> list[int]:
@@ -571,7 +573,7 @@ def split_half_consistency(
     measures = tuple(measures)
     if len(measures) < 1:
         raise TooFewMeasures("need at least 1 measure")
-    _check_unique(measures)
+    _check_measures(measures)
     if len(runs) < 2:
         raise TooFewSystems(f"need at least 2 systems, got {len(runs)}")
     check_consistency_args(B, seed, alpha, permutations, threads, tau_variant)

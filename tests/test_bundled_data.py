@@ -124,13 +124,11 @@ def test_agreement_triangle_on_bundled_runs(bundled):
         MeasureId.DNKT,
     ]
     report = agreement(dataset, runs, nine)
-    pairs = [
-        report.grid[i][j] for i in range(9) for j in range(i + 1, 9)
-    ]
-    assert len(pairs) == 36
-    assert all(cell is not None for cell in pairs)
+    taus = {(i, j): t for i, j, t in report.pairs()}
+    assert list(taus) == [(i, j) for i in range(9) for j in range(i + 1, 9)]
+    assert len(report.taus) == 36
     assert len(report.avg_similarity) == 9
     text = render_report(report, "tsv")
     assert text.count("\n") == 1 + 36 + 1 + 1 + 9
     # systems are graded by construction, so related measures agree strongly
-    assert report.pair(0, 2).tau > 0.7
+    assert taus[0, 2].tau > 0.7

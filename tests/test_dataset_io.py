@@ -415,8 +415,8 @@ def test_read_report_rejects_bad_input(tmp_path, reports):
     with pytest.raises(ParseError):
         read_report(unknown)
     # Ragged grids and a non-string mode, which numpy and str methods reject
-    # with their own exception types; then documents whose stored summaries
-    # or settings contradict their data (section None is the top level).
+    # with their own exception types; then documents that differ from the one
+    # the writer writes for their data (section None is the top level).
     docs = [json.loads(render_report(report, "json")) for report in reports]
     pairs, averages = docs[1]["payload"]["pairs"], docs[1]["payload"]["avg_similarity"]
     for report, section, key, value, message in (
@@ -431,8 +431,16 @@ def test_read_report_rejects_bad_input(tmp_path, reports):
         (2, "meta", "seed", 1.5, "seed must be an integer"),
         (2, "payload", "permutations", 2.5, "permutations must be an integer"),
         (2, "meta", "alpha", 7, "alpha must be in"),
-        (1, "payload", "pairs", pairs[1:], "needs a tau exactly where i < j"),
+        (1, "payload", "pairs", pairs[1:], "agreement of 3 measures needs 3 TauResults"),
+        (1, "payload", "pairs", pairs[::-1], "report key 'payload.pairs' is"),
         (1, "payload", "avg_similarity", averages[:2], "payload.avg_similarity"),
+        (1, "payload", "note", "hand-edited", "report key 'payload.note' is 'hand-edited'"),
+        (1, "meta", "alpha", "?", "report key 'meta.alpha' is '\\?', the data give None"),
+        (1, "meta", "seed", 4, "report key 'meta.seed' is 4, the data give None"),
+        (0, "meta", "seed", 4, "report key 'meta.seed' is 4, the data give None"),
+        (0, "meta", "mode", "half", "report key 'meta.mode' is 'half'"),
+        (0, None, "note", None, "report key 'note' is None, the data give absent"),
+        (2, "meta", "mode", "k=+2", "report key 'meta.mode' is 'k=\\+2', the data give 'k=2'"),
         (0, None, "measures", [], "'measures' must name one measure"),
         (0, "payload", "system_ids", ["a"] * 6, "system_ids must be unique"),
         (0, "payload", "system_ids", list(range(6)), "system_ids must be strings"),
@@ -443,6 +451,13 @@ def test_read_report_rejects_bad_input(tmp_path, reports):
         (doc if section is None else doc[section])[key] = value
         with pytest.raises(ParseError, match=message):
             read_report(write(tmp_path, "r3.json", json.dumps(doc)))
+    # Reports from other releases load: meta.tool_version may differ or be absent.
+    for report, doc in zip(reports, docs):
+        for version in ("9.9", None):
+            doc["meta"].pop("tool_version")
+            if version is not None:
+                doc["meta"]["tool_version"] = version
+            assert read_report(write(tmp_path, "r4.json", json.dumps(doc))) == report
 
 
 @pytest.mark.parametrize("report, key", [(1, "payload"), (2, "payload"), (2, "meta")])
@@ -468,41 +483,40 @@ def test_read_report_unknown_measure_is_parse_error(tmp_path, reports):
 
 def test_read_report_agreement_pair_outside_measure_list(tmp_path, reports):
     doc = json.loads(render_report(reports[1], "json"))
-    doc["measures"] = ["NMD", "JSD"]
-    path = write(tmp_path, "r.json", json.dumps(doc))
-    with pytest.raises(ParseError, match="'NVD' is not in the report's measure list"):
-        read_report(path)
-
-
-def _averages(pairs, measures):
-    """avg_similarity as the report derives it from its pairs."""
-    return [
-        math.fsum(p["tau"] for p in pairs if tag in (p["first"], p["second"])) / (len(measures) - 1)
-        for tag in measures
-    ]
+    for measures, message in (
+        (["NMD", "JSD"], "agreement of 2 measures needs 1 TauResults"),
+        (["NMD", "JSD", "DNKT"], "report key 'payload.pairs' is .*'NVD'.*the data give .*'JSD'"),
+    ):
+        doc["measures"] = measures
+        with pytest.raises(ParseError, match=message):
+            read_report(write(tmp_path, "r.json", json.dumps(doc)))
 
 
 def test_read_report_checks_each_agreement_pair(tmp_path, reports):
     doc = json.loads(render_report(reports[1], "json"))
     pairs = doc["payload"]["pairs"]
-    for key, value, message in (
-        ("tau", 7, "tau must be a number in"),
-        ("tau", -1.5, "tau must be a number in"),
-        ("ci_high", None, "ci_high must be a number"),
-        ("n", "twelve", "n must be an integer"),
-        ("n", 2, "n must be an integer >= 3"),
-    ):
-        bad = [{**pairs[0], key: value}, *pairs[1:]]
-        edited = {**doc, "payload": {"pairs": bad, "avg_similarity": doc["payload"]["avg_similarity"]}}
-        if key == "tau":  # the stored averages agree, so only the tau check can object
-            edited["payload"]["avg_similarity"] = _averages(bad, doc["measures"])
+    cases = [
+        ([{**pairs[0], key: value}, *pairs[1:]], message)
+        for key, value, message in (
+            ("tau", 7, "tau must be a number in"),
+            ("tau", -1.5, "tau must be a number in"),
+            ("ci_high", None, "ci_high must be a number"),
+            ("n", "twelve", "n must be an integer"),
+            ("n", 2, "n must be an integer >= 3"),
+        )
+    ]
+    # A pair listed twice, with the same or other valid values: one pair too
+    # many, or in the place of another pair.
+    other = {**pairs[1], "first": pairs[0]["first"], "second": pairs[0]["second"]}
+    cases += [
+        ([*pairs, pairs[0]], "agreement of 3 measures needs 3 TauResults"),
+        ([*pairs, other], "agreement of 3 measures needs 3 TauResults"),
+        ([pairs[0], pairs[0], pairs[2]], "report key 'payload.pairs' is"),
+    ]
+    for bad, message in cases:
+        edited = {**doc, "payload": {**doc["payload"], "pairs": bad}}
         with pytest.raises(ParseError, match=message):
             read_report(write(tmp_path, "r.json", json.dumps(edited)))
-    # A pair listed twice would leave only its last entry in the report.
-    for extra in (pairs[0], {**pairs[0], "tau": 0.5}):
-        doc["payload"]["pairs"] = [*pairs, extra]
-        with pytest.raises(ParseError, match=r"pair \(NMD, NVD\) is listed twice"):
-            read_report(write(tmp_path, "r.json", json.dumps(doc)))
 
 
 @pytest.fixture(scope="module")

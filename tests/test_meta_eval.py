@@ -144,6 +144,12 @@ def test_score_matrix_rejects_bad_values():
     ):
         with pytest.raises(OutOfRange):
             ScoreMatrix(np.zeros((2, 2)), system_ids, case_ids, MeasureId.NMD)
+    # MeasureId is a str enum, so a plain "NMD" would score and then fail to render.
+    ds, perfect, _ = tiny_dataset()
+    with pytest.raises(OutOfRange, match="measure 'NMD' is not a MeasureId"):
+        ScoreMatrix(np.zeros((2, 2)), ("s", "t"), ("a", "b"), "NMD")
+    with pytest.raises(OutOfRange, match="measure 'NMD' is not a MeasureId"):
+        score_matrix(ds, [perfect], "NMD")
 
 
 def test_mean_scores():
@@ -161,39 +167,50 @@ def test_mean_scores():
 
 def test_agreement_shape_and_self_similarity():
     ds, runs = synth.generate(n_systems=6, n_cases=40, seed=5)
-    report = agreement(ds, runs, [MeasureId.NVD, MeasureId.NVD, MeasureId.RNSS])
-    m = 3
-    assert len(report.measures) == m
-    for i in range(m):
-        for j in range(m):
-            if i < j:
-                assert report.grid[i][j] is not None
-            else:
-                assert report.grid[i][j] is None
-    # identical measures rank systems identically
-    assert report.pair(0, 1).tau == 1.0
-    assert report.pair(0, 1).n == 6
+    measures = [MeasureId.NVD, MeasureId.RNSS, MeasureId.JSD, MeasureId.NMD]
+    report = agreement(ds, runs, measures)
+    m = 4
+    assert report.measures == tuple(measures)
+    upper = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    assert [(i, j) for i, j, _ in report.pairs()] == upper
+    assert [t for _, _, t in report.pairs()] == list(report.taus)
+    # each pair's tau is the one between the two measures' per-system means
+    means = [mean_scores(score_matrix(ds, runs, measure)) for measure in measures]
+    for i, j, result in report.pairs():
+        assert result == tau_with_ci(means[i], means[j])
+        assert result.n == 6
     assert len(report.avg_similarity) == m
-    for i in range(m):
-        taus = [report.pair(i, j).tau for j in range(m) if j != i]
-        assert report.avg_similarity[i] == pytest.approx(sum(taus) / len(taus))
+    for k in range(m):
+        taus = [t.tau for i, j, t in report.pairs() if k in (i, j)]
+        assert len(taus) == m - 1
+        assert report.avg_similarity[k] == pytest.approx(sum(taus) / len(taus))
 
 
 def test_agreement_related_measures_correlate():
     ds, runs = synth.generate(n_systems=10, n_cases=60, seed=6)
     report = agreement(ds, runs, [MeasureId.NVD, MeasureId.RNSS])
-    assert report.pair(0, 1).tau > 0.5
+    assert report.taus[0].tau > 0.5
 
 
-def test_agreement_errors():
+def test_agreement_errors(monkeypatch):
     ds, runs = synth.generate(n_systems=3, n_cases=10, seed=7)
     with pytest.raises(TooFewSystems):
         agreement(ds, runs[:2], [MeasureId.NVD, MeasureId.RNSS])
     with pytest.raises(TooFewMeasures):
         agreement(ds, runs, [MeasureId.NVD])
-    report = agreement(ds, runs, [MeasureId.NVD, MeasureId.RNSS])
-    with pytest.raises(OutOfRange, match="no self-pair"):
-        report.pair(1, 1)
+
+    def no_scoring(*args):
+        raise AssertionError("scored before the measures were checked")
+
+    # A report has no self-pair and no plain-string tag; both fail before scoring.
+    monkeypatch.setattr(meta_eval, "score_matrix", no_scoring)
+    for measures, message in (
+        ([MeasureId.NVD, MeasureId.NVD], "measure NVD is listed twice"),
+        ([MeasureId.NVD, MeasureId.RNSS, MeasureId.NVD], "measure NVD is listed twice"),
+        (["NMD", "NVD"], "measure 'NMD' is not a MeasureId"),
+    ):
+        with pytest.raises(OutOfRange, match=message):
+            agreement(ds, runs, measures)
 
 
 def test_agreement_checks_confidence_before_scoring(monkeypatch):
@@ -457,6 +474,8 @@ def test_reports_check_their_invariants():
         ConsistencyReport((nmd, nvd), grid, (), **{**settings, "alpha": 7})
     with pytest.raises(OutOfRange, match="measure NMD is listed twice"):
         ConsistencyReport((nmd, nmd), grid, (), **settings)
+    with pytest.raises(OutOfRange, match="measure 'NVD' is not a MeasureId"):
+        ConsistencyReport((nmd, "NVD"), grid, (), **settings)
     # A significant pair is listed once, winner first, and its winner has the
     # strictly higher mean per-trial tau, as randomized_tukey_hsd reports it.
     apart = np.array([[0.9] * 5, [0.1] * 5, [0.5] * 5])
@@ -471,15 +490,18 @@ def test_reports_check_their_invariants():
             ConsistencyReport((nmd, nvd, jsd), per_trial, pairs, **settings)
 
     tau = tau_with_ci([1.0, 2.0, 3.0], [1.0, 3.0, 2.0])
-    assert AgreementReport((nmd, nvd), ((None, tau), (None, None))).avg_similarity == (tau.tau,) * 2
-    for measures, cells, error in (
-        ((nmd,), ((None,),), TooFewMeasures),
-        ((nmd, nvd), ((None, None), (None, None)), LengthMismatch),
-        ((nmd, nvd), ((None, tau), (tau, None)), LengthMismatch),
-        ((nmd, nvd), ((None, tau),), LengthMismatch),
+    assert AgreementReport((nmd, nvd), (tau,)).avg_similarity == (tau.tau,) * 2
+    for measures, taus, error in (
+        ((nmd,), (), TooFewMeasures),
+        ((nmd, nvd), (), LengthMismatch),
+        ((nmd, nvd), (tau, tau), LengthMismatch),
+        ((nmd, nvd), (None,), LengthMismatch),
+        ((nmd, nvd, jsd), (tau, tau), LengthMismatch),
+        ((nmd, nmd), (tau,), OutOfRange),
+        ((nmd, "NVD"), (tau,), OutOfRange),
     ):
         with pytest.raises(error):
-            AgreementReport(measures, cells)
+            AgreementReport(measures, taus)
 
 
 @pytest.mark.parametrize(
@@ -501,6 +523,7 @@ def test_reports_check_their_invariants():
         ({"alpha": "0.05"}, OutOfRange),
         ({"measures": []}, TooFewMeasures),
         ({"measures": [MeasureId.NMD, MeasureId.NVD, MeasureId.NMD]}, OutOfRange),
+        ({"measures": ["NMD", "NVD"]}, OutOfRange),
     ],
 )
 def test_split_half_consistency_validates_before_scoring(monkeypatch, kwargs, error):
