@@ -69,8 +69,20 @@ class SystemRun:
     __eq__ = _fields_equal
 
 
+def _read_text(path) -> str:
+    """The file decoded as UTF-8; a bad byte is a ParseError naming its line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # Lines are counted as _parse_table counts them, with splitlines();
+        # the "x" stands for the bad byte, so a line break just before it counts.
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(f"not UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})", line) from None
+
+
 def _parse_table(path) -> tuple[str, tuple[str, ...], list[tuple[int, str, list[str]]]]:
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     mode = "probs"
     labels: tuple[str, ...] | None = None
     rows: list[tuple[int, str, list[str]]] = []
@@ -343,9 +355,11 @@ def _measure_tag(tag) -> MeasureId:
 def read_report(path):
     """Load a JSON report back into its report object (full precision)."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"not a JSON report: {exc}") from exc
+    except RecursionError:
+        raise ParseError("not a JSON report: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError(f"report must be a JSON object, got {type(doc).__name__}")
     try:
@@ -394,7 +408,17 @@ def _check_written_form(doc: dict, written: dict) -> None:
             entries = [(key, stored, derived)]
         for name, value, wanted in entries:
             if name != "meta.tool_version" and value != wanted:
-                raise ParseError(f"report key '{name}' is {value!r}, the data give {wanted!r}")
+                raise ParseError(f"report key '{name}' is {_difference(value, wanted)}")
+
+
+def _difference(value, wanted) -> str:
+    """'<value>, the data give <wanted>'; two lists are quoted at their first difference."""
+    if isinstance(value, list) and isinstance(wanted, list):
+        for i, (item, wanted_item) in enumerate(zip(value, wanted)):
+            if item != wanted_item:
+                return f"a list whose item {i} is {item!r}, the data give {wanted_item!r}"
+        return f"a list of length {len(value)}, the data give {len(wanted)}"
+    return f"{value!r}, the data give {wanted!r}"
 
 
 def _report_from_doc(doc: dict):

@@ -64,20 +64,10 @@ DEFAULT_SUITE: tuple[MeasureId, ...] = (
     MeasureId.DNKT_RNOD,
 )
 
+# Every measure: the standard suite with RSNOD after RNOD2.
+_RSNOD_AT = DEFAULT_SUITE.index(MeasureId.RNOD2) + 1
 ALL_MEASURES: tuple[MeasureId, ...] = (
-    MeasureId.NMD,
-    MeasureId.RNADW,
-    MeasureId.RNOD,
-    MeasureId.RNADW2,
-    MeasureId.RNOD2,
-    MeasureId.RSNOD,
-    MeasureId.NVD,
-    MeasureId.RNSS,
-    MeasureId.JSD,
-    MeasureId.DNKT,
-    MeasureId.DNKT_JSD,
-    MeasureId.DNKT_NMD,
-    MeasureId.DNKT_RNOD,
+    DEFAULT_SUITE[:_RSNOD_AT] + (MeasureId.RSNOD,) + DEFAULT_SUITE[_RSNOD_AT:]
 )
 
 

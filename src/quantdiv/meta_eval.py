@@ -8,14 +8,16 @@ significance testing on the per-trial consistency grid.
 Determinism contract: every trial b derives its generator from
 SeedSequence((seed, TRIAL_STREAM, b)) and every permutation chunk c from
 SeedSequence((seed, HSD_STREAM, c)), so results are reproducible for a given
-seed and identical for any thread count. The trial generators are seeded in
-bulk (_trial_seed_words), to the same states those SeedSequences give.
+seed and identical for any thread count. The trial seed words are derived in
+bulk (_trial_seed_words), equal to what those SeedSequences generate, and
+numpy's own PCG64 is seeded from each trial's words.
 Workers write to pre-assigned slots of the output arrays; nothing is
 accumulated in shared mutable state.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import operator
@@ -58,15 +60,12 @@ SCORE_BLOCK = 1 << 15
 # block), so its temporaries stay bounded whatever B and the number of cases.
 TRIAL_BLOCK = 1 << 19
 
-# numpy's SeedSequence constants (numpy/random/bit_generator.pyx) and the
-# multiplier of PCG64's 128-bit LCG (numpy/random/src/pcg64/pcg64.h).
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
 
 
 def _check_integer(name: str, value) -> None:
@@ -219,6 +218,8 @@ class ConsistencyReport:
                 f"per-trial tau grid {arr.shape} must be (measures, B) with >= 1 measure, "
                 f"got {len(self.measures)} measures"
             )
+        if not (np.abs(arr) <= 1.0).all():
+            raise OutOfRange("per-trial taus must be numbers in [-1, 1]")
         _check_measures(self.measures)
         check_consistency_args(
             self.B, self.seed, self.alpha, self.permutations, tau_variant=self.tau_variant
@@ -409,36 +410,36 @@ def _trial_seed_words(seed: int, start: int, stop: int) -> np.ndarray:
     return _seed_sequence_words(entropy + [np.arange(start, stop, dtype=np.uint32)])
 
 
-def _pcg64_state(words: Sequence[int]) -> tuple[int, int]:
-    """PCG64's (state, inc) when seeded with four 64-bit seed words.
+@functools.cache
+def _trial_seed_type() -> type:
+    """The _TrialSeed class, defined on first use: importing numpy.random, where
+    its base class lives, adds 6 MB of RSS, and only the trials need it."""
 
-    pcg64_set_seed reads (words[0], words[1]) as the 128-bit initial state
-    and (words[2], words[3]) as the stream, then runs pcg_setseq_128_srandom_r.
-    """
-    w0, w1, w2, w3 = (int(w) for w in words)
-    inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
-    return ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128, inc
+    class _TrialSeed(np.random.bit_generator.ISeedSequence):
+        """One trial's seed words, handed to numpy's PCG64 as its SeedSequence would."""
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            # PCG64 asks for exactly the four uint64 words a row holds.
+            return self.words
+
+    return _TrialSeed
 
 
 def _trial_permutations(n_cases: int, words: np.ndarray) -> np.ndarray:
     """(trials, n_cases) block: rng.permutation(n_cases) per row of trial seed words.
 
-    Each rng is the default_rng of that trial's SeedSequence; one Generator
-    is reused by assigning its PCG64 state. Each row starts as arange and is
-    shuffled in place, which is how Generator.permutation(n) draws.
+    Each rng is numpy's default_rng seeded from that row, which is the state
+    the trial's SeedSequence gives. Each row starts as arange and is shuffled
+    in place, which is how Generator.permutation(n) draws.
     """
-    rng = np.random.Generator(np.random.PCG64(0))
+    trial_seed = _trial_seed_type()
     perms = np.empty((len(words), n_cases), dtype=np.intp)
     perms[:] = np.arange(n_cases)
-    for perm, row in zip(perms, words.tolist()):
-        state, inc = _pcg64_state(row)
-        rng.bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        rng.shuffle(perm)
+    for perm, row in zip(perms, words):
+        np.random.default_rng(trial_seed(row)).shuffle(perm)
     return perms
 
 

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import math
@@ -110,6 +111,19 @@ def test_parse_errors(tmp_path, text, exc, fragment):
     with pytest.raises(exc) as err:
         load_gold(write(tmp_path, "bad.tsv", text))
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_undecodable_table_names_the_line_of_the_first_bad_byte(tmp_path, newline):
+    # A multi-byte label before it is one character; the bad byte is on line 3.
+    head = newline.join(["case_id\tl\u00f6w\thigh", "q1\t0.5\t0.5", "q2\t0.5"]).encode()
+    path = tmp_path / "bad.tsv"
+    path.write_bytes(head + b"\t0.5\xff" + newline.encode() + b"q3\t\xfe\t1\n")
+    with pytest.raises(ParseError, match=r"^line 3: not UTF-8: byte 0xff"):
+        load_gold(path)
+    good = write(tmp_path, "gold.tsv", "case_id\tl\u00f6w\thigh\nq1\t0.5\t0.5\nq2\t0.5\t0.5\n")
+    with pytest.raises(ParseError, match=r"^line 3: not UTF-8: byte 0xff"):
+        load_run(path, load_gold(good))
 
 
 def test_bad_row_carries_case_id(tmp_path):
@@ -543,6 +557,53 @@ def test_read_report_checks_the_significant_pairs(tmp_path, bundled_consistency)
         edited = {**doc, "payload": {**doc["payload"], "significant_pairs": bad}}
         with pytest.raises(ParseError, match=message):
             read_report(write(tmp_path, "r.json", json.dumps(edited)))
+
+
+def test_read_report_undecodable_or_deeply_nested_is_parse_error(tmp_path, reports):
+    path = tmp_path / "r.json"
+    path.write_bytes(render_report(reports[2], "json").encode().replace(b'"meta"', b'"m\xffeta"'))
+    with pytest.raises(ParseError, match="not UTF-8: byte 0xff"):
+        read_report(path)
+    with pytest.raises(ParseError, match="nested too deeply"):
+        read_report(write(tmp_path, "r.json", "[" * 200000 + "]" * 200000))
+
+
+def test_read_report_bounds_the_per_trial_taus(tmp_path, reports):
+    doc = json.loads(render_report(reports[2], "json"))
+    for value in (1.5, -1.0000000000000002, math.nan, 1e308):
+        row = [value, value, *doc["payload"]["per_trial_tau"][0][2:]]
+        with np.errstate(over="ignore"):
+            mean = float(np.mean(row))
+        edited = copy.deepcopy(doc)
+        edited["payload"]["per_trial_tau"][0] = row
+        edited["payload"]["mean_tau"][0] = mean
+        with pytest.raises(ParseError, match=r"per-trial taus must be numbers in \[-1, 1\]"):
+            read_report(write(tmp_path, "r.json", json.dumps(edited)))
+
+
+def test_read_report_quotes_lists_at_their_first_difference(tmp_path, reports):
+    # The bundled data's default agreement report, with its 66 pairs reversed.
+    data = Path(__file__).resolve().parent.parent / "data" / "synth"
+    ds = load_gold(data / "gold.tsv")
+    runs = [load_run(path, ds) for path in sorted((data / "runs").glob("*.tsv"))]
+    doc = json.loads(render_report(agreement(ds, runs, DEFAULT_SUITE), "json"))
+    pairs = doc["payload"]["pairs"]
+    edited = {**doc, "payload": {**doc["payload"], "pairs": pairs[::-1]}}
+    with pytest.raises(ParseError) as err:
+        read_report(write(tmp_path, "r.json", json.dumps(edited)))
+    message = str(err.value)
+    assert message.startswith(
+        f"report key 'payload.pairs' is a list whose item 0 is {pairs[-1]!r}, "
+        "the data give {'first': 'NMD', 'second': 'RNADW', "
+    )
+    assert len(message) < 300
+    # One list a prefix of the other: the two lengths.
+    doc = json.loads(render_report(reports[2], "json"))
+    doc["payload"]["mean_tau"] = doc["payload"]["mean_tau"][:1]
+    with pytest.raises(
+        ParseError, match=r"^report key 'payload.mean_tau' is a list of length 1, the data give 2$"
+    ):
+        read_report(write(tmp_path, "r.json", json.dumps(doc)))
 
 
 @pytest.mark.parametrize("text", ["[]", "3", '"score_matrix"', "null"])

@@ -289,6 +289,11 @@ def test_suites():
     assert len(DEFAULT_SUITE) == 12
     assert MeasureId.RSNOD not in DEFAULT_SUITE
     assert set(DEFAULT_SUITE) | {MeasureId.RSNOD} == set(ALL_MEASURES)
+    # The CLI help lists the valid tags in this order.
+    assert ", ".join(m.value for m in ALL_MEASURES) == (
+        "NMD, RNADW, RNOD, RNADW2, RNOD2, RSNOD, NVD, RNSS, JSD, "
+        "DNKT, DNKT_JSD, DNKT_NMD, DNKT_RNOD"
+    )
     assert MeasureId("NMD") is MeasureId.NMD
 
 

@@ -1,3 +1,4 @@
+import math
 import threading
 import tracemalloc
 
@@ -91,17 +92,23 @@ def test_trial_seed_words_equal_seed_sequence(seed):
     for row, b in zip(words, TRIALS):
         sequence = np.random.SeedSequence((seed, meta_eval.TRIAL_STREAM, b))
         assert np.array_equal(row, sequence.generate_state(4, np.uint64))
-        state = np.random.PCG64(sequence).state["state"]
-        assert meta_eval._pcg64_state(row) == (state["state"], state["inc"])
+        assert np.random.PCG64(meta_eval._trial_seed_type()(row)).state == np.random.PCG64(sequence).state
 
 
 @pytest.mark.parametrize("n_cases", [1, 2, 31, 200])
 def test_trial_permutations_equal_generator_permutation(n_cases):
-    perms = meta_eval._trial_permutations(n_cases, meta_eval._trial_seed_words(9, 0, 40))
-    streams = (np.random.SeedSequence((9, meta_eval.TRIAL_STREAM, b)) for b in range(40))
-    expected = np.stack([np.random.default_rng(seq).permutation(n_cases) for seq in streams])
-    assert perms.shape == (40, n_cases) and perms.dtype == np.intp
-    assert np.array_equal(perms, expected)
+    # End to end through _TrialSeed, including the widest seeds and trial ids.
+    trials = list(range(40)) + [2**31, 2**32 - 1]
+    for seed in (0, 9, 2**32, 2**64 + 3):
+        words = np.concatenate(
+            [meta_eval._trial_seed_words(seed, 0, 40)]
+            + [meta_eval._trial_seed_words(seed, b, b + 1) for b in trials[40:]]
+        )
+        perms = meta_eval._trial_permutations(n_cases, words)
+        streams = (np.random.SeedSequence((seed, meta_eval.TRIAL_STREAM, b)) for b in trials)
+        expected = np.stack([np.random.default_rng(seq).permutation(n_cases) for seq in streams])
+        assert perms.shape == (len(trials), n_cases) and perms.dtype == np.intp
+        assert np.array_equal(perms, expected)
 
 
 # --- score matrix and means ---
@@ -476,6 +483,13 @@ def test_reports_check_their_invariants():
         ConsistencyReport((nmd, nmd), grid, (), **settings)
     with pytest.raises(OutOfRange, match="measure 'NVD' is not a MeasureId"):
         ConsistencyReport((nmd, "NVD"), grid, (), **settings)
+    # Every per-trial tau lies in [-1, 1]; NaN is not a tau.
+    assert ConsistencyReport((nmd, nvd), np.array([[1.0] * 5, [-1.0] * 5]), (), **settings)
+    for value in (1.5, -1.0000000000000002, math.nan, math.inf, 1e308):
+        bad = grid.copy()
+        bad[0, :2] = value
+        with pytest.raises(OutOfRange, match=r"per-trial taus must be numbers in \[-1, 1\]"):
+            ConsistencyReport((nmd, nvd), bad, (), **settings)
     # A significant pair is listed once, winner first, and its winner has the
     # strictly higher mean per-trial tau, as randomized_tukey_hsd reports it.
     apart = np.array([[0.9] * 5, [0.1] * 5, [0.5] * 5])
