@@ -3,14 +3,21 @@
 Table files are UTF-8 TSV with a header row `case_id<TAB><label>...` and one
 row per case. An optional directive line `#mode: counts` or `#mode: probs`
 before the header says whether rows hold raw vote counts or probabilities
-(default probs). The loader checks the rows one at a time, in file order,
-and stores each table as one read-only (cases, K) float64 array. OS-level
-failures are not wrapped; OSError propagates.
+(default probs). A probs table is parsed and normalised whole: a float per
+cell, math.fsum per row, one numpy division. When that path refuses a table,
+the row-by-row checks re-read it, so the error names the first bad row. Each
+table is stored as one read-only (cases, K) float64 array, and every error in
+a table's content begins with the table's path. OS-level failures are not
+wrapped; OSError propagates.
+
+Score tables are rendered a whole row at a time, with one %-format per row.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
@@ -18,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from ._version import __version__
-from .distributions import _fields_equal, _frozen, _normalized, _vote_shares
+from .distributions import SUM_TOLERANCE, _fields_equal, _frozen, _normalized, _vote_shares
 from .errors import (
     DuplicateCaseId,
     InconsistentClassCount,
@@ -156,15 +163,47 @@ def _row_values(
         raise type(exc)(f"case {case_id!r}: {exc}") from exc
 
 
+def _probs_array(rows) -> np.ndarray | None:
+    """A probs table's rows normalised whole, or None where the row loop would reject one.
+
+    The same float() per cell, math.fsum per row and IEEE division as
+    _normalized, so the values are the row loop's bit for bit.
+    """
+    try:
+        parsed = [list(map(float, cells)) for _, _, cells in rows]
+        totals = [math.fsum(row) for row in parsed]
+    except (ValueError, OverflowError):
+        return None
+    a, totals = np.array(parsed), np.array(totals)
+    if not ((a >= 0).all() and (np.abs(totals - 1.0) <= SUM_TOLERANCE).all()):  # NaN fails >= 0
+        return None
+    return a / totals[:, None]
+
+
+def _table_values(mode: str, rows) -> tuple[np.ndarray, list]:
+    """(values in file order, each row's vote counts or None); errors name the first bad row."""
+    fast = _probs_array(rows) if mode == "probs" else None
+    if fast is not None:
+        return fast, [None] * len(rows)
+    values, votes = zip(*(_row_values(mode, case_id, ln, cells) for ln, case_id, cells in rows))
+    return np.array(values), list(votes)
+
+
+@contextmanager
+def _errors_name(path):
+    """Prefix the message of an error in a table's content with the table's path."""
+    try:
+        yield
+    except ValidationError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
 def load_gold(path) -> Dataset:
     """Read the gold table; counts rows are converted to distributions."""
-    mode, labels, rows = _parse_table(path)
-    gold = []
-    votes = []
-    for ln, case_id, cells in rows:
-        row, row_votes = _row_values(mode, case_id, ln, cells)
-        gold.append(row)
-        votes.append(row_votes)
+    with _errors_name(path):
+        mode, labels, rows = _parse_table(path)
+        gold, votes = _table_values(mode, rows)
     return Dataset(
         case_ids=tuple(cid for _, cid, _ in rows),
         class_labels=labels,
@@ -175,37 +214,40 @@ def load_gold(path) -> Dataset:
 
 def load_run(path, dataset: Dataset, system_id: str | None = None) -> SystemRun:
     """Read one system's table and align its cases with the dataset order."""
-    mode, labels, rows = _parse_table(path)
-    if len(labels) != len(dataset.class_labels):
-        raise InconsistentClassCount(
-            f"run has {len(labels)} classes, dataset has {len(dataset.class_labels)}"
-        )
-    if labels != dataset.class_labels:
-        raise InconsistentClassCount(
-            f"run class labels {labels!r} differ from dataset's {dataset.class_labels!r}"
-        )
-    by_case: dict[str, list[float]] = {}
-    for ln, case_id, cells in rows:
-        by_case[case_id], _ = _row_values(mode, case_id, ln, cells)
-    wanted = set(dataset.case_ids)
-    missing = [cid for cid in dataset.case_ids if cid not in by_case]
-    if missing:
-        raise MissingCase(f"run lacks {len(missing)} dataset case(s), e.g. {missing[0]!r}")
-    extra = sorted(set(by_case) - wanted)
-    if extra:
-        raise UnknownCase(f"run has {len(extra)} unknown case(s), e.g. {extra[0]!r}")
+    with _errors_name(path):
+        mode, labels, rows = _parse_table(path)
+        if len(labels) != len(dataset.class_labels):
+            raise InconsistentClassCount(
+                f"run has {len(labels)} classes, dataset has {len(dataset.class_labels)}"
+            )
+        if labels != dataset.class_labels:
+            raise InconsistentClassCount(
+                f"run class labels {labels!r} differ from dataset's {dataset.class_labels!r}"
+            )
+        values, _ = _table_values(mode, rows)
+        position = {case_id: i for i, (_, case_id, _) in enumerate(rows)}
+        missing = [cid for cid in dataset.case_ids if cid not in position]
+        if missing:
+            raise MissingCase(f"run lacks {len(missing)} dataset case(s), e.g. {missing[0]!r}")
+        extra = sorted(set(position) - set(dataset.case_ids))
+        if extra:
+            raise UnknownCase(f"run has {len(extra)} unknown case(s), e.g. {extra[0]!r}")
     return SystemRun(
         system_id=system_id if system_id is not None else Path(path).stem,
-        est=[by_case[cid] for cid in dataset.case_ids],
+        est=values[[position[cid] for cid in dataset.case_ids]],
     )
+
+
+def _layout(fmt: str) -> tuple[str, str, str]:
+    """(line start, cell separator, line end) of a TSV or a markdown row."""
+    return ("", "\t", "\n") if fmt == "tsv" else ("| ", " | ", " |\n")
 
 
 def _table(fmt: str, header: Sequence[str], rows) -> str:
     """Rows of cells as TSV lines, or as a markdown table with a --- row."""
-    if fmt == "tsv":
-        return "".join("\t".join(cells) + "\n" for cells in (header, *rows))
-    lines = (header, ["---"] * len(header), *rows)
-    return "".join("| " + " | ".join(cells) + " |\n" for cells in lines)
+    start, sep, end = _layout(fmt)
+    lines = (header, *rows) if fmt == "tsv" else (header, ["---"] * len(header), *rows)
+    return "".join(start + sep.join(cells) + end for cells in lines)
 
 
 def _write_table(path, mode: str, dataset: Dataset, rows) -> Path:
@@ -282,8 +324,12 @@ def _json_doc(report) -> dict:
 
 def _render_scores(report: ScoreMatrix, fmt: str) -> str:
     corner = "system_id" if fmt == "tsv" else f"system ({report.measure.value})"
-    rows = ([sid, *map(_fmt6, row)] for sid, row in zip(report.system_ids, report.values))
-    return _table(fmt, [corner, *report.case_ids], rows)
+    # One %-format per row: "%.6f" % x writes the bytes of f"{x:.6f}" for
+    # every float, -0.0, nan and inf included.
+    start, sep, end = _layout(fmt)
+    line = start + sep.join(["%s"] + ["%.6f"] * len(report.case_ids)) + end
+    rows = zip(report.system_ids, report.values.tolist())
+    return _table(fmt, [corner, *report.case_ids], []) + "".join(line % (s, *r) for s, r in rows)
 
 
 def _render_agreement(report: AgreementReport, fmt: str) -> str:
@@ -411,14 +457,26 @@ def _check_written_form(doc: dict, written: dict) -> None:
                 raise ParseError(f"report key '{name}' is {_difference(value, wanted)}")
 
 
+QUOTE_LIMIT = 120  # characters of a value's repr that an error message quotes
+
+
+def _quote(value) -> str:
+    """repr(value), cut after QUOTE_LIMIT characters; the cut is marked with the full length."""
+    text = repr(value)
+    if len(text) <= QUOTE_LIMIT:
+        return text
+    return f"{text[:QUOTE_LIMIT]}... ({len(text)} characters)"
+
+
 def _difference(value, wanted) -> str:
     """'<value>, the data give <wanted>'; two lists are quoted at their first difference."""
     if isinstance(value, list) and isinstance(wanted, list):
         for i, (item, wanted_item) in enumerate(zip(value, wanted)):
             if item != wanted_item:
-                return f"a list whose item {i} is {item!r}, the data give {wanted_item!r}"
+                item, wanted_item = _quote(item), _quote(wanted_item)
+                return f"a list whose item {i} is {item}, the data give {wanted_item}"
         return f"a list of length {len(value)}, the data give {len(wanted)}"
-    return f"{value!r}, the data give {wanted!r}"
+    return f"{_quote(value)}, the data give {_quote(wanted)}"
 
 
 def _report_from_doc(doc: dict):

@@ -444,8 +444,16 @@ def _trial_permutations(n_cases: int, words: np.ndarray) -> np.ndarray:
 
 
 def _run_all(task: Callable, items: Sequence, threads: int) -> None:
-    """Run task on every item, on at most min(threads, CPUs, tasks) workers."""
-    workers = min(threads, os.cpu_count() or 1, len(items))
+    """Run task on every item, on at most min(threads, usable CPUs, tasks) workers.
+
+    The usable CPUs are those the process may run on, which in a container can
+    be fewer than the host's os.cpu_count(); sched_getaffinity is Linux-only.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(threads, cpus, len(items))
     if workers <= 1:
         for item in items:
             task(item)

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from quantdiv.dataset_io import (
     Dataset,
     SystemRun,
+    _table,
     load_gold,
     load_run,
     read_report,
@@ -34,6 +36,7 @@ from quantdiv.meta_eval import (
     ConsistencyReport,
     FixedSize,
     FullSplit,
+    ScoreMatrix,
     agreement,
     score_matrix,
     split_half_consistency,
@@ -105,12 +108,29 @@ def test_load_gold_skips_blank_lines(tmp_path):
         ("", ParseError, "missing header"),
         ("case_id\ta\tb\n", ParseError, "no data rows"),
         ("case_id\ta\tb\nx1\t1e308\t1e308\n", NotNormalized, "case 'x1': probabilities sum to inf"),
+        # The first bad line wins, whatever fault a later line has.
+        (
+            "case_id\ta\tb\nq1\t0.5\t0.5\nq2\t-0.5\t1.5\nq3\t0.5\t0.5\nq4\t0.5\tx\n",
+            NegativeProbability,
+            "case 'q2': class 1 has probability -0.5",
+        ),
+        (
+            "case_id\ta\tb\nq1\t0.5\t0.4\nq2\t0.5\t0.5\nq3\tnan\t0.5\n",
+            NotNormalized,
+            "case 'q1': probabilities sum to 0.9",
+        ),
+        # A negative cell in a row that sums to 1.
+        ("case_id\ta\tb\nq1\t0.5\t0.5\nq2\t-0.5\t1.5\n", NegativeProbability, "case 'q2': class 1"),
+        # math.fsum raises ValueError on inf + -inf; the row's checks come first.
+        ("case_id\ta\tb\nq1\tinf\t-inf\n", NegativeProbability, "case 'q1': class 2 has probability -inf"),
     ],
 )
 def test_parse_errors(tmp_path, text, exc, fragment):
+    path = write(tmp_path, "bad.tsv", text)
     with pytest.raises(exc) as err:
-        load_gold(write(tmp_path, "bad.tsv", text))
+        load_gold(path)
     assert fragment in str(err.value)
+    assert str(err.value).startswith(f"{path}: ")
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n"])
@@ -119,10 +139,11 @@ def test_undecodable_table_names_the_line_of_the_first_bad_byte(tmp_path, newlin
     head = newline.join(["case_id\tl\u00f6w\thigh", "q1\t0.5\t0.5", "q2\t0.5"]).encode()
     path = tmp_path / "bad.tsv"
     path.write_bytes(head + b"\t0.5\xff" + newline.encode() + b"q3\t\xfe\t1\n")
-    with pytest.raises(ParseError, match=r"^line 3: not UTF-8: byte 0xff"):
+    message = rf"^{re.escape(str(path))}: line 3: not UTF-8: byte 0xff"
+    with pytest.raises(ParseError, match=message):
         load_gold(path)
     good = write(tmp_path, "gold.tsv", "case_id\tl\u00f6w\thigh\nq1\t0.5\t0.5\nq2\t0.5\t0.5\n")
-    with pytest.raises(ParseError, match=r"^line 3: not UTF-8: byte 0xff"):
+    with pytest.raises(ParseError, match=message):
         load_run(path, load_gold(good))
 
 
@@ -206,6 +227,37 @@ def _reference_rows(mode, rows):
     return np.array(out, dtype=np.float64)
 
 
+def _corrupted(rng, mode, rows):
+    """rows with one cell of one row made bad: (that row, the rows, error type, message).
+
+    The message is the row checks' own, after the line or case it names.
+    """
+    bad, j = int(rng.integers(len(rows))), int(rng.integers(len(rows[0])))
+    cells = list(rows[bad])
+    if mode == "counts":
+        faults = (
+            ("-3", NegativeProbability, f"class {j + 1} has negative vote count -3"),
+            ("1.5", ParseError, "bad vote count '1.5'"),
+            ("0", AllZeroVotes, "all vote counts are zero"),
+        )
+    else:
+        faults = (
+            ("-0.25", NegativeProbability, f"class {j + 1} has probability -0.25"),
+            ("nan", NegativeProbability, f"class {j + 1} has probability nan"),
+            ("0.x5", ParseError, "bad probability '0.x5'"),
+            ("inf", NotNormalized, "probabilities sum to inf"),
+            ("2.5", NotNormalized, None),
+        )
+    cell, exc, message = faults[int(rng.integers(len(faults)))]
+    if exc is AllZeroVotes:
+        cells = ["0"] * len(cells)
+    else:
+        cells[j] = cell
+    if message is None:
+        message = f"probabilities sum to {math.fsum(map(float, cells))!r}"
+    return bad, [*rows[:bad], cells, *rows[bad + 1 :]], exc, message
+
+
 def _table_text(mode, ids, rows):
     header = "\t".join(["case_id"] + [f"c{i}" for i in range(1, len(rows[0]) + 1)])
     body = "".join("\t".join([cid, *cells]) + "\n" for cid, cells in zip(ids, rows))
@@ -232,6 +284,18 @@ def test_loaded_arrays_equal_plain_python_reference(tmp_path, mode, seed):
     text = _table_text(mode, [ids[i] for i in order], [rows[i] for i in order])
     run = load_run(write(tmp_path, "r.tsv", text), ds)
     assert run.est.tobytes() == expected.tobytes()
+    # One row made bad: both loaders raise the row checks' error for that row.
+    bad, bad_rows, exc, message = _corrupted(rng, mode, rows)
+    for loader, file_order in ((load_gold, range(n)), (lambda f: load_run(f, ds), order)):
+        file_order = list(file_order)
+        text = _table_text(mode, [ids[i] for i in file_order], [bad_rows[i] for i in file_order])
+        path = write(tmp_path, "bad.tsv", text)
+        line = 3 + file_order.index(bad)  # after the mode line and the header
+        where = f"line {line}" if exc is ParseError else f"case {ids[bad]!r}"
+        with pytest.raises(exc) as err:
+            loader(path)
+        assert type(err.value) is exc
+        assert str(err.value) == f"{path}: {where}: {message}"
 
 
 def _fixed_point_rows(rng, n, k):
@@ -383,6 +447,29 @@ def test_tsv_score_matrix_format(reports):
     assert len(lines) == 1 + 6
     cell = lines[1].split("\t")[1]
     assert len(cell.split(".")[1]) == 6
+
+
+# Values whose 6-decimal form is easy to get wrong: zeros of both signs,
+# subnormals, ties at the sixth decimal, 1.0 and values of 10 and more.
+_RENDER_EDGES = (0.0, -0.0, 5e-324, 2.5e-310, 2.5e-7, 5e-7, 0.1234565, 0.9999995, 1.0, 10.0, 1e15)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_score_rows_render_as_per_cell_format(seed):
+    rng = np.random.default_rng(seed)
+    n_systems, n_cases = int(rng.integers(1, 9)), int(rng.integers(1, 40))
+    values = rng.choice(_RENDER_EDGES, size=(n_systems, n_cases))
+    ties = (rng.integers(0, 20_000_000, size=values.shape) + 0.5) / 1e6
+    values = np.where(rng.random(values.shape) < 0.5, values, ties)
+    # Ids with % in them are cells, not parts of the row format.
+    system_ids = tuple(f"s{i}%s%%d" for i in range(n_systems))
+    case_ids = tuple(f"c{i}%" for i in range(n_cases))
+    matrix = ScoreMatrix(values, system_ids, case_ids, MeasureId.NMD)
+    for fmt, corner in (("tsv", "system_id"), ("markdown", "system (NMD)")):
+        rows = ([sid, *(f"{x:.6f}" for x in row)] for sid, row in zip(system_ids, values.tolist()))
+        assert render_report(matrix, fmt) == _table(fmt, [corner, *case_ids], rows)
+    for x in (math.nan, math.inf, -math.inf, -0.0, *_RENDER_EDGES):
+        assert "%.6f" % x == f"{x:.6f}"
 
 
 def test_tsv_agreement_has_pairs_and_averages(reports):
@@ -604,6 +691,27 @@ def test_read_report_quotes_lists_at_their_first_difference(tmp_path, reports):
         ParseError, match=r"^report key 'payload.mean_tau' is a list of length 1, the data give 2$"
     ):
         read_report(write(tmp_path, "r.json", json.dumps(doc)))
+
+
+def test_read_report_cuts_long_quotes(tmp_path, reports):
+    # A value is quoted up to a fixed length, and the cut is marked.
+    doc = json.loads(render_report(reports[1], "json"))
+    doc["payload"]["note"] = "x" * 100_000
+    with pytest.raises(ParseError) as err:
+        read_report(write(tmp_path, "r.json", json.dumps(doc)))
+    message = str(err.value)
+    assert message.startswith("report key 'payload.note' is 'xxx")
+    assert message.endswith("xxx... (100002 characters), the data give absent")
+    assert len(message) < 400
+    del doc["payload"]["note"]
+    pair = doc["payload"]["pairs"][0]
+    doc["payload"]["pairs"][0] = {**pair, "first": "x" * 100_000}
+    with pytest.raises(ParseError) as err:
+        read_report(write(tmp_path, "r.json", json.dumps(doc)))
+    message = str(err.value)
+    assert message.startswith("report key 'payload.pairs' is a list whose item 0 is {'first': 'xx")
+    assert f", the data give {pair!r}" in message
+    assert len(message) < 400
 
 
 @pytest.mark.parametrize("text", ["[]", "3", '"score_matrix"', "null"])

@@ -368,9 +368,17 @@ class _SerialPool:
 
 @pytest.mark.parametrize("cpus, expected", [(64, 5), (3, 3), (None, None)])
 def test_worker_threads_are_clamped(monkeypatch, cpus, expected):
-    # min(threads, cpus, tasks) workers; one CPU (cpu_count() is None) runs inline
+    # min(threads, usable cpus, tasks) workers. The usable CPUs are the
+    # affinity mask's, not the host's; without sched_getaffinity they are
+    # cpu_count()'s, and one CPU (cpu_count() is None) runs inline.
     monkeypatch.setattr(meta_eval, "ThreadPoolExecutor", _SerialPool)
-    monkeypatch.setattr(meta_eval.os, "cpu_count", lambda: cpus)
+    if cpus is None:
+        monkeypatch.delattr(meta_eval.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(meta_eval.os, "cpu_count", lambda: None)
+    else:
+        affinity = set(range(cpus))
+        monkeypatch.setattr(meta_eval.os, "sched_getaffinity", lambda pid: affinity, raising=False)
+        monkeypatch.setattr(meta_eval.os, "cpu_count", lambda: 256)
     # a budget of one element makes every trial its own task: 5 tasks for B=5
     monkeypatch.setattr(meta_eval, "TRIAL_BLOCK", 1)
     _SerialPool.sizes = []
