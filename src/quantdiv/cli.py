@@ -103,7 +103,9 @@ def _with_measure_tag(path: Path, tag: str) -> Path:
 
 def cmd_score(args) -> int:
     dataset, runs, measures = _load_inputs(args)
-    matrices = [score_matrix(dataset, runs, m) for m in measures]
+    matrices = []
+    for measure in measures:
+        matrices.append(score_matrix(dataset, runs, measure, scored=matrices))
     for matrix in matrices:
         sys.stdout.write(render_report(matrix, "markdown"))
         sys.stdout.write("\n")

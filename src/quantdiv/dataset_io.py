@@ -454,18 +454,22 @@ def _check_written_form(doc: dict, written: dict) -> None:
             entries = [(key, stored, derived)]
         for name, value, wanted in entries:
             if name != "meta.tool_version" and value != wanted:
-                raise ParseError(f"report key '{name}' is {_difference(value, wanted)}")
+                raise ParseError(f"report key '{_cut(name)}' is {_difference(value, wanted)}")
 
 
-QUOTE_LIMIT = 120  # characters of a value's repr that an error message quotes
+QUOTE_LIMIT = 120  # characters of a key name or a value's repr that an error message quotes
 
 
-def _quote(value) -> str:
-    """repr(value), cut after QUOTE_LIMIT characters; the cut is marked with the full length."""
-    text = repr(value)
+def _cut(text: str) -> str:
+    """text cut after QUOTE_LIMIT characters; the cut is marked with the full length."""
     if len(text) <= QUOTE_LIMIT:
         return text
     return f"{text[:QUOTE_LIMIT]}... ({len(text)} characters)"
+
+
+def _quote(value) -> str:
+    """repr(value), cut as _cut cuts it."""
+    return _cut(repr(value))
 
 
 def _difference(value, wanted) -> str:

@@ -107,7 +107,8 @@ def _dw_batch(est: np.ndarray, gold: np.ndarray, scheme: DistanceScheme) -> np.n
 
     DW_i = sum_j delta(i, j) * (est_j - gold_j)^2, where delta is the
     scheme's class distance |position_i - position_j|. Adds one class j at a
-    time, so no (..., K, K) array is built.
+    time into one preallocated (..., K) term, so no (..., K, K) array is
+    built and no (..., K) array is allocated per class.
     """
     k = gold.shape[-1]
     diff = est - gold
@@ -118,9 +119,12 @@ def _dw_batch(est: np.ndarray, gold: np.ndarray, scheme: DistanceScheme) -> np.n
         # mass; zero-mass neighbours are therefore distance 0 apart.
         position = np.cumsum(gold, axis=-1) - gold / 2.0
     total = np.zeros(diff.shape)
+    term = np.empty(diff.shape)
     for j in range(k):
         d = diff[..., j, None]
-        total += np.abs(position - position[..., j, None]) * d * d
+        np.multiply(np.abs(position - position[..., j, None]), d, out=term)
+        term *= d
+        total += term
     return total
 
 
@@ -216,10 +220,6 @@ def combine_harmonic_batch(d, m) -> np.ndarray:
     return np.divide(2.0 * d * m, total, out=np.zeros(total.shape), where=total != 0.0)
 
 
-def _hybrid_batch(partner: Callable[[np.ndarray, np.ndarray], np.ndarray]):
-    return lambda est, gold: combine_harmonic_batch(_dnkt_batch(est, gold), partner(est, gold))
-
-
 _IMPLEMENTATIONS: dict[MeasureId, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
     MeasureId.NMD: _nmd_batch,
     MeasureId.RNOD: _rnod_batch,
@@ -231,10 +231,23 @@ _IMPLEMENTATIONS: dict[MeasureId, Callable[[np.ndarray, np.ndarray], np.ndarray]
     MeasureId.RNSS: _rnss_batch,
     MeasureId.JSD: _jsd_batch,
     MeasureId.DNKT: _dnkt_batch,
-    MeasureId.DNKT_JSD: _hybrid_batch(_jsd_batch),
-    MeasureId.DNKT_NMD: _hybrid_batch(_nmd_batch),
-    MeasureId.DNKT_RNOD: _hybrid_batch(_rnod_batch),
 }
+
+# Each hybrid is the harmonic mean of DNKT and its partner measure.
+HYBRID_PARTNERS: dict[MeasureId, MeasureId] = {
+    MeasureId.DNKT_JSD: MeasureId.JSD,
+    MeasureId.DNKT_NMD: MeasureId.NMD,
+    MeasureId.DNKT_RNOD: MeasureId.RNOD,
+}
+
+
+def _hybrid_batch(partner: Callable[[np.ndarray, np.ndarray], np.ndarray]):
+    return lambda est, gold: combine_harmonic_batch(_dnkt_batch(est, gold), partner(est, gold))
+
+
+_IMPLEMENTATIONS.update(
+    {hybrid: _hybrid_batch(_IMPLEMENTATIONS[partner]) for hybrid, partner in HYBRID_PARTNERS.items()}
+)
 
 
 def _class_arrays(est, gold) -> tuple[np.ndarray, np.ndarray]:

@@ -40,7 +40,7 @@ from .errors import (
     TooFewSystems,
     TooFewTrials,
 )
-from .measures import MeasureId, score_batch
+from .measures import HYBRID_PARTNERS, MeasureId, combine_harmonic_batch, score_batch
 from .rank_correlation import TauResult, tau_b, tau_plain, tau_with_ci
 
 if TYPE_CHECKING:
@@ -51,9 +51,11 @@ HSD_STREAM = 2
 # Permutation rounds are generated and evaluated in fixed-size chunks; the
 # chunk index seeds the sub-stream, so results do not depend on threading.
 HSD_CHUNK = 256
-# score_matrix scores systems in blocks of at most this many elements of
-# (systems, cases, K, K), which bounds each temporary array of the batch
-# measures to 256 KB and keeps peak memory flat in the number of systems.
+# score_matrix scores systems in blocks of at most this many elements of the
+# measure's largest temporary: (systems, cases, K) for most measures, and
+# (systems, cases, K, K) for DNKT and the hybrids, whose pair counts compare
+# every class with every other. That bounds each temporary array to 256 KB
+# and keeps peak memory flat in the number of systems.
 SCORE_BLOCK = 1 << 15
 # consistency_per_trial runs trials in blocks of at most this many elements
 # of permutations, case gathers and n x n pair cells (at least one trial per
@@ -293,11 +295,19 @@ def check_consistency_args(
     return tau_fn
 
 
-def score_matrix(dataset: "Dataset", runs: Sequence["SystemRun"], measure: MeasureId) -> ScoreMatrix:
+def score_matrix(
+    dataset: "Dataset",
+    runs: Sequence["SystemRun"],
+    measure: MeasureId,
+    scored: Sequence[ScoreMatrix] = (),
+) -> ScoreMatrix:
     """Score every system on every case with one measure.
 
-    Systems are scored a block of rows at a time, so temporaries stay within
-    SCORE_BLOCK elements whatever the number of systems.
+    scored holds matrices already scored on the same runs; one with other
+    system or case ids is a MisalignedRun. A hybrid whose DNKT and partner
+    are among them is their harmonic mean, the same bits as scoring it.
+    Otherwise systems are scored a block of rows at a time, so temporaries
+    stay within SCORE_BLOCK elements whatever the number of systems.
     """
     _check_measures((measure,))
     n_cases = len(dataset.case_ids)
@@ -306,19 +316,28 @@ def score_matrix(dataset: "Dataset", runs: Sequence["SystemRun"], measure: Measu
             raise MisalignedRun(
                 f"system {run.system_id!r} has {len(run.est)} cases, dataset has {n_cases}"
             )
-    gold = dataset.gold
-    k = gold.shape[1]
-    rows = max(1, SCORE_BLOCK // max(1, n_cases * k * k))
-    values = np.empty((len(runs), n_cases), dtype=np.float64)
-    for start in range(0, len(runs), rows):
-        block = np.stack([run.est for run in runs[start : start + rows]])
-        values[start : start + rows] = score_batch(measure, block, gold)
-    return ScoreMatrix(
-        values=values,
-        system_ids=tuple(run.system_id for run in runs),
-        case_ids=tuple(dataset.case_ids),
-        measure=measure,
-    )
+    system_ids = tuple(run.system_id for run in runs)
+    case_ids = tuple(dataset.case_ids)
+    done = {}
+    for matrix in scored:
+        if matrix.system_ids != system_ids or matrix.case_ids != case_ids:
+            raise MisalignedRun(
+                f"the {matrix.measure.value} scores are for other systems or cases than the runs"
+            )
+        done[matrix.measure] = matrix.values
+    partner = HYBRID_PARTNERS.get(measure)
+    if MeasureId.DNKT in done and partner in done:
+        values = combine_harmonic_batch(done[MeasureId.DNKT], done[partner])
+    else:
+        gold = dataset.gold
+        k = gold.shape[1]
+        per_system = n_cases * k * (k if measure is MeasureId.DNKT or partner is not None else 1)
+        rows = max(1, SCORE_BLOCK // max(1, per_system))
+        values = np.empty((len(runs), n_cases), dtype=np.float64)
+        for start in range(0, len(runs), rows):
+            block = np.stack([run.est for run in runs[start : start + rows]])
+            values[start : start + rows] = score_batch(measure, block, gold)
+    return ScoreMatrix(values=values, system_ids=system_ids, case_ids=case_ids, measure=measure)
 
 
 def mean_scores(matrix: ScoreMatrix) -> np.ndarray:
@@ -345,7 +364,10 @@ def agreement(
     if not 0.0 < confidence < 1.0:
         raise OutOfRange(f"confidence must be in (0, 1), got {confidence}")
     _check_measures(measures)
-    means = [mean_scores(score_matrix(dataset, runs, m)) for m in measures]
+    matrices: list[ScoreMatrix] = []
+    for measure in measures:
+        matrices.append(score_matrix(dataset, runs, measure, scored=matrices))
+    means = [mean_scores(matrix) for matrix in matrices]
     taus = tuple(tau_with_ci(x, y, confidence) for x, y in combinations(means, 2))
     return AgreementReport(measures=measures, taus=taus)
 
@@ -587,9 +609,10 @@ def split_half_consistency(
         raise TooFewSystems(f"need at least 2 systems, got {len(runs)}")
     check_consistency_args(B, seed, alpha, permutations, threads, tau_variant)
     mode.bounds(len(dataset.case_ids))
-    stacked = np.stack(
-        [score_matrix(dataset, runs, m).values for m in measures], axis=0
-    )
+    matrices: list[ScoreMatrix] = []
+    for measure in measures:
+        matrices.append(score_matrix(dataset, runs, measure, scored=matrices))
+    stacked = np.stack([matrix.values for matrix in matrices], axis=0)
     per_trial = consistency_per_trial(stacked, mode, B, seed, threads, tau_variant)
     if len(measures) >= 2 and B >= 2:
         sig_idx = randomized_tukey_hsd(per_trial, alpha, permutations, seed, threads)

@@ -102,6 +102,22 @@ def test_score_output_per_measure_files(bench, tmp_path, capsys):
         assert len(report.system_ids) == 4
 
 
+def test_hybrid_before_its_parts_writes_the_same_scores(bench, tmp_path, capsys):
+    # The default suite combines DNKT_JSD from the DNKT and JSD grids scored
+    # before it; listed first, it is scored from the runs. The bytes agree.
+    written = {}
+    for measures in (None, "DNKT_JSD,DNKT,JSD"):
+        out_path = tmp_path / f"{measures}" / "scores.tsv"
+        out_path.parent.mkdir()
+        argv = ["score", "--gold", str(bench["gold"]), "--runs", str(bench["runs"])]
+        if measures is not None:
+            argv += ["--measures", measures]
+        assert main([*argv, "--format", "tsv", "--output", str(out_path)]) == 0
+        written[measures] = (tmp_path / f"{measures}" / "scores.DNKT_JSD.tsv").read_bytes()
+    capsys.readouterr()
+    assert written[None] == written["DNKT_JSD,DNKT,JSD"]
+
+
 def test_score_rejects_bad_run(perfect, tmp_path, capsys):
     gold, run = perfect
     bad = tmp_path / "bad.tsv"

@@ -712,6 +712,15 @@ def test_read_report_cuts_long_quotes(tmp_path, reports):
     assert message.startswith("report key 'payload.pairs' is a list whose item 0 is {'first': 'xx")
     assert f", the data give {pair!r}" in message
     assert len(message) < 400
+    # A key name is cut the same way.
+    doc["payload"]["pairs"][0] = pair
+    doc["payload"]["x" * 100_000] = 1
+    with pytest.raises(ParseError) as err:
+        read_report(write(tmp_path, "r.json", json.dumps(doc)))
+    message = str(err.value)
+    assert message.startswith("report key 'payload.xxx")
+    assert message.endswith("xxx... (100008 characters)' is 1, the data give absent")
+    assert len(message) < 400
 
 
 @pytest.mark.parametrize("text", ["[]", "3", '"score_matrix"', "null"])

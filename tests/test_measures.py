@@ -364,10 +364,12 @@ def test_batch_identity_is_zero(k):
         assert (score_batch(measure, rows, rows) == 0.0).all(), measure
 
 
-@pytest.mark.parametrize("block", [meta_eval.SCORE_BLOCK, 1])
+@pytest.mark.parametrize("block", [meta_eval.SCORE_BLOCK, 1, 2 * 40 * 11])
 def test_score_matrix_matches_scalar_grid(monkeypatch, block):
-    # block=1 scores one system per block, exercising the block loop; 11
-    # classes is the class count of the score-wide benchmark workload
+    # block=1 scores one system per block, exercising the block loop, and
+    # 2 * 40 * 11 two or three systems per block of (systems, cases, K), which
+    # leaves a partial last block of the five; 11 classes is the class count
+    # of the score-wide benchmark workload
     monkeypatch.setattr(meta_eval, "SCORE_BLOCK", block)
     for n_classes in (7, 11):
         dataset, runs = synth.generate(n_systems=5, n_cases=40, n_classes=n_classes, seed=11)

@@ -16,7 +16,7 @@ from quantdiv.errors import (
     TooFewSystems,
     TooFewTrials,
 )
-from quantdiv.measures import MeasureId
+from quantdiv.measures import HYBRID_PARTNERS, MeasureId, score_batch
 from quantdiv.rank_correlation import tau_b, tau_plain, tau_with_ci
 from quantdiv.meta_eval import (
     AgreementReport,
@@ -157,6 +157,59 @@ def test_score_matrix_rejects_bad_values():
         ScoreMatrix(np.zeros((2, 2)), ("s", "t"), ("a", "b"), "NMD")
     with pytest.raises(OutOfRange, match="measure 'NMD' is not a MeasureId"):
         score_matrix(ds, [perfect], "NMD")
+
+
+@pytest.mark.parametrize("hybrid", list(HYBRID_PARTNERS))
+def test_hybrid_from_scored_parts_equals_scoring_it(monkeypatch, hybrid):
+    ds, runs = synth.generate(n_systems=5, n_cases=40, n_classes=11, seed=12)
+    fresh = score_matrix(ds, runs, hybrid)
+    batch = score_batch(hybrid, np.stack([run.est for run in runs]), ds.gold)
+    # DNKT alone is not enough to combine: the hybrid is scored from the runs.
+    dnkt = score_matrix(ds, runs, MeasureId.DNKT)
+    assert np.array_equal(score_matrix(ds, runs, hybrid, scored=[dnkt]).values, batch)
+    scored = [score_matrix(ds, runs, HYBRID_PARTNERS[hybrid]), dnkt]
+
+    def no_scoring(*args):
+        raise AssertionError("scored a hybrid whose parts were given")
+
+    monkeypatch.setattr(meta_eval, "score_batch", no_scoring)
+    reused = score_matrix(ds, runs, hybrid, scored=scored)
+    assert reused.measure is hybrid
+    assert np.array_equal(reused.values, fresh.values)
+    assert np.array_equal(fresh.values, batch)
+
+
+def test_score_matrix_rejects_scored_matrices_of_other_runs():
+    ds, runs = synth.generate(n_systems=4, n_cases=10, seed=13)
+    dnkt = score_matrix(ds, runs, MeasureId.DNKT)
+    jsd = score_matrix(ds, runs, MeasureId.JSD)
+    others = (
+        score_matrix(ds, runs[:3], MeasureId.JSD),
+        ScoreMatrix(jsd.values[::-1], jsd.system_ids[::-1], jsd.case_ids, MeasureId.JSD),
+        ScoreMatrix(jsd.values, jsd.system_ids, tuple(f"z{c}" for c in jsd.case_ids), MeasureId.JSD),
+    )
+    for other in others:
+        for measure in (MeasureId.DNKT_JSD, MeasureId.NMD):
+            with pytest.raises(MisalignedRun, match="the JSD scores are for other systems or cases"):
+                score_matrix(ds, runs, measure, scored=[dnkt, other])
+
+
+@pytest.mark.parametrize("measure", [MeasureId.DNKT, MeasureId.RNOD])
+def test_score_matrix_memory_is_flat_in_the_number_of_systems(measure):
+    # 250 cases and 11 classes, the score-wide workload's shape. Beyond the
+    # output grid and its frozen copy, the peak stays within a few blocks of
+    # temporaries, for 32 systems as for 256.
+    ds, runs = synth.generate(n_systems=32, n_cases=250, n_classes=11, seed=14)
+    runs = [SystemRun(f"s{i}", runs[i % 32].est) for i in range(256)]
+    for n_systems in (32, 256):
+        tracemalloc.start()
+        try:
+            score_matrix(ds, runs[:n_systems], measure)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        grid_bytes = n_systems * 250 * 8
+        assert peak < 2 * grid_bytes + 8 * meta_eval.SCORE_BLOCK * 8, (n_systems, peak)
 
 
 def test_mean_scores():
