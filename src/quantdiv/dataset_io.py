@@ -76,15 +76,23 @@ class SystemRun:
     __eq__ = _fields_equal
 
 
+def _lines(text: str) -> list[str]:
+    """text split at \\n, \\r\\n and \\r only.
+
+    str.splitlines() also breaks at \\v, \\f, \\x1c-\\x1e, U+0085, U+2028 and
+    U+2029, which would split a row and shift every line number after one.
+    """
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def _read_text(path) -> str:
     """The file decoded as UTF-8; a bad byte is a ParseError naming its line."""
     data = Path(path).read_bytes()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # Lines are counted as _parse_table counts them, with splitlines();
-        # the "x" stands for the bad byte, so a line break just before it counts.
-        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        # The bad byte is on the last line of the text before it.
+        line = len(_lines(data[: exc.start].decode("utf-8")))
         raise ParseError(f"not UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})", line) from None
 
 
@@ -94,7 +102,7 @@ def _parse_table(path) -> tuple[str, tuple[str, ...], list[tuple[int, str, list[
     labels: tuple[str, ...] | None = None
     rows: list[tuple[int, str, list[str]]] = []
     seen: dict[str, int] = {}
-    for ln, line in enumerate(text.splitlines(), start=1):
+    for ln, line in enumerate(_lines(text), start=1):
         if not line.strip():
             continue
         if labels is None and line.startswith("#"):

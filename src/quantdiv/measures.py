@@ -80,6 +80,11 @@ ALL_MEASURES: tuple[MeasureId, ...] = (
 # correctly rounded on these short vectors. DNKT calls tau_b on the stacked
 # rows. tests/_oracle.py recomputes every measure one pair at a time with
 # plain Python loops, as the independent reference.
+#
+# The RNOD family is one definition, sqrt(mean DW over a set of classes /
+# (K - 1)); _root_normalized takes the paper's two design choices (class
+# distance scheme; gold support or all classes) as parameters. Every call
+# builds one DW grid, RSNOD's included.
 
 
 def _fsum_last(x: np.ndarray) -> np.ndarray:
@@ -128,43 +133,30 @@ def _dw_batch(est: np.ndarray, gold: np.ndarray, scheme: DistanceScheme) -> np.n
     return total
 
 
-def _od_batch(est: np.ndarray, gold: np.ndarray, scheme: DistanceScheme) -> np.ndarray:
-    """Order-aware divergence: mean DW over the gold support."""
-    support = gold > 0.0
-    dws = np.where(support, _dw_batch(est, gold, scheme), 0.0)
-    return _fsum_last(dws) / np.count_nonzero(support, axis=-1)
+def _mean_dw(dw: np.ndarray, classes: np.ndarray) -> np.ndarray:
+    """Mean of DW over the classes marked True in classes (which broadcasts against dw)."""
+    return _fsum_last(np.where(classes, dw, 0.0)) / np.count_nonzero(classes, axis=-1)
 
 
-def _adw_batch(est: np.ndarray, gold: np.ndarray, scheme: DistanceScheme) -> np.ndarray:
-    """Average DW over all classes, not just the gold support."""
-    return _fsum_last(_dw_batch(est, gold, scheme)) / gold.shape[-1]
+def _root_normalized(scheme: DistanceScheme, over_gold_support: bool):
+    """RNOD (RNOD2) averages DW over the gold support, RNADW (RNADW2) over all classes."""
 
+    def measure(est: np.ndarray, gold: np.ndarray) -> np.ndarray:
+        classes = gold > 0.0 if over_gold_support else np.ones(gold.shape, dtype=bool)
+        return np.sqrt(_mean_dw(_dw_batch(est, gold, scheme), classes) / (gold.shape[-1] - 1))
 
-def _root_normalize_batch(value: np.ndarray, k: int) -> np.ndarray:
-    return np.sqrt(value / (k - 1))
-
-
-def _rnod_batch(est: np.ndarray, gold: np.ndarray) -> np.ndarray:
-    return _root_normalize_batch(_od_batch(est, gold, DistanceScheme.EQUIDISTANT), gold.shape[-1])
-
-
-def _rnod2_batch(est: np.ndarray, gold: np.ndarray) -> np.ndarray:
-    return _root_normalize_batch(_od_batch(est, gold, DistanceScheme.GOLD_MASS), gold.shape[-1])
-
-
-def _rnadw_batch(est: np.ndarray, gold: np.ndarray) -> np.ndarray:
-    return _root_normalize_batch(_adw_batch(est, gold, DistanceScheme.EQUIDISTANT), gold.shape[-1])
-
-
-def _rnadw2_batch(est: np.ndarray, gold: np.ndarray) -> np.ndarray:
-    return _root_normalize_batch(_adw_batch(est, gold, DistanceScheme.GOLD_MASS), gold.shape[-1])
+    return measure
 
 
 def _rsnod_batch(est: np.ndarray, gold: np.ndarray) -> np.ndarray:
-    """Root symmetric NOD: OD averaged over both directions, then normalized."""
-    fwd = _od_batch(est, gold, DistanceScheme.EQUIDISTANT)
-    rev = _od_batch(gold, est, DistanceScheme.EQUIDISTANT)
-    return _root_normalize_batch((fwd + rev) / 2.0, gold.shape[-1])
+    """Root symmetric NOD: OD averaged over both directions, then normalized.
+
+    With equidistant positions DW is symmetric in (est, gold) bit for bit:
+    gold - est is exactly -(est - gold), and each term is (w * d) * d.
+    """
+    dw = _dw_batch(est, gold, DistanceScheme.EQUIDISTANT)
+    mean = (_mean_dw(dw, gold > 0.0) + _mean_dw(dw, est > 0.0)) / 2.0
+    return np.sqrt(mean / (gold.shape[-1] - 1))
 
 
 def _nmd_batch(est: np.ndarray, gold: np.ndarray) -> np.ndarray:
@@ -222,10 +214,10 @@ def combine_harmonic_batch(d, m) -> np.ndarray:
 
 _IMPLEMENTATIONS: dict[MeasureId, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
     MeasureId.NMD: _nmd_batch,
-    MeasureId.RNOD: _rnod_batch,
-    MeasureId.RNOD2: _rnod2_batch,
-    MeasureId.RNADW: _rnadw_batch,
-    MeasureId.RNADW2: _rnadw2_batch,
+    MeasureId.RNOD: _root_normalized(DistanceScheme.EQUIDISTANT, over_gold_support=True),
+    MeasureId.RNOD2: _root_normalized(DistanceScheme.GOLD_MASS, over_gold_support=True),
+    MeasureId.RNADW: _root_normalized(DistanceScheme.EQUIDISTANT, over_gold_support=False),
+    MeasureId.RNADW2: _root_normalized(DistanceScheme.GOLD_MASS, over_gold_support=False),
     MeasureId.RSNOD: _rsnod_batch,
     MeasureId.NVD: _nvd_batch,
     MeasureId.RNSS: _rnss_batch,
@@ -276,7 +268,8 @@ def score(measure: MeasureId, est: np.ndarray, gold: np.ndarray) -> float:
 
 def od(est: np.ndarray, gold: np.ndarray, scheme: DistanceScheme) -> float:
     """Order-aware divergence of one (K,) pair: mean DW over the gold support."""
-    return float(_od_batch(*_class_arrays(est, gold), scheme))
+    est, gold = _class_arrays(est, gold)
+    return float(_mean_dw(_dw_batch(est, gold, scheme), gold > 0.0))
 
 
 def combine_harmonic(d: float, m: float) -> float:

@@ -40,7 +40,7 @@ from .errors import (
     TooFewSystems,
     TooFewTrials,
 )
-from .measures import HYBRID_PARTNERS, MeasureId, combine_harmonic_batch, score_batch
+from .measures import _RANGE_SLACK, HYBRID_PARTNERS, MeasureId, combine_harmonic_batch, score_batch
 from .rank_correlation import TauResult, tau_b, tau_plain, tau_with_ci
 
 if TYPE_CHECKING:
@@ -163,8 +163,8 @@ class ScoreMatrix:
                 f"score grid {self.values.shape} does not match "
                 f"{len(self.system_ids)} systems x {len(self.case_ids)} cases"
             )
-        if not np.isfinite(self.values).all() or (self.values < 0).any():
-            raise OutOfRange("scores must be finite and >= 0")
+        if not ((self.values >= 0.0) & (self.values <= 1.0 + _RANGE_SLACK)).all():  # NaN fails
+            raise OutOfRange("scores must lie in [0, 1]")
 
     __eq__ = _fields_equal
 

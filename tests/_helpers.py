@@ -1,8 +1,9 @@
 """Shared test utilities: random simplex points and naive oracles.
 
-The oracles re-implement pair counting and the HSD null distribution with
-plain Python loops, independent of the library's kernels, so agreement
-between the two routes is meaningful.
+The oracles re-implement pair counting, the HSD null distribution and the
+normalisation of a table's rows with plain Python loops, independent of the
+library's kernels and loader, so agreement between the two routes is
+meaningful.
 """
 
 from __future__ import annotations
@@ -35,6 +36,21 @@ def random_pair(rng: np.random.Generator, k: int | None = None) -> tuple[np.ndar
     if k is None:
         k = int(rng.integers(2, 8))
     return random_distribution(rng, k), random_distribution(rng, k)
+
+
+def reference_rows(mode: str, rows) -> np.ndarray:
+    """A table's rows of cell strings normalised in plain Python: a float per
+    cell (a share per vote count in counts mode), math.fsum, then divide."""
+    out = []
+    for cells in rows:
+        if mode == "counts":
+            counts = [int(c) for c in cells]
+            values = [c / sum(counts) for c in counts]
+        else:
+            values = [float(c) for c in cells]
+        total = math.fsum(values)
+        out.append([v / total for v in values])
+    return np.array(out, dtype=np.float64)
 
 
 def tied_lists(rng: np.random.Generator, n: int) -> tuple[list[float], list[float]]:

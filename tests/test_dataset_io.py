@@ -42,6 +42,7 @@ from quantdiv.meta_eval import (
     split_half_consistency,
 )
 import quantdiv
+from _helpers import reference_rows
 from quantdiv import synth
 
 GOLD_PROBS = """\
@@ -133,7 +134,7 @@ def test_parse_errors(tmp_path, text, exc, fragment):
     assert str(err.value).startswith(f"{path}: ")
 
 
-@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
 def test_undecodable_table_names_the_line_of_the_first_bad_byte(tmp_path, newline):
     # A multi-byte label before it is one character; the bad byte is on line 3.
     head = newline.join(["case_id\tl\u00f6w\thigh", "q1\t0.5\t0.5", "q2\t0.5"]).encode()
@@ -145,6 +146,21 @@ def test_undecodable_table_names_the_line_of_the_first_bad_byte(tmp_path, newlin
     good = write(tmp_path, "gold.tsv", "case_id\tl\u00f6w\thigh\nq1\t0.5\t0.5\nq2\t0.5\t0.5\n")
     with pytest.raises(ParseError, match=message):
         load_run(path, load_gold(good))
+
+
+def test_only_newline_and_carriage_return_break_table_lines(tmp_path):
+    # str.splitlines() also breaks at \f and U+0085; in a table they are cell text.
+    head = "case_id\ta\tb\nq1\t0.5\t0.5\f\n"
+    with pytest.raises(ParseError, match=r": line 3: bad probability '0\.x'$"):
+        load_gold(write(tmp_path, "cell.tsv", head + "q2\t0.x\t0.5\n"))
+    path = tmp_path / "byte.tsv"
+    path.write_bytes(head.encode() + b"q2\t0.5\xff\t0.5\n")
+    with pytest.raises(ParseError, match=r": line 3: not UTF-8: byte 0xff"):
+        load_gold(path)
+    ds = load_gold(write(tmp_path, "nel.tsv", "case_id\ta\tb\nq\x851\t0.5\t0.5\n"))
+    assert ds.case_ids == ("q\x851",)
+    lone_cr = write(tmp_path, "cr.tsv", GOLD_PROBS.replace("\n", "\r"))
+    assert load_gold(lone_cr).case_ids == ("q1", "q2")
 
 
 def test_bad_row_carries_case_id(tmp_path):
@@ -213,20 +229,6 @@ def _fuzzed_counts_row(rng, k):
     return [str(c) for c in counts]
 
 
-def _reference_rows(mode, rows):
-    """Plain-Python normalisation: a float per cell, math.fsum, then divide."""
-    out = []
-    for cells in rows:
-        if mode == "counts":
-            counts = [int(c) for c in cells]
-            values = [c / sum(counts) for c in counts]
-        else:
-            values = [float(c) for c in cells]
-        total = math.fsum(values)
-        out.append([v / total for v in values])
-    return np.array(out, dtype=np.float64)
-
-
 def _corrupted(rng, mode, rows):
     """rows with one cell of one row made bad: (that row, the rows, error type, message).
 
@@ -272,7 +274,7 @@ def test_loaded_arrays_equal_plain_python_reference(tmp_path, mode, seed):
     fuzz = _fuzzed_counts_row if mode == "counts" else _fuzzed_probs_row
     rows = [fuzz(rng, k) for _ in range(n)]
     ids = [f"q{i}" for i in range(n)]
-    expected = _reference_rows(mode, rows)
+    expected = reference_rows(mode, rows)
     ds = load_gold(write(tmp_path, "g.tsv", _table_text(mode, ids, rows)))
     assert ds.gold.dtype == np.float64 and ds.gold.shape == (n, k)
     assert not ds.gold.flags.writeable
@@ -395,7 +397,7 @@ def test_reports_are_frozen_records_equal_field_by_field(tmp_path, reports):
         (
             matrix,
             {
-                "values": matrix.values + 1.0,
+                "values": matrix.values / 2.0,
                 "system_ids": matrix.system_ids[::-1],
                 "case_ids": matrix.case_ids[::-1],
                 "measure": nvd,
@@ -449,9 +451,9 @@ def test_tsv_score_matrix_format(reports):
     assert len(cell.split(".")[1]) == 6
 
 
-# Values whose 6-decimal form is easy to get wrong: zeros of both signs,
-# subnormals, ties at the sixth decimal, 1.0 and values of 10 and more.
-_RENDER_EDGES = (0.0, -0.0, 5e-324, 2.5e-310, 2.5e-7, 5e-7, 0.1234565, 0.9999995, 1.0, 10.0, 1e15)
+# Scores whose 6-decimal form is easy to get wrong: zeros of both signs,
+# subnormals, ties at the sixth decimal, 1.0 and the largest score allowed.
+_RENDER_EDGES = (0.0, -0.0, 5e-324, 2.5e-310, 2.5e-7, 5e-7, 0.1234565, 0.9999995, 1.0, 1.0 + 1e-9)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -459,7 +461,7 @@ def test_score_rows_render_as_per_cell_format(seed):
     rng = np.random.default_rng(seed)
     n_systems, n_cases = int(rng.integers(1, 9)), int(rng.integers(1, 40))
     values = rng.choice(_RENDER_EDGES, size=(n_systems, n_cases))
-    ties = (rng.integers(0, 20_000_000, size=values.shape) + 0.5) / 1e6
+    ties = (rng.integers(0, 1_000_000, size=values.shape) + 0.5) / 1e6
     values = np.where(rng.random(values.shape) < 0.5, values, ties)
     # Ids with % in them are cells, not parts of the row format.
     system_ids = tuple(f"s{i}%s%%d" for i in range(n_systems))
@@ -468,7 +470,7 @@ def test_score_rows_render_as_per_cell_format(seed):
     for fmt, corner in (("tsv", "system_id"), ("markdown", "system (NMD)")):
         rows = ([sid, *(f"{x:.6f}" for x in row)] for sid, row in zip(system_ids, values.tolist()))
         assert render_report(matrix, fmt) == _table(fmt, [corner, *case_ids], rows)
-    for x in (math.nan, math.inf, -math.inf, -0.0, *_RENDER_EDGES):
+    for x in (math.nan, math.inf, -math.inf, 10.0, 1e15, *_RENDER_EDGES):
         assert "%.6f" % x == f"{x:.6f}"
 
 
@@ -520,8 +522,11 @@ def test_read_report_rejects_bad_input(tmp_path, reports):
     # the writer writes for their data (section None is the top level).
     docs = [json.loads(render_report(report, "json")) for report in reports]
     pairs, averages = docs[1]["payload"]["pairs"], docs[1]["payload"]["avg_similarity"]
+    scores = docs[0]["payload"]["values"]
+    scores = [[7.0, *scores[0][1:]], *scores[1:]]
     for report, section, key, value, message in (
         (0, "payload", "values", [[0.1, 0.2], [0.3]], "payload.values"),
+        (0, "payload", "values", scores, r"scores must lie in \[0, 1\]"),
         (2, "payload", "per_trial_tau", [[0.5], [0.5, 0.6]], "payload.per_trial_tau"),
         (2, "meta", "mode", 3, "meta.mode"),
         (2, "payload", "significant_pairs", [["NMD"]], "malformed report"),

@@ -20,7 +20,7 @@ from _oracle import (
     rnss,
     rsnod,
 )
-from quantdiv import meta_eval, synth
+from quantdiv import measures, meta_eval, synth
 from quantdiv.distributions import validate
 from quantdiv.errors import LengthMismatch, OutOfRange
 from quantdiv.measures import (
@@ -390,6 +390,20 @@ def test_score_batch_broadcasts_systems_against_gold():
     grid = score_batch(MeasureId.RNOD2, est, gold)
     assert grid.shape == (3, 6)
     assert np.array_equal(grid[1], score_batch(MeasureId.RNOD2, est[1], gold))
+
+
+@pytest.mark.parametrize(
+    "measure",
+    [MeasureId.RNOD, MeasureId.RNOD2, MeasureId.RNADW, MeasureId.RNADW2, MeasureId.RSNOD],
+)
+def test_rnod_family_builds_one_dw_grid_per_call(monkeypatch, measure):
+    # RSNOD's two directions share one grid: equidistant DW is symmetric.
+    calls = []
+    dw_batch = measures._dw_batch
+    monkeypatch.setattr(measures, "_dw_batch", lambda *args: calls.append(args) or dw_batch(*args))
+    dataset, runs = synth.generate(n_systems=3, n_cases=20, n_classes=5, seed=4)
+    score_batch(measure, np.stack([run.est for run in runs]), dataset.gold)
+    assert len(calls) == 1
 
 
 def test_score_batch_length_mismatch():

@@ -140,8 +140,11 @@ def test_score_matrix_values_read_only():
 
 
 def test_score_matrix_rejects_bad_values():
-    with pytest.raises(OutOfRange):
-        ScoreMatrix(np.array([[0.1, -0.2]]), ("s",), ("a", "b"), MeasureId.NMD)
+    for bad in (-0.2, 1.5, np.nan, np.inf):
+        with pytest.raises(OutOfRange, match=r"scores must lie in \[0, 1\]"):
+            ScoreMatrix(np.array([[0.1, bad]]), ("s",), ("a", "b"), MeasureId.NMD)
+    # Every measure lies in [0, 1]; the slack is the one combine_harmonic_batch allows.
+    ScoreMatrix(np.array([[0.0, 1.0 + 1e-9]]), ("s",), ("a", "b"), MeasureId.NMD)
     with pytest.raises(MisalignedRun):
         ScoreMatrix(np.zeros((2, 2)), ("s",), ("a", "b"), MeasureId.NMD)
     for system_ids, case_ids in (

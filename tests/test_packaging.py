@@ -1,5 +1,8 @@
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -42,3 +45,15 @@ def test_readme_library_example_gives_its_commented_results():
         assert round(value, len(result.group(3))) == float(result.group(2)), line
         checked += 1
     assert checked == 2
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # numpy.random adds about 6 MB of RSS to every command; only the
+    # split-half trials need it, and they import it on first use.
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    code = "import sys, quantdiv.cli; print('numpy.random' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "False\n"
