@@ -5,10 +5,13 @@ row per case. An optional directive line `#mode: counts` or `#mode: probs`
 before the header says whether rows hold raw vote counts or probabilities
 (default probs). A probs table is parsed and normalised whole: a float per
 cell, math.fsum per row, one numpy division. When that path refuses a table,
-the row-by-row checks re-read it, so the error names the first bad row. Each
-table is stored as one read-only (cases, K) float64 array, and every error in
-a table's content begins with the table's path. OS-level failures are not
-wrapped; OSError propagates.
+the row loop re-reads it, so the error names the first bad row. The row loop
+is one routine for both modes: a cell parser, its noun and a row check (the
+checks of from_votes() or validate()). Each table is stored as one read-only
+(cases, K) float64 array. Every error in a table's content begins with the
+table's path. An error in a row goes on with `line N: ` and carries N as
+.line; a row that fails its check goes on with `line N: case '<id>': `.
+OS-level failures are not wrapped; OSError propagates.
 
 Score tables are rendered a whole row at a time, with one %-format per row.
 """
@@ -25,13 +28,22 @@ from typing import Sequence
 import numpy as np
 
 from ._version import __version__
-from .distributions import SUM_TOLERANCE, _fields_equal, _frozen, _normalized, _vote_shares
+from .distributions import (
+    SUM_TOLERANCE,
+    _check_ids,
+    _fields_equal,
+    _frozen,
+    _normalized,
+    _vote_shares,
+)
 from .errors import (
     DuplicateCaseId,
     InconsistentClassCount,
+    LengthMismatch,
     MissingCase,
     OutOfRange,
     ParseError,
+    TooFewClasses,
     UnknownCase,
     ValidationError,
 )
@@ -58,7 +70,16 @@ class Dataset:
     votes: tuple[tuple[int, ...], ...] | None = None  # Python ints: counts may exceed int64
 
     def __post_init__(self):
+        _check_ids("case_ids", self.case_ids)
+        _check_ids("class_labels", self.class_labels)
+        n, k = len(self.case_ids), len(self.class_labels)
+        if k < 2:
+            raise TooFewClasses(f"need at least 2 classes, got {k}")
         object.__setattr__(self, "gold", _frozen(self.gold))
+        if self.gold.shape != (n, k):
+            raise LengthMismatch(f"gold grid {self.gold.shape} must be {n} cases x {k} classes")
+        if self.votes is not None and [len(row) for row in self.votes] != [k] * n:
+            raise LengthMismatch(f"votes must hold one row of {k} counts for each of {n} cases")
 
     __eq__ = _fields_equal
 
@@ -71,7 +92,11 @@ class SystemRun:
     est: np.ndarray  # stored read-only; any (cases, K) rows are accepted
 
     def __post_init__(self):
+        if not isinstance(self.system_id, str):
+            raise OutOfRange(f"system_id must be a string, got {self.system_id!r}")
         object.__setattr__(self, "est", _frozen(self.est))
+        if self.est.ndim != 2:
+            raise LengthMismatch(f"est must be a (cases, K) grid, got shape {self.est.shape}")
 
     __eq__ = _fields_equal
 
@@ -145,30 +170,25 @@ def _parse_table(path) -> tuple[str, tuple[str, ...], list[tuple[int, str, list[
     return mode, labels, rows
 
 
-def _row_values(
-    mode: str, case_id: str, ln: int, cells: list[str]
-) -> tuple[list[float], tuple[int, ...] | None]:
-    if mode == "counts":
-        counts = []
-        for cell in cells:
-            try:
-                counts.append(int(cell))
-            except ValueError:
-                raise ParseError(f"bad vote count {cell!r}", ln) from None
-        try:
-            return _vote_shares(counts), tuple(counts)
-        except ValidationError as exc:
-            raise type(exc)(f"case {case_id!r}: {exc}") from exc
-    values = []
+# Each table mode's (cell parser, its noun in errors, row check).
+_ROW_READERS = {
+    "counts": (int, "vote count", _vote_shares),
+    "probs": (float, "probability", _normalized),
+}
+
+
+def _row_values(parse, noun: str, check, case_id: str, ln: int, cells: list[str]):
+    """(the checked row, its parsed cells); errors name the line, a failed check also the case."""
+    parsed = []
     for cell in cells:
         try:
-            values.append(float(cell))
+            parsed.append(parse(cell))
         except ValueError:
-            raise ParseError(f"bad probability {cell!r}", ln) from None
+            raise ParseError(f"bad {noun} {cell!r}", ln) from None
     try:
-        return _normalized(values), None
+        return check(parsed), parsed
     except ValidationError as exc:
-        raise type(exc)(f"case {case_id!r}: {exc}") from exc
+        raise type(exc)(f"case {case_id!r}: {exc}", ln) from exc
 
 
 def _probs_array(rows) -> np.ndarray | None:
@@ -188,13 +208,14 @@ def _probs_array(rows) -> np.ndarray | None:
     return a / totals[:, None]
 
 
-def _table_values(mode: str, rows) -> tuple[np.ndarray, list]:
-    """(values in file order, each row's vote counts or None); errors name the first bad row."""
+def _table_values(mode: str, rows) -> tuple[np.ndarray, tuple | None]:
+    """(values in file order, a counts table's votes or None); errors name the first bad row."""
     fast = _probs_array(rows) if mode == "probs" else None
     if fast is not None:
-        return fast, [None] * len(rows)
-    values, votes = zip(*(_row_values(mode, case_id, ln, cells) for ln, case_id, cells in rows))
-    return np.array(values), list(votes)
+        return fast, None
+    read = _ROW_READERS[mode]
+    values, cells = zip(*(_row_values(*read, case_id, ln, cells) for ln, case_id, cells in rows))
+    return np.array(values), tuple(map(tuple, cells)) if mode == "counts" else None
 
 
 @contextmanager
@@ -216,7 +237,7 @@ def load_gold(path) -> Dataset:
         case_ids=tuple(cid for _, cid, _ in rows),
         class_labels=labels,
         gold=gold,
-        votes=tuple(votes) if mode == "counts" else None,  # type: ignore[arg-type]
+        votes=votes,
     )
 
 

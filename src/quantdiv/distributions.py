@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import AllZeroVotes, NegativeProbability, NotNormalized, TooFewClasses
+from .errors import AllZeroVotes, NegativeProbability, NotNormalized, OutOfRange, TooFewClasses
 
 # Absolute slack allowed on sum(probs) == 1 before rejecting; inputs inside
 # the slack are renormalized so stored values sum to 1 up to float rounding.
@@ -35,6 +35,14 @@ def _fields_equal(a, b) -> bool:
         np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
         for x, y in zip(vars(a).values(), vars(b).values())
     )
+
+
+def _check_ids(name: str, ids) -> None:
+    """Reject ids that are not unique strings."""
+    if not all(isinstance(i, str) for i in ids):
+        raise OutOfRange(f"{name} must be strings")
+    if len(set(ids)) != len(ids):
+        raise OutOfRange(f"{name} must be unique")
 
 
 def _normalized(probs: list[float]) -> list[float]:

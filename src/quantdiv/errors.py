@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
 Everything user-correctable derives from ValidationError so callers (and the
-CLI exit-code mapping) can distinguish bad inputs from internal faults.
+CLI exit-code mapping) can distinguish bad inputs from internal faults. An
+error about one line of an input file carries its 1-based number as .line
+and begins with "line N: "; the table loader then prefixes the file's path.
 """
 
 
@@ -10,7 +12,13 @@ class QuantdivError(Exception):
 
 
 class ValidationError(QuantdivError, ValueError):
-    """Input violates a documented precondition."""
+    """Input violates a documented precondition. Carries the 1-based line number when known."""
+
+    def __init__(self, message, line=None):
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
+        self.line = line
 
 
 class NegativeProbability(ValidationError):
@@ -62,13 +70,7 @@ class TooFewTrials(ValidationError):
 
 
 class ParseError(ValidationError):
-    """Malformed input file. Carries the 1-based line number when known."""
-
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+    """Malformed input file."""
 
 
 class DuplicateCaseId(ParseError):

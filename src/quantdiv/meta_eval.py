@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -30,7 +29,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 import numpy as np
 
 from . import kernels
-from .distributions import _fields_equal, _frozen
+from .distributions import _check_ids, _fields_equal, _frozen
 from .errors import (
     DatasetTooSmall,
     LengthMismatch,
@@ -41,7 +40,7 @@ from .errors import (
     TooFewTrials,
 )
 from .measures import _RANGE_SLACK, HYBRID_PARTNERS, MeasureId, combine_harmonic_batch, score_batch
-from .rank_correlation import TauResult, tau_b, tau_plain, tau_with_ci
+from .rank_correlation import TauResult, _check_fraction, tau_b, tau_plain, tau_with_ci
 
 if TYPE_CHECKING:
     from .dataset_io import Dataset, SystemRun
@@ -152,11 +151,8 @@ class ScoreMatrix:
 
     def __post_init__(self):
         _check_measures((self.measure,))
-        for name, ids in (("system_ids", self.system_ids), ("case_ids", self.case_ids)):
-            if not all(isinstance(i, str) for i in ids):
-                raise OutOfRange(f"{name} must be strings")
-            if len(set(ids)) != len(ids):
-                raise OutOfRange(f"{name} must be unique")
+        _check_ids("system_ids", self.system_ids)
+        _check_ids("case_ids", self.case_ids)
         object.__setattr__(self, "values", _frozen(self.values))
         if self.values.shape != (len(self.system_ids), len(self.case_ids)):
             raise MisalignedRun(
@@ -270,21 +266,18 @@ def check_consistency_args(
     """Reject a bad consistency argument before any work; return the tau function.
 
     B, seed, permutations and threads must be integers (bool is not one);
-    alpha must be a real number.
+    alpha must be a real number in (0, 1), by the rule confidence follows.
     """
     integers = {"B": B, "seed": seed, "permutations": permutations, "threads": threads}
     for name, value in integers.items():
         _check_integer(name, value)
-    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real):
-        raise OutOfRange(f"alpha must be a real number, got {alpha!r}")
+    _check_fraction("alpha", alpha)
     if B < 1:
         raise TooFewTrials(f"need at least 1 trial, got {B}")
     if B > 1 << 32:
         raise OutOfRange(f"at most 2**32 trials, got {B}")
     if seed < 0:
         raise OutOfRange(f"seed must be non-negative, got {seed}")
-    if not 0.0 < alpha < 1.0:
-        raise OutOfRange(f"alpha must be in (0, 1), got {alpha}")
     if permutations < 1:
         raise OutOfRange(f"need at least 1 permutation round, got {permutations}")
     if threads < 1:
@@ -361,8 +354,7 @@ def agreement(
         raise TooFewSystems(f"need at least 3 systems, got {len(runs)}")
     if len(measures) < 2:
         raise TooFewMeasures(f"need at least 2 measures, got {len(measures)}")
-    if not 0.0 < confidence < 1.0:
-        raise OutOfRange(f"confidence must be in (0, 1), got {confidence}")
+    _check_fraction("confidence", confidence)
     _check_measures(measures)
     matrices: list[ScoreMatrix] = []
     for measure in measures:

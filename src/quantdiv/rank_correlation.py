@@ -79,6 +79,14 @@ class TauResult:
             )
 
 
+def _check_fraction(name: str, value) -> None:
+    """Reject a value that is not a real number strictly between 0 and 1; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise OutOfRange(f"{name} must be a real number, got {value!r}")
+    if not 0.0 < value < 1.0:  # NaN fails
+        raise OutOfRange(f"{name} must be in (0, 1), got {value}")
+
+
 def _as_arrays(xs: Lists, ys: Lists) -> tuple[np.ndarray, np.ndarray]:
     """Two lists, or stacked (..., n) arrays whose leading axes broadcast."""
     x = np.asarray(xs, dtype=np.float64)
@@ -149,8 +157,7 @@ def tau_with_ci(
     collapses to the degenerate interval [tau, tau]; for n <= 4 the variance
     term is undefined and the interval falls back to [-1, 1].
     """
-    if not 0.0 < confidence < 1.0:
-        raise OutOfRange(f"confidence must be in (0, 1), got {confidence}")
+    _check_fraction("confidence", confidence)
     x, y = _as_arrays(xs, ys)
     if x.ndim != 1 or y.ndim != 1:
         raise OutOfRange("inputs must be one-dimensional sequences")

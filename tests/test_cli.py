@@ -127,7 +127,7 @@ def test_score_rejects_bad_run(perfect, tmp_path, capsys):
     assert "error:" in err and "q1" in err
     bad.write_text("case_id\tlow\tmid\thigh\nx1\t1e308\t1e308\t0\n", "utf-8")
     assert main(["score", "--gold", str(gold), "--runs", str(bad)]) == 2
-    assert f"error: {bad}: case 'x1': probabilities sum to inf" in capsys.readouterr().err
+    assert f"error: {bad}: line 2: case 'x1': probabilities sum to inf" in capsys.readouterr().err
     # A byte that is not UTF-8, in the gold or a run table.
     bad.write_bytes(GOLD.encode().replace(b"0.8", b"0.8\xff"))
     for gold_path, run_path in ((bad, run), (gold, bad)):

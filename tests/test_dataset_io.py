@@ -24,11 +24,13 @@ from quantdiv.errors import (
     AllZeroVotes,
     DuplicateCaseId,
     InconsistentClassCount,
+    LengthMismatch,
     MissingCase,
     NegativeProbability,
     NotNormalized,
     OutOfRange,
     ParseError,
+    TooFewClasses,
     UnknownCase,
 )
 from quantdiv.measures import DEFAULT_SUITE, MeasureId
@@ -293,11 +295,12 @@ def test_loaded_arrays_equal_plain_python_reference(tmp_path, mode, seed):
         text = _table_text(mode, [ids[i] for i in file_order], [bad_rows[i] for i in file_order])
         path = write(tmp_path, "bad.tsv", text)
         line = 3 + file_order.index(bad)  # after the mode line and the header
-        where = f"line {line}" if exc is ParseError else f"case {ids[bad]!r}"
+        where = f"line {line}" if exc is ParseError else f"line {line}: case {ids[bad]!r}"
         with pytest.raises(exc) as err:
             loader(path)
         assert type(err.value) is exc
         assert str(err.value) == f"{path}: {where}: {message}"
+        assert err.value.line == line
 
 
 def _fixed_point_rows(rng, n, k):
@@ -382,6 +385,38 @@ def test_public_records_are_frozen_with_read_only_arrays(reports):
         arrays = [getattr(record, f.name) for f in dataclasses.fields(record)]
         arrays = [a for a in arrays if isinstance(a, np.ndarray)]
         assert len(arrays) == 1 and not arrays[0].flags.writeable, type(record).__name__
+
+
+def test_dataset_and_run_check_their_shapes_when_built():
+    # Unchecked, numpy broadcasting would score each of these without an error.
+    abcd, xyz = ("a", "b", "c", "d"), ("x", "y", "z")
+    with pytest.raises(LengthMismatch, match=r"gold grid \(1, 3\) must be 4 cases x 3 classes"):
+        Dataset(case_ids=abcd, class_labels=xyz, gold=[[0.2, 0.3, 0.5]])
+    pair = Dataset(case_ids=("a", "b"), class_labels=("x", "y"), gold=[[0.5, 0.5], [1.0, 0.0]])
+    with pytest.raises(LengthMismatch, match=r"est must be a \(cases, K\) grid, got shape \(2,\)"):
+        SystemRun("s1", [0.3, 0.7])
+    with pytest.raises(OutOfRange, match="case_ids must be unique"):
+        dataclasses.replace(pair, case_ids=("a", "a"))
+    for changes, error, message in (
+        ({"case_ids": ("a", 2)}, OutOfRange, "case_ids must be strings"),
+        ({"class_labels": ("x", "x")}, OutOfRange, "class_labels must be unique"),
+        ({"class_labels": ("x", None)}, OutOfRange, "class_labels must be strings"),
+        ({"class_labels": ("x",), "gold": [[1.0], [1.0]]}, TooFewClasses, "got 1"),
+        ({"gold": [0.5, 0.5]}, LengthMismatch, "gold grid"),
+        ({"gold": [[0.5, 0.5, 0.0], [1.0, 0.0, 0.0]]}, LengthMismatch, "gold grid"),
+        ({"votes": ((1, 1),)}, LengthMismatch, "votes must hold one row of 2 counts"),
+        ({"votes": ((1, 1), (1, 1, 0))}, LengthMismatch, "votes must hold one row of 2 counts"),
+    ):
+        with pytest.raises(error, match=message):
+            dataclasses.replace(pair, **changes)
+    with pytest.raises(OutOfRange, match="system_id must be a string, got 1"):
+        SystemRun(1, [[0.5, 0.5]])
+    with pytest.raises(LengthMismatch, match="got shape"):
+        SystemRun("s1", [[[0.5, 0.5]]])
+    # Rows need not be simplex points, and votes need not match gold.
+    loose = dataclasses.replace(pair, gold=[[2.0, -1.0], [0.0, 0.0]], votes=((1, 1), (0, 3)))
+    assert loose.gold.tolist() == [[2.0, -1.0], [0.0, 0.0]]
+    assert SystemRun("s1", [[2.0, -1.0]]).est.shape == (1, 2)
 
 
 def test_reports_are_frozen_records_equal_field_by_field(tmp_path, reports):

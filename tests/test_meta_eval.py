@@ -274,6 +274,16 @@ def test_agreement_errors(monkeypatch):
     ):
         with pytest.raises(OutOfRange, match=message):
             agreement(ds, runs, measures)
+    # confidence follows alpha's rule: a real number in (0, 1), and a bool is not one.
+    for confidence, message in (
+        ("0.9", "confidence must be a real number, got '0.9'"),
+        (None, "confidence must be a real number, got None"),
+        (True, "confidence must be a real number, got True"),
+        (float("nan"), "confidence must be in \\(0, 1\\), got nan"),
+        (0, "confidence must be in \\(0, 1\\), got 0"),
+    ):
+        with pytest.raises(OutOfRange, match=message):
+            agreement(ds, runs, [MeasureId.NVD, MeasureId.RNSS], confidence=confidence)
 
 
 def test_agreement_checks_confidence_before_scoring(monkeypatch):

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import quantdiv
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -57,3 +59,21 @@ def test_importing_the_cli_leaves_numpy_random_unloaded():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout == "False\n"
+
+
+def test_package_version_is_read_from_the_module(tmp_path):
+    # pyproject.toml declares the version dynamic; setuptools reads it from
+    # quantdiv._version, the value --version prints and every JSON report embeds.
+    before = sorted(ROOT.rglob("*.egg-info"))
+    out = subprocess.run(
+        [sys.executable, "-c", "import setuptools; setuptools.setup()", "egg_info"]
+        + ["--egg-base", str(tmp_path)],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    info = (tmp_path / "quantdiv.egg-info" / "PKG-INFO").read_text(encoding="utf-8")
+    assert re.search(r"^Version: (.+)$", info, re.M).group(1) == quantdiv.__version__
+    assert sorted(ROOT.rglob("*.egg-info")) == before

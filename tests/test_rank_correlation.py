@@ -164,6 +164,9 @@ def test_tau_with_ci_errors():
         tau_with_ci([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], confidence=1.0)
     with pytest.raises(OutOfRange):
         tau_with_ci([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], confidence=0.0)
+    for confidence in ("0.9", None, True, False, float("nan")):
+        with pytest.raises(OutOfRange, match="^confidence must be"):
+            tau_with_ci([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], confidence=confidence)
     with pytest.raises(OutOfRange, match="one-dimensional"):
         tau_with_ci(np.zeros((2, 3)), np.zeros((2, 3)))
 
