@@ -288,8 +288,21 @@ def _write_table(path, mode: str, dataset: Dataset, rows) -> Path:
 
 
 def write_dataset(dataset: Dataset, path) -> Path:
-    """Write a gold table; vote counts when available, else full-precision probs."""
+    """Write a gold table; vote counts when available, else full-precision probs.
+
+    Counts reload as their vote shares, so each case's shares must be its gold
+    row bit for bit; OutOfRange names the first case whose are not.
+    """
     if dataset.votes is not None:
+        for case_id, votes, gold in zip(dataset.case_ids, dataset.votes, dataset.gold):
+            try:
+                same = np.array(_vote_shares(votes)).tobytes() == gold.tobytes()
+            except ValidationError:  # votes that give no shares, such as all zeros
+                same = False
+            if not same:
+                raise OutOfRange(
+                    f"case {case_id!r}: votes {list(votes)} do not give the gold row {gold.tolist()}"
+                )
         return _write_table(path, "counts", dataset, (map(str, row) for row in dataset.votes))
     return _write_table(path, "probs", dataset, (map(repr, row) for row in dataset.gold.tolist()))
 

@@ -56,10 +56,10 @@ HSD_CHUNK = 256
 # every class with every other. That bounds each temporary array to 256 KB
 # and keeps peak memory flat in the number of systems.
 SCORE_BLOCK = 1 << 15
-# consistency_per_trial runs trials in blocks of at most this many elements
-# of permutations, case gathers and n x n pair cells (at least one trial per
-# block), so its temporaries stay bounded whatever B and the number of cases.
-TRIAL_BLOCK = 1 << 19
+# consistency_per_trial runs trials in blocks whose temporaries take at most
+# this many bytes (at least one trial per block), so memory stays bounded
+# whatever B and the number of cases.
+TRIAL_BLOCK = 3 << 19
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
 _MASK32 = 0xFFFFFFFF
@@ -457,6 +457,33 @@ def _trial_permutations(n_cases: int, words: np.ndarray) -> np.ndarray:
     return perms
 
 
+def _subset_means(cols: np.ndarray, perms: np.ndarray, split: int, end: int) -> np.ndarray:
+    """Each trial's two subset means, as a (2, trials, cells) array.
+
+    Trial t's subsets are perms[t, :split] and perms[t, split:end], and a
+    subset's mean is the mean of its cols rows. One running sum per subset
+    starts at zero and adds the rows one subset position at a time, in
+    subset order, which are the additions numpy makes when it averages a
+    gathered (trials, subset, cells) array over its middle axis. The extra
+    case of an odd half split is added last to the first subset. Only the
+    permutations, their index, one gathered row per subset and the sums are
+    held, never a whole subset's rows.
+    """
+    shared = end - split  # positions both subsets have; the first may have one more
+    index = np.stack((perms[:, :shared].T, perms[:, split:end].T), axis=1)
+    rows = np.empty((2, len(perms), cols.shape[1]))
+    sums = np.zeros_like(rows)
+    for pair in index:  # mode="clip" gathers straight into rows; no index is out of range
+        cols.take(pair, axis=0, out=rows, mode="clip")
+        sums += rows
+    if split > shared:
+        cols.take(perms[:, split - 1], axis=0, out=rows[0], mode="clip")
+        sums[0] += rows[0]
+    sums[0] /= split
+    sums[1] /= shared
+    return sums
+
+
 def _run_all(task: Callable, items: Sequence, threads: int) -> None:
     """Run task on every item, on at most min(threads, usable CPUs, tasks) workers.
 
@@ -489,7 +516,7 @@ def consistency_per_trial(
     stacked is (measures, systems, cases). Each trial splits the cases per
     mode, computes each measure's per-system mean on both subsets, and
     records the tau between the two system-score lists. Trials run a block
-    at a time: one gather per subset and one tau call for the whole block.
+    at a time: one running sum per block and one tau call for the whole block.
     """
     stacked = np.asarray(stacked, dtype=np.float64)
     n_measures, n_systems, n_cases = stacked.shape
@@ -499,23 +526,26 @@ def consistency_per_trial(
     split, end = mode.bounds(n_cases)
 
     per_trial = np.empty((n_measures, B), dtype=np.float64)
-    per_trial_elements = n_cases + n_measures * n_systems * (end + n_systems)
-    step = max(1, TRIAL_BLOCK // per_trial_elements)
+    cells = n_measures * n_systems
+    # The bytes each trial adds to a block, at the larger of its two peaks.
+    # Summing holds its permutation and index (intp) and its two gathered
+    # rows and two sums (float64); the tau step holds the sums, three n x n
+    # boolean pair matrices per measure, a finiteness flag per cell and at
+    # most eight (trials, measures) counts and quotients.
+    summing = 8 * (n_cases + 2 * (end - split) + 4 * cells)
+    pairing = 16 * cells + cells * (3 * n_systems + 1) + 64 * n_measures
+    step = max(1, TRIAL_BLOCK // max(summing, pairing))
     blocks = [(start, min(start + step, B)) for start in range(0, B, step)]
     words = _trial_seed_words(seed, 0, B)
-    # One row of (measure, system) scores per case: a subset gathers whole
-    # rows, and the mean adds the rows in subset order, one case at a time.
-    cols = np.ascontiguousarray(stacked.reshape(n_measures * n_systems, n_cases).T)
+    # One row of (measure, system) scores per case, so a subset position
+    # gathers one whole row per trial.
+    cols = np.ascontiguousarray(stacked.reshape(cells, n_cases).T)
 
     def run_block(block: tuple[int, int]) -> None:
         start, stop = block
-        perms = _trial_permutations(n_cases, words[start:stop])
-        # (trials, subset, measures * systems) -> per-system means as
-        # (trials, measures, systems), so tau pairs up the systems.
-        first, second = (
-            cols[idx].mean(axis=1).reshape(-1, n_measures, n_systems)
-            for idx in (perms[:, :split], perms[:, split:end])
-        )
+        means = _subset_means(cols, _trial_permutations(n_cases, words[start:stop]), split, end)
+        # (trials, measures, systems) per subset, so tau pairs up the systems.
+        first, second = means.reshape(2, -1, n_measures, n_systems)
         per_trial[:, start:stop] = tau_fn(first, second).T
 
     _run_all(run_block, blocks, threads)

@@ -6,8 +6,10 @@ The library computes each measure once, on (..., K) arrays
 the paper's definitions term by term, so agreement between the two routes
 is meaningful. Each function takes its distributions as (K,) arrays and
 does its arithmetic on the Python floats of .tolist(). DNKT counts pairs
-with _helpers.naive_tau_b rather than the library's pair kernel. Nothing in
-the package imports this module.
+with _helpers.naive_tau_b rather than the library's pair kernel. It also
+computes the split-half trials' subset means as the means of gathered
+subsets, the reference for the running sums of the library's trials.
+Nothing in the package imports this module.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 from _helpers import naive_tau_b
 from quantdiv.errors import LengthMismatch, OutOfRange, ValidationError
 from quantdiv.measures import BIN_TIE_EPS, DistanceScheme, MeasureId
+from quantdiv.rank_correlation import tau_b, tau_plain
 
 # Slack on [0, 1] range checks for values produced by other measures.
 _RANGE_SLACK = 1e-9
@@ -219,3 +222,27 @@ _SCORERS: dict[MeasureId, Callable[[np.ndarray, np.ndarray], float]] = {
 def score(measure: MeasureId, est: np.ndarray, gold: np.ndarray) -> float:
     """Evaluate one measure on one pair; the reference for measures.score_batch."""
     return _SCORERS[measure](est, gold)
+
+
+def consistency_per_trial(
+    stacked: np.ndarray, split: int, end: int, B: int, seed: int, tau_variant: str = "b"
+) -> np.ndarray:
+    """Per-trial tau grid (measures x B) from per-subset gathers and their means.
+
+    Trial b's cases are numpy's permutation from SeedSequence((seed, 1, b)); its
+    subsets are perm[:split] and perm[split:end]. Each subset gathers a
+    (trials, subset, measures * systems) array and takes its mean over the
+    subset axis, which numpy sums one case at a time in subset order. It is the
+    reference for the running sums of meta_eval._subset_means.
+    """
+    n_measures, n_systems, n_cases = stacked.shape
+    cols = np.ascontiguousarray(stacked.reshape(n_measures * n_systems, n_cases).T)
+    perms = np.stack(
+        [np.random.default_rng(np.random.SeedSequence((seed, 1, b))).permutation(n_cases) for b in range(B)]
+    )
+    first, second = (
+        cols[idx].mean(axis=1).reshape(-1, n_measures, n_systems)
+        for idx in (perms[:, :split], perms[:, split:end])
+    )
+    tau = {"b": tau_b, "plain": tau_plain}[tau_variant]
+    return tau(first, second).T

@@ -337,6 +337,24 @@ def test_write_dataset_counts_round_trip(tmp_path):
     assert back == ds
 
 
+def test_write_dataset_refuses_votes_that_are_not_the_gold(tmp_path):
+    # The votes would reload as [[0.5, 0.5], [0.0, 1.0]]; all-zero votes give no shares.
+    ds = Dataset(("a", "b"), ("x", "y"), gold=[[2.0, -1.0], [0.0, 0.0]], votes=((1, 1), (0, 3)))
+    with pytest.raises(OutOfRange, match=r"^case 'a': votes \[1, 1\] do not give the gold row \[2.0, -1.0\]$"):
+        write_dataset(ds, tmp_path / "gold.tsv")
+    ds = Dataset(("a", "b"), ("x", "y"), gold=[[0.5, 0.5], [0.0, 0.0]], votes=((1, 1), (0, 0)))
+    with pytest.raises(OutOfRange, match=r"^case 'b': votes \[0, 0\] do not give"):
+        write_dataset(ds, tmp_path / "gold.tsv")
+    # One rounding off is refused too: the table would reload with the other bits.
+    near = np.nextafter(1 / 3, 1.0)
+    ds = Dataset(("a",), ("x", "y"), gold=[[near, 2 / 3]], votes=((1, 2),))
+    with pytest.raises(OutOfRange, match=r"^case 'a'"):
+        write_dataset(ds, tmp_path / "gold.tsv")
+    assert not (tmp_path / "gold.tsv").exists()
+    ds = Dataset(("a",), ("x", "y"), gold=[[1 / 3, 2 / 3]], votes=((1, 2),))
+    assert load_gold(write_dataset(ds, tmp_path / "gold.tsv")) == ds
+
+
 def test_write_dataset_probs_round_trip(tmp_path):
     ds = load_gold(write(tmp_path, "g.tsv", GOLD_PROBS))
     back = load_gold(write_dataset(ds, tmp_path / "copy.tsv"))

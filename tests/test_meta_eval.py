@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import _oracle
 from quantdiv.dataset_io import Dataset, SystemRun
 from quantdiv.distributions import validate
 from quantdiv.errors import (
@@ -357,6 +358,46 @@ def test_consistency_per_trial_matches_per_trial_loop(monkeypatch, mode, variant
         assert np.array_equal(got, expected)
 
 
+def _order_sensitive_stack(n_cases: int) -> np.ndarray:
+    """(3 measures, 24 systems, n_cases) scores whose subset means tie or not by summation order.
+
+    Each measure has one full-mantissa base row. A third of the systems hold
+    it as it is, the others with one or two pairs of cases swapped. When
+    each swapped pair falls within one subset, two systems' means add the
+    same values in another order, so the order alone decides whether they
+    tie. The first three cases and the whole third measure are rounded to
+    one decimal, for exact ties.
+    """
+    rng = np.random.default_rng(57)
+    stacked = np.empty((3, 24, n_cases))
+    for measure in stacked:
+        base = rng.random(n_cases)
+        for s, row in enumerate(measure):
+            row[:] = base
+            for _ in range(s % 3):
+                i, j = rng.choice(n_cases, 2, replace=False)
+                row[[i, j]] = row[[j, i]]
+    stacked[:, :, :3] = np.round(stacked[:, :, :3], 1)
+    stacked[2] = np.round(stacked[2], 1)
+    return stacked
+
+
+@pytest.mark.parametrize("n_cases, mode", [(41, FullSplit()), (40, FullSplit()), (41, FixedSize(13))])
+@pytest.mark.parametrize("variant", ["b", "plain"])
+def test_consistency_per_trial_sums_as_the_gathered_means_bit_for_bit(monkeypatch, n_cases, mode, variant):
+    # The running sums add each subset's cases in subset order, as the mean
+    # of a gathered subset does, so every per-trial tau is the same bits
+    # whatever the block size and the thread count.
+    stacked = _order_sensitive_stack(n_cases)
+    split, end = mode.bounds(n_cases)
+    expected = _oracle.consistency_per_trial(stacked, split, end, B=60, seed=7, tau_variant=variant)
+    for trial_block in (1, meta_eval.TRIAL_BLOCK, 1 << 20):
+        monkeypatch.setattr(meta_eval, "TRIAL_BLOCK", trial_block)
+        for threads in (1, 2):
+            got = consistency_per_trial(stacked, mode, B=60, seed=7, threads=threads, tau_variant=variant)
+            assert np.array_equal(got, expected), (trial_block, threads)
+
+
 def test_consistency_per_trial_signal_beats_noise():
     # measure 0: pure noise scores; measure 1: graded system quality plus
     # small noise; the signal measure must be far more consistent
@@ -403,7 +444,7 @@ def test_consistency_per_trial_errors():
 
 def test_consistency_per_trial_memory_counts_the_permutations():
     # Two subsets of one case out of 2000: the block's permutations, not its
-    # gathers, are what TRIAL_BLOCK must bound (32 MB for B = 2000 if not).
+    # sums, are what TRIAL_BLOCK must bound (32 MB for B = 2000 if not).
     stacked = np.random.default_rng(0).random((1, 2, 2000))
     tracemalloc.start()
     try:
@@ -411,7 +452,25 @@ def test_consistency_per_trial_memory_counts_the_permutations():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * meta_eval.TRIAL_BLOCK * 8
+    assert peak < 2 * meta_eval.TRIAL_BLOCK
+
+
+@pytest.mark.parametrize("shape, B", [((12, 12, 300), 1000), ((3, 40, 200), 2000)])
+def test_consistency_per_trial_block_stays_within_its_byte_budget(shape, B):
+    # The bundled data's shape and the consistency-trials benchmark's. The
+    # output, the seed words and the case-major copy of the scores live
+    # through the whole call; beyond them the peak is one block's
+    # temporaries, within TRIAL_BLOCK bytes, plus a few small Python objects.
+    n_measures, n_systems, n_cases = shape
+    stacked = np.random.default_rng(58).random(shape)
+    tracemalloc.start()
+    try:
+        consistency_per_trial(stacked, FullSplit(), B=B, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    whole_call = 8 * (n_measures * B + 4 * B + n_measures * n_systems * n_cases)
+    assert peak < whole_call + meta_eval.TRIAL_BLOCK + (32 << 10), peak
 
 
 class _SerialPool:
@@ -445,7 +504,7 @@ def test_worker_threads_are_clamped(monkeypatch, cpus, expected):
         affinity = set(range(cpus))
         monkeypatch.setattr(meta_eval.os, "sched_getaffinity", lambda pid: affinity, raising=False)
         monkeypatch.setattr(meta_eval.os, "cpu_count", lambda: 256)
-    # a budget of one element makes every trial its own task: 5 tasks for B=5
+    # a budget of one byte makes every trial its own task: 5 tasks for B=5
     monkeypatch.setattr(meta_eval, "TRIAL_BLOCK", 1)
     _SerialPool.sizes = []
     threads_before = threading.active_count()

@@ -6,8 +6,10 @@ the #mode line or the line endings, inserts a form feed, U+0085 or U+2028,
 or puts a byte that is not UTF-8 in place of a valid one. `score` must then
 exit 2 with an error that begins with one table's path and names the line
 at fault, or exit 0 having loaded the values that plain Python gives for the
-mutated files. Exit 1 is an internal error. Lines are counted as tables
-count them: only \\n, \\r\\n and \\r end one.
+mutated files. Only the errors about the run table as a whole name no line:
+a missing or unknown case, or class labels that differ from the gold's.
+Exit 1 is an internal error. Lines are counted as tables count them: only
+\\n, \\r\\n and \\r end one.
 """
 
 import re
@@ -18,6 +20,7 @@ import numpy as np
 from _helpers import reference_rows
 from quantdiv.cli import main
 from quantdiv.dataset_io import load_gold, load_run
+from quantdiv.errors import InconsistentClassCount, MissingCase, UnknownCase, ValidationError
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "synth"
 TABLES = {"gold": DATA / "gold.tsv", "run": DATA / "runs" / "s01.tsv"}
@@ -28,6 +31,8 @@ CELLS = ("0.x", "", "-1", "-0.0", "nan", "inf", "1e400", "7", " 3 ", "0.5", "9" 
 MODE_LINES = ("#mode: probs", "#mode: counts", "#mode: votes", "#MODE:counts", "#note", "")
 CHARACTERS = ("\f", "\x85", "\u2028")
 BAD_BYTES = (0x80, 0xC3, 0xFE, 0xFF)
+# The run-table checks of class labels against the gold's, which name no line.
+CLASS_LABEL_CHECKS = re.compile(r": run (has \d+ classes|class labels .* differ from)")
 OPS = ("delete", "duplicate", "swap", "column", "cell", "header", "mode", "endings", "character", "byte")
 
 
@@ -117,16 +122,36 @@ def _score(argv, capsys) -> tuple[int, str]:
     return code, capsys.readouterr().err
 
 
-def _check_error(argv, stderr, files, capsys, edits) -> None:
-    """The error begins with one table's path, and the first line it names is
-    the line at fault: it holds text, and with the table cut just before it
-    the error names no line from there on."""
+def _raised(paths) -> ValidationError:
+    """The error that loading the tables raises, gold first, as `score` loads them."""
+    try:
+        load_run(paths["run"], load_gold(paths["gold"]))
+    except ValidationError as exc:
+        return exc
+    raise AssertionError("the tables load")
+
+
+def _whole_table(exc: ValidationError) -> bool:
+    """Errors about the run table as a whole, which name no line."""
+    return isinstance(exc, (MissingCase, UnknownCase)) or (
+        type(exc) is InconsistentClassCount and CLASS_LABEL_CHECKS.search(str(exc)) is not None
+    )
+
+
+def _check_error(argv, stderr, paths, files, capsys, edits) -> None:
+    """The error begins with one table's path and, unless it is about the run
+    table as a whole, names the line at fault first: that line holds text,
+    and with the table cut just before it the error names no line from there on."""
     path = next((path for path in files if stderr.startswith(f"error: {path}:")), None)
     assert path is not None, (edits, stderr)
-    named = re.search(r"\bline (\d+)", stderr)
-    if named is None:
+    exc = _raised(paths)
+    assert stderr == f"error: {exc}\n", (edits, stderr, str(exc))
+    if _whole_table(exc):
+        assert exc.line is None, (edits, stderr)
         return
-    n = int(named.group(1))
+    named = re.search(r"\bline (\d+)", stderr)
+    assert named is not None and exc.line == int(named.group(1)), (edits, stderr, exc.line)
+    n = exc.line
     lines = _lines(files[path])
     assert n <= len(lines) and lines[n - 1].decode(errors="replace").strip(), (edits, stderr)
     Path(path).write_bytes(b"".join(lines[: n - 1]))
@@ -153,7 +178,7 @@ def test_mutated_tables_exit_2_at_the_right_line_or_load_exactly(tmp_path, capsy
         assert code in outcomes, (edits, code, stderr)
         outcomes[code] += 1
         if code == 2:
-            _check_error(argv, stderr, files, capsys, edits)
+            _check_error(argv, stderr, paths, files, capsys, edits)
             continue
         labels, ids, gold = _reference(files[paths["gold"]])
         ds = load_gold(paths["gold"])
