@@ -32,6 +32,7 @@ from .meta_eval import (
     agreement,
     mean_scores,
     randomized_tukey_hsd,
+    score_matrices,
     score_matrix,
     split_half_consistency,
 )
@@ -63,6 +64,7 @@ __all__ = [
     "read_report",
     "render_report",
     "score",
+    "score_matrices",
     "score_matrix",
     "split_half_consistency",
     "tau_b",

@@ -1,8 +1,8 @@
 """Command line interface: score, agree, consistency.
 
-Exit codes: 0 success, 2 usage or input validation problem, 1 internal
-error. Human-readable tables go to stdout; --output writes the machine
-report in the chosen --format.
+Exit codes: 0 success, 2 usage or input validation problem or out of
+memory, 1 internal error. Human-readable tables go to stdout; --output
+writes the machine report in the chosen --format.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from .dataset_io import FORMATS, _table, load_gold, load_run, render_report, wri
 from .errors import TooFewMeasures, ValidationError
 from .measures import ALL_MEASURES, DEFAULT_SUITE, MeasureId
 from .meta_eval import agreement, check_consistency_args, mean_scores, parse_subset_mode
-from .meta_eval import score_matrix, split_half_consistency
+from .meta_eval import score_matrices, split_half_consistency
+from .meta_eval import score_matrix  # noqa: F401  perfbench/spans.py traces cli.score_matrix
 
 _VALID_TAGS = ", ".join(m.value for m in ALL_MEASURES)
 
@@ -103,9 +104,7 @@ def _with_measure_tag(path: Path, tag: str) -> Path:
 
 def cmd_score(args) -> int:
     dataset, runs, measures = _load_inputs(args)
-    matrices = []
-    for measure in measures:
-        matrices.append(score_matrix(dataset, runs, measure, scored=matrices))
+    matrices = score_matrices(dataset, runs, measures)
     for matrix in matrices:
         sys.stdout.write(render_report(matrix, "markdown"))
         sys.stdout.write("\n")
@@ -227,6 +226,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory; try a smaller --B, --permutations or input", file=sys.stderr)
+        return 2
     except Exception as exc:  # pragma: no cover - safety net
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -23,7 +23,19 @@ SUM_TOLERANCE = 1e-9
 
 
 def _frozen(values) -> np.ndarray:
-    """values (a row, or a list of rows) as a new read-only float64 array."""
+    """values (a row, or a list of rows) as a read-only float64 array.
+
+    A read-only float64 array that owns its data is returned as it is, so a
+    grid built for one holder is held once. Anything else is copied: a
+    writable array, or a read-only view whose base someone may still write.
+    """
+    if (
+        isinstance(values, np.ndarray)
+        and values.dtype == np.float64
+        and values.base is None
+        and not values.flags.writeable
+    ):
+        return values
     out = np.array(values, dtype=np.float64)
     out.setflags(write=False)
     return out

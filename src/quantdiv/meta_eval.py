@@ -159,7 +159,9 @@ class ScoreMatrix:
                 f"score grid {self.values.shape} does not match "
                 f"{len(self.system_ids)} systems x {len(self.case_ids)} cases"
             )
-        if not ((self.values >= 0.0) & (self.values <= 1.0 + _RANGE_SLACK)).all():  # NaN fails
+        # min and max hold no grid-sized temporary; a NaN fails both comparisons.
+        low, high = (self.values.min(), self.values.max()) if self.values.size else (0.0, 0.0)
+        if not (low >= 0.0 and high <= 1.0 + _RANGE_SLACK):
             raise OutOfRange("scores must lie in [0, 1]")
 
     __eq__ = _fields_equal
@@ -288,19 +290,12 @@ def check_consistency_args(
     return tau_fn
 
 
-def score_matrix(
-    dataset: "Dataset",
-    runs: Sequence["SystemRun"],
-    measure: MeasureId,
-    scored: Sequence[ScoreMatrix] = (),
-) -> ScoreMatrix:
+def score_matrix(dataset: "Dataset", runs: Sequence["SystemRun"], measure: MeasureId) -> ScoreMatrix:
     """Score every system on every case with one measure.
 
-    scored holds matrices already scored on the same runs; one with other
-    system or case ids is a MisalignedRun. A hybrid whose DNKT and partner
-    are among them is their harmonic mean, the same bits as scoring it.
-    Otherwise systems are scored a block of rows at a time, so temporaries
-    stay within SCORE_BLOCK elements whatever the number of systems.
+    Systems are scored a block of rows at a time, so temporaries stay within
+    SCORE_BLOCK elements whatever the number of systems. The ScoreMatrix
+    holds the grid this call fills, not a copy of it.
     """
     _check_measures((measure,))
     n_cases = len(dataset.case_ids)
@@ -309,28 +304,37 @@ def score_matrix(
             raise MisalignedRun(
                 f"system {run.system_id!r} has {len(run.est)} cases, dataset has {n_cases}"
             )
+    k = dataset.gold.shape[1]
+    pairwise = measure is MeasureId.DNKT or measure in HYBRID_PARTNERS
+    rows = max(1, SCORE_BLOCK // max(1, n_cases * k * (k if pairwise else 1)))
+    values = np.empty((len(runs), n_cases), dtype=np.float64)
+    for start in range(0, len(runs), rows):
+        block = np.stack([run.est for run in runs[start : start + rows]])
+        values[start : start + rows] = score_batch(measure, block, dataset.gold)
+    values.setflags(write=False)
     system_ids = tuple(run.system_id for run in runs)
-    case_ids = tuple(dataset.case_ids)
-    done = {}
-    for matrix in scored:
-        if matrix.system_ids != system_ids or matrix.case_ids != case_ids:
-            raise MisalignedRun(
-                f"the {matrix.measure.value} scores are for other systems or cases than the runs"
-            )
-        done[matrix.measure] = matrix.values
-    partner = HYBRID_PARTNERS.get(measure)
-    if MeasureId.DNKT in done and partner in done:
-        values = combine_harmonic_batch(done[MeasureId.DNKT], done[partner])
-    else:
-        gold = dataset.gold
-        k = gold.shape[1]
-        per_system = n_cases * k * (k if measure is MeasureId.DNKT or partner is not None else 1)
-        rows = max(1, SCORE_BLOCK // max(1, per_system))
-        values = np.empty((len(runs), n_cases), dtype=np.float64)
-        for start in range(0, len(runs), rows):
-            block = np.stack([run.est for run in runs[start : start + rows]])
-            values[start : start + rows] = score_batch(measure, block, gold)
-    return ScoreMatrix(values=values, system_ids=system_ids, case_ids=case_ids, measure=measure)
+    return ScoreMatrix(values, system_ids, tuple(dataset.case_ids), measure)
+
+
+def score_matrices(
+    dataset: "Dataset", runs: Sequence["SystemRun"], measures: Sequence[MeasureId]
+) -> tuple[ScoreMatrix, ...]:
+    """score_matrix for each measure, in list order, each scored once.
+
+    A hybrid whose DNKT and partner are both listed, in any order, is the
+    harmonic mean of their grids: the same bits as scoring it.
+    """
+    measures = tuple(measures)
+    _check_measures(measures)
+    listed = set(measures)
+    composed = {h: p for h, p in HYBRID_PARTNERS.items() if {h, p, MeasureId.DNKT} <= listed}
+    done = {m: score_matrix(dataset, runs, m) for m in measures if m not in composed}
+    for hybrid, partner in composed.items():
+        dnkt = done[MeasureId.DNKT]
+        values = combine_harmonic_batch(dnkt.values, done[partner].values)
+        values.setflags(write=False)
+        done[hybrid] = ScoreMatrix(values, dnkt.system_ids, dnkt.case_ids, hybrid)
+    return tuple(done[m] for m in measures)
 
 
 def mean_scores(matrix: ScoreMatrix) -> np.ndarray:
@@ -355,11 +359,7 @@ def agreement(
     if len(measures) < 2:
         raise TooFewMeasures(f"need at least 2 measures, got {len(measures)}")
     _check_fraction("confidence", confidence)
-    _check_measures(measures)
-    matrices: list[ScoreMatrix] = []
-    for measure in measures:
-        matrices.append(score_matrix(dataset, runs, measure, scored=matrices))
-    means = [mean_scores(matrix) for matrix in matrices]
+    means = [mean_scores(matrix) for matrix in score_matrices(dataset, runs, measures)]
     taus = tuple(tau_with_ci(x, y, confidence) for x, y in combinations(means, 2))
     return AgreementReport(measures=measures, taus=taus)
 
@@ -631,10 +631,7 @@ def split_half_consistency(
         raise TooFewSystems(f"need at least 2 systems, got {len(runs)}")
     check_consistency_args(B, seed, alpha, permutations, threads, tau_variant)
     mode.bounds(len(dataset.case_ids))
-    matrices: list[ScoreMatrix] = []
-    for measure in measures:
-        matrices.append(score_matrix(dataset, runs, measure, scored=matrices))
-    stacked = np.stack([matrix.values for matrix in matrices], axis=0)
+    stacked = np.stack([matrix.values for matrix in score_matrices(dataset, runs, measures)])
     per_trial = consistency_per_trial(stacked, mode, B, seed, threads, tau_variant)
     if len(measures) >= 2 and B >= 2:
         sig_idx = randomized_tukey_hsd(per_trial, alpha, permutations, seed, threads)

@@ -1,5 +1,6 @@
 """The shipped data/synth tree: regenerable, and the default report is frozen."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -108,6 +109,20 @@ def test_text_reports_match_golden_files(command, tmp_path, capsys, monkeypatch)
     assert sorted(got) == sorted(expected)
     for name in expected:
         assert got[name] == expected[name], name
+
+
+def test_score_json_matches_golden_digests(tmp_path, capsys):
+    # Every measure's full-precision scores, pinned by the SHA-256 of its
+    # JSON report; score.NMD.tsv and score.DNKT.tsv above keep only 6 decimals.
+    argv = ["score", "--include-rsnod", "--format", "json", "--output", str(tmp_path / "score.json")]
+    assert main(argv + ["--gold", str(DATA / "gold.tsv"), "--runs", str(DATA / "runs")]) == 0
+    capsys.readouterr()
+    lines = (GOLDEN.parent / "score_bundled.sha256").read_text(encoding="utf-8").splitlines()
+    expected = {name: digest for digest, name in (line.split("  ") for line in lines)}
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.glob("score.*.json")}
+    assert sorted(got) == sorted(expected) and len(got) == 13
+    wrong = [name.split(".")[1] for name in sorted(expected) if got[name] != expected[name]]
+    assert not wrong, f"scores changed for {', '.join(wrong)}"
 
 
 def test_agreement_triangle_on_bundled_runs(bundled):

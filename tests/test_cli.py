@@ -103,10 +103,10 @@ def test_score_output_per_measure_files(bench, tmp_path, capsys):
 
 
 def test_hybrid_before_its_parts_writes_the_same_scores(bench, tmp_path, capsys):
-    # The default suite combines DNKT_JSD from the DNKT and JSD grids scored
-    # before it; listed first, it is scored from the runs. The bytes agree.
+    # With DNKT and JSD listed, before or after it, DNKT_JSD is combined from
+    # their grids; without JSD it is scored from the runs. The bytes agree.
     written = {}
-    for measures in (None, "DNKT_JSD,DNKT,JSD"):
+    for measures in (None, "DNKT_JSD,DNKT,JSD", "DNKT_JSD,DNKT"):
         out_path = tmp_path / f"{measures}" / "scores.tsv"
         out_path.parent.mkdir()
         argv = ["score", "--gold", str(bench["gold"]), "--runs", str(bench["runs"])]
@@ -115,7 +115,7 @@ def test_hybrid_before_its_parts_writes_the_same_scores(bench, tmp_path, capsys)
         assert main([*argv, "--format", "tsv", "--output", str(out_path)]) == 0
         written[measures] = (tmp_path / f"{measures}" / "scores.DNKT_JSD.tsv").read_bytes()
     capsys.readouterr()
-    assert written[None] == written["DNKT_JSD,DNKT,JSD"]
+    assert written[None] == written["DNKT_JSD,DNKT,JSD"] == written["DNKT_JSD,DNKT"]
 
 
 def test_score_rejects_bad_run(perfect, tmp_path, capsys):
@@ -140,6 +140,24 @@ def test_missing_gold_is_io_error(tmp_path, capsys):
     run.write_text(GOLD, "utf-8")
     assert main(["score", "--gold", str(tmp_path / "nope.tsv"), "--runs", str(run)]) == 1
     assert "io error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stage", ["score_matrix", "consistency_per_trial", "randomized_tukey_hsd"])
+def test_out_of_memory_exits_two(bench, tmp_path, capsys, monkeypatch, stage):
+    # A failed allocation, say from a huge --B or --permutations, is a usage
+    # problem with one line of advice, not an internal error.
+    from quantdiv import meta_eval
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(meta_eval, stage, exhausted)
+    out = tmp_path / "r.json"
+    assert main(consistency_args(bench, out)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: out of memory")
+    assert captured.err.count("\n") == 1 and "internal error" not in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 def test_measure_list_parsing(perfect, capsys):

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -363,10 +364,29 @@ def test_write_dataset_probs_round_trip(tmp_path):
 
 
 def test_write_run_round_trip(tmp_path):
-    ds, runs = synth.generate(n_systems=2, n_cases=25, seed=3)
-    # repr round-trips floats exactly, so re-loading reproduces the run
-    back = load_run(write_run(runs[1], ds, tmp_path / "r.tsv"), ds, system_id=runs[1].system_id)
-    assert back == runs[1]
+    # repr writes each float exactly, but the loader divides every row by its
+    # math.fsum total t again. A row whose t is exactly 1.0 loads bit for bit.
+    # Any other loaded value q is one correctly rounded division of the
+    # written p, so |q - p| <= p * (|1 - t| + u) / t, with u = 2**-53. And
+    # |1 - t| <= 2u, since synth's rows are themselves one division by their
+    # math.fsum total (validate), whose own rounding is at most u.
+    u = Fraction(1, 2**53)
+    changed = 0
+    for seed in range(20):
+        ds, runs = synth.generate(n_systems=2, n_cases=25, seed=seed)
+        for run in runs:
+            back = load_run(write_run(run, ds, tmp_path / "r.tsv"), ds, system_id=run.system_id)
+            assert back.system_id == run.system_id and back.est.shape == run.est.shape
+            for p_row, q_row in zip(run.est, back.est):
+                t = Fraction(math.fsum(p_row.tolist()))
+                if t == 1:
+                    assert q_row.tobytes() == p_row.tobytes()
+                    continue
+                assert abs(1 - t) <= 2 * u
+                changed += q_row.tobytes() != p_row.tobytes()
+                for p, q in zip(map(Fraction, p_row.tolist()), map(Fraction, q_row.tolist())):
+                    assert abs(q - p) <= p * (abs(1 - t) + u) / t
+    assert changed  # some rows do move, so the bound is exercised
 
 
 # --- report serialization ---

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from _oracle import cumulative, gold_support
-from quantdiv.distributions import from_votes, validate
+from quantdiv.distributions import _frozen, from_votes, validate
 from quantdiv.errors import (
     AllZeroVotes,
     NegativeProbability,
@@ -56,6 +56,25 @@ def test_distribution_is_immutable():
         assert not d.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             d[0] = 1.0
+
+
+def test_frozen_keeps_an_owned_read_only_grid_and_copies_anything_else():
+    owned = np.array([[0.1, 0.2], [0.3, 0.4]])
+    owned.setflags(write=False)
+    assert _frozen(owned) is owned
+    writable = np.array([[0.1, 0.2], [0.3, 0.4]])
+    view = writable[::-1]
+    view.setflags(write=False)
+    # A writable array, a read-only view of one, another dtype and a list
+    # are each copied, so a later write to the source leaves the copy as it was.
+    for source in (writable, view, owned.astype(np.float32), owned.tolist()):
+        out = _frozen(source)
+        assert out is not source and out.base is None
+        assert out.dtype == np.float64 and not out.flags.writeable
+        assert np.array_equal(out, np.asarray(source, dtype=np.float64))
+    before = _frozen(view)
+    writable[0, 0] = 0.9
+    assert view[1, 0] == 0.9 and before[1, 0] == 0.1
 
 
 def test_from_votes_unanimous():

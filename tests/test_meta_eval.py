@@ -17,7 +17,7 @@ from quantdiv.errors import (
     TooFewSystems,
     TooFewTrials,
 )
-from quantdiv.measures import HYBRID_PARTNERS, MeasureId, score_batch
+from quantdiv.measures import ALL_MEASURES, HYBRID_PARTNERS, MeasureId, score_batch
 from quantdiv.rank_correlation import tau_b, tau_plain, tau_with_ci
 from quantdiv.meta_eval import (
     AgreementReport,
@@ -31,6 +31,7 @@ from quantdiv.meta_eval import (
     mean_scores,
     parse_subset_mode,
     randomized_tukey_hsd,
+    score_matrices,
     score_matrix,
     split_half_consistency,
 )
@@ -163,57 +164,88 @@ def test_score_matrix_rejects_bad_values():
         score_matrix(ds, [perfect], "NMD")
 
 
+def _count_scoring(monkeypatch) -> list[MeasureId]:
+    """Record each measure score_matrix is called for, through the module global."""
+    called = []
+    real = meta_eval.score_matrix
+
+    def counting(dataset, runs, measure):
+        called.append(measure)
+        return real(dataset, runs, measure)
+
+    monkeypatch.setattr(meta_eval, "score_matrix", counting)
+    return called
+
+
+@pytest.mark.parametrize("order", ["listed", "reversed"])
+def test_score_matrices_equal_score_batch_on_the_stacked_runs(monkeypatch, order):
+    ds, runs = synth.generate(n_systems=5, n_cases=40, n_classes=11, seed=12)
+    stacked = np.stack([run.est for run in runs])
+    measures = list(ALL_MEASURES) if order == "listed" else list(reversed(ALL_MEASURES))
+    called = _count_scoring(monkeypatch)
+    matrices = score_matrices(ds, runs, measures)
+    assert [matrix.measure for matrix in matrices] == measures
+    for matrix in matrices:
+        assert matrix.system_ids == tuple(run.system_id for run in runs)
+        assert matrix.case_ids == ds.case_ids
+        assert np.array_equal(matrix.values, score_batch(matrix.measure, stacked, ds.gold))
+    # Every non-hybrid is scored once, in list order; no hybrid is scored,
+    # since DNKT and every partner are listed.
+    assert called == [m for m in measures if m not in HYBRID_PARTNERS]
+
+
 @pytest.mark.parametrize("hybrid", list(HYBRID_PARTNERS))
 def test_hybrid_from_scored_parts_equals_scoring_it(monkeypatch, hybrid):
     ds, runs = synth.generate(n_systems=5, n_cases=40, n_classes=11, seed=12)
-    fresh = score_matrix(ds, runs, hybrid)
     batch = score_batch(hybrid, np.stack([run.est for run in runs]), ds.gold)
-    # DNKT alone is not enough to combine: the hybrid is scored from the runs.
-    dnkt = score_matrix(ds, runs, MeasureId.DNKT)
-    assert np.array_equal(score_matrix(ds, runs, hybrid, scored=[dnkt]).values, batch)
-    scored = [score_matrix(ds, runs, HYBRID_PARTNERS[hybrid]), dnkt]
+    partner = HYBRID_PARTNERS[hybrid]
+    called = _count_scoring(monkeypatch)
+    # Listed before, between or after its parts, the hybrid is composed from them.
+    for measures in ([hybrid, MeasureId.DNKT, partner], [partner, hybrid, MeasureId.DNKT]):
+        called.clear()
+        matrices = score_matrices(ds, runs, measures)
+        assert [matrix.measure for matrix in matrices] == measures
+        assert np.array_equal(matrices[measures.index(hybrid)].values, batch)
+        assert called == [m for m in measures if m is not hybrid]
+    # Without its partner, or without DNKT, the hybrid is scored from the runs.
+    for part in (MeasureId.DNKT, partner):
+        called.clear()
+        matrix, _ = score_matrices(ds, runs, [hybrid, part])
+        assert np.array_equal(matrix.values, batch)
+        assert called == [hybrid, part]
 
-    def no_scoring(*args):
-        raise AssertionError("scored a hybrid whose parts were given")
 
-    monkeypatch.setattr(meta_eval, "score_batch", no_scoring)
-    reused = score_matrix(ds, runs, hybrid, scored=scored)
-    assert reused.measure is hybrid
-    assert np.array_equal(reused.values, fresh.values)
-    assert np.array_equal(fresh.values, batch)
-
-
-def test_score_matrix_rejects_scored_matrices_of_other_runs():
-    ds, runs = synth.generate(n_systems=4, n_cases=10, seed=13)
-    dnkt = score_matrix(ds, runs, MeasureId.DNKT)
-    jsd = score_matrix(ds, runs, MeasureId.JSD)
-    others = (
-        score_matrix(ds, runs[:3], MeasureId.JSD),
-        ScoreMatrix(jsd.values[::-1], jsd.system_ids[::-1], jsd.case_ids, MeasureId.JSD),
-        ScoreMatrix(jsd.values, jsd.system_ids, tuple(f"z{c}" for c in jsd.case_ids), MeasureId.JSD),
-    )
-    for other in others:
-        for measure in (MeasureId.DNKT_JSD, MeasureId.NMD):
-            with pytest.raises(MisalignedRun, match="the JSD scores are for other systems or cases"):
-                score_matrix(ds, runs, measure, scored=[dnkt, other])
+def test_score_matrices_checks_the_measures_before_scoring(monkeypatch):
+    ds, runs = synth.generate(n_systems=3, n_cases=10, seed=13)
+    called = _count_scoring(monkeypatch)
+    with pytest.raises(OutOfRange, match="measure DNKT is listed twice"):
+        score_matrices(ds, runs, [MeasureId.DNKT, MeasureId.JSD, MeasureId.DNKT])
+    with pytest.raises(OutOfRange, match="measure 'JSD' is not a MeasureId"):
+        score_matrices(ds, runs, [MeasureId.DNKT, "JSD"])
+    assert called == []
+    assert score_matrices(ds, runs, []) == ()
 
 
 @pytest.mark.parametrize("measure", [MeasureId.DNKT, MeasureId.RNOD])
 def test_score_matrix_memory_is_flat_in_the_number_of_systems(measure):
     # 250 cases and 11 classes, the score-wide workload's shape. Beyond the
-    # output grid and its frozen copy, the peak stays within a few blocks of
-    # temporaries, for 32 systems as for 256.
+    # output grid, which the ScoreMatrix holds without a copy, the peak is a
+    # block of temporaries plus the run list and ids: it must not grow with
+    # the grid from 32 systems to 1024, where a second grid would add 1.9 MB.
     ds, runs = synth.generate(n_systems=32, n_cases=250, n_classes=11, seed=14)
-    runs = [SystemRun(f"s{i}", runs[i % 32].est) for i in range(256)]
-    for n_systems in (32, 256):
+    runs = [SystemRun(f"s{i}", runs[i % 32].est) for i in range(1024)]
+    above_grid = {}
+    for n_systems in (32, 1024):
         tracemalloc.start()
         try:
             score_matrix(ds, runs[:n_systems], measure)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        grid_bytes = n_systems * 250 * 8
-        assert peak < 2 * grid_bytes + 8 * meta_eval.SCORE_BLOCK * 8, (n_systems, peak)
+        above_grid[n_systems] = peak - n_systems * 250 * 8
+    assert above_grid[32] < 8 * meta_eval.SCORE_BLOCK * 8, above_grid
+    # 16 bytes a system pays for the two pointers of its id and run slice.
+    assert above_grid[1024] <= above_grid[32] + 16 * (1024 - 32), above_grid
 
 
 def test_mean_scores():
