@@ -3,15 +3,15 @@
 Table files are UTF-8 TSV with a header row `case_id<TAB><label>...` and one
 row per case. An optional directive line `#mode: counts` or `#mode: probs`
 before the header says whether rows hold raw vote counts or probabilities
-(default probs). A probs table is parsed and normalised whole: a float per
-cell, math.fsum per row, one numpy division. When that path refuses a table,
-the row loop re-reads it, so the error names the first bad row. The row loop
-is one routine for both modes: a cell parser, its noun and a row check (the
-checks of from_votes() or validate()). Each table is stored as one read-only
-(cases, K) float64 array. Every error in a table's content begins with the
-table's path. An error in a row goes on with `line N: ` and carries N as
-.line; a row that fails its check goes on with `line N: case '<id>': `.
-OS-level failures are not wrapped; OSError propagates.
+(default probs). One reader serves both modes in one pass over the lines:
+each row becomes floats as it is read (a probs row its float() cells, a
+counts row its exact vote shares) and keeps its math.fsum total; the table
+is then checked and divided by its totals at once, and stored as one
+read-only (cases, K) float64 array. Every error in a table's content begins
+with the table's path. An error in a row goes on with `line N: ` and carries
+N as .line; a row that fails its check (from_votes()'s or validate()'s)
+goes on with `line N: case '<id>': `. The first bad row in file order is
+the one named. OS-level failures are not wrapped; OSError propagates.
 
 Score tables are rendered a whole row at a time, with one %-format per row.
 """
@@ -35,6 +35,7 @@ from .distributions import (
     _frozen,
     _normalized,
     _vote_shares,
+    from_votes,
 )
 from .errors import (
     DuplicateCaseId,
@@ -121,24 +122,41 @@ def _read_text(path) -> str:
         raise ParseError(f"not UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})", line) from None
 
 
-def _parse_table(path) -> tuple[str, tuple[str, ...], list[tuple[int, str, list[str]]]]:
+def _divided(rows: list, totals: list, cases: dict) -> np.ndarray:
+    """The rows divided by their totals, checked at once by _normalized's rule; the
+    first row that fails goes through _normalized itself, which words its error."""
+    a, t = np.array(rows), np.array(totals)
+    # NaN fails >= 0; axis=-1 also takes an empty list of rows, which passes
+    ok = (a >= 0).all(axis=-1) & (np.abs(t - 1.0) <= SUM_TOLERANCE)
+    if not ok.all():
+        i = int(ok.argmin())
+        case_id, ln = list(cases.items())[i]
+        try:
+            _normalized(rows[i])
+        except ValidationError as exc:
+            raise type(exc)(f"case {case_id!r}: {exc}", ln) from exc
+    return a / t[:, None]
+
+
+def _read_table(path) -> tuple[tuple[str, ...], dict[str, int], np.ndarray, tuple | None]:
+    """(class labels, each case id's line, values, a counts table's votes or None), in one pass.
+
+    A row the loop refuses is named once the rows before it pass the check.
+    """
     text = _read_text(path)
-    mode = "probs"
-    labels: tuple[str, ...] | None = None
-    rows: list[tuple[int, str, list[str]]] = []
-    seen: dict[str, int] = {}
+    mode, labels = "probs", None
+    cases: dict[str, int] = {}
+    rows, totals, votes = [], [], []
     for ln, line in enumerate(_lines(text), start=1):
         if not line.strip():
             continue
         if labels is None and line.startswith("#"):
             body = line[1:].strip()
-            if body.lower().startswith("mode:"):
-                value = body[5:].strip()
-                if value not in ("counts", "probs"):
-                    raise ParseError(f"unknown mode {value!r}", ln)
-                mode = value
-            else:
+            if not body.lower().startswith("mode:"):
                 raise ParseError(f"unknown directive {line!r}", ln)
+            mode = body[5:].strip()
+            if mode not in ("counts", "probs"):
+                raise ParseError(f"unknown mode {mode!r}", ln)
             continue
         cells = line.split("\t")
         if labels is None:
@@ -149,73 +167,49 @@ def _parse_table(path) -> tuple[str, tuple[str, ...], list[tuple[int, str, list[
                 raise ParseError("header needs at least 2 class columns", ln)
             if len(set(labels)) != len(labels):
                 raise ParseError("duplicate class labels in header", ln)
+            parse, noun = (int, "vote count") if mode == "counts" else (float, "probability")
             continue
-        if len(cells) != 1 + len(labels):
-            raise InconsistentClassCount(
-                f"row has {len(cells) - 1} values but header has {len(labels)} classes", ln
-            )
         case_id = cells[0].strip()
-        if not case_id:
-            raise ParseError("empty case id", ln)
-        if case_id in seen:
-            raise DuplicateCaseId(
-                f"case {case_id!r} repeated (first seen at line {seen[case_id]})", ln
-            )
-        seen[case_id] = ln
-        rows.append((ln, case_id, cells[1:]))
+        try:
+            if len(cells) != 1 + len(labels):
+                raise InconsistentClassCount(
+                    f"row has {len(cells) - 1} values but header has {len(labels)} classes", ln
+                )
+            if not case_id:
+                raise ParseError("empty case id", ln)
+            if case_id in cases:
+                raise DuplicateCaseId(
+                    f"case {case_id!r} repeated (first seen at line {cases[case_id]})", ln
+                )
+            del cells[0]
+            try:
+                row = list(map(parse, cells))
+            except ValueError:
+                for cell in cells:  # name the first cell that does not parse
+                    try:
+                        parse(cell)
+                    except ValueError:
+                        raise ParseError(f"bad {noun} {cell!r}", ln) from None
+            if mode == "counts":
+                votes.append(tuple(row))
+                try:
+                    row = _vote_shares(row)
+                except ValidationError as exc:
+                    raise type(exc)(f"case {case_id!r}: {exc}", ln) from exc
+        except ValidationError:
+            _divided(rows, totals, cases)  # an earlier bad row is named first
+            raise
+        try:
+            totals.append(math.fsum(row))
+        except (ValueError, OverflowError):  # inf - inf, or a sum beyond the float range
+            totals.append(math.inf)  # the check then refuses the row and _normalized words it
+        rows.append(row)
+        cases[case_id] = ln
     if labels is None:
         raise ParseError("missing header row")
     if not rows:
         raise ParseError("no data rows")
-    return mode, labels, rows
-
-
-# Each table mode's (cell parser, its noun in errors, row check).
-_ROW_READERS = {
-    "counts": (int, "vote count", _vote_shares),
-    "probs": (float, "probability", _normalized),
-}
-
-
-def _row_values(parse, noun: str, check, case_id: str, ln: int, cells: list[str]):
-    """(the checked row, its parsed cells); errors name the line, a failed check also the case."""
-    parsed = []
-    for cell in cells:
-        try:
-            parsed.append(parse(cell))
-        except ValueError:
-            raise ParseError(f"bad {noun} {cell!r}", ln) from None
-    try:
-        return check(parsed), parsed
-    except ValidationError as exc:
-        raise type(exc)(f"case {case_id!r}: {exc}", ln) from exc
-
-
-def _probs_array(rows) -> np.ndarray | None:
-    """A probs table's rows normalised whole, or None where the row loop would reject one.
-
-    The same float() per cell, math.fsum per row and IEEE division as
-    _normalized, so the values are the row loop's bit for bit.
-    """
-    try:
-        parsed = [list(map(float, cells)) for _, _, cells in rows]
-        totals = [math.fsum(row) for row in parsed]
-    except (ValueError, OverflowError):
-        return None
-    a, totals = np.array(parsed), np.array(totals)
-    if not ((a >= 0).all() and (np.abs(totals - 1.0) <= SUM_TOLERANCE).all()):  # NaN fails >= 0
-        return None
-    return a / totals[:, None]
-
-
-def _table_values(mode: str, rows) -> tuple[np.ndarray, tuple | None]:
-    """(values in file order, a counts table's votes or None); errors name the first bad row."""
-    fast = _probs_array(rows) if mode == "probs" else None
-    if fast is not None:
-        return fast, None
-    read = _ROW_READERS[mode]
-    values, cells = zip(*(_row_values(*read, case_id, ln, cells) for ln, case_id, cells in rows))
-    return np.array(values), tuple(map(tuple, cells)) if mode == "counts" else None
+    return labels, cases, _divided(rows, totals, cases), tuple(votes) if mode == "counts" else None
 
 
 @contextmanager
@@ -231,20 +225,14 @@ def _errors_name(path):
 def load_gold(path) -> Dataset:
     """Read the gold table; counts rows are converted to distributions."""
     with _errors_name(path):
-        mode, labels, rows = _parse_table(path)
-        gold, votes = _table_values(mode, rows)
-    return Dataset(
-        case_ids=tuple(cid for _, cid, _ in rows),
-        class_labels=labels,
-        gold=gold,
-        votes=votes,
-    )
+        labels, cases, gold, votes = _read_table(path)
+    return Dataset(case_ids=tuple(cases), class_labels=labels, gold=gold, votes=votes)
 
 
 def load_run(path, dataset: Dataset, system_id: str | None = None) -> SystemRun:
     """Read one system's table and align its cases with the dataset order."""
     with _errors_name(path):
-        mode, labels, rows = _parse_table(path)
+        labels, cases, values, _ = _read_table(path)
         if len(labels) != len(dataset.class_labels):
             raise InconsistentClassCount(
                 f"run has {len(labels)} classes, dataset has {len(dataset.class_labels)}"
@@ -253,8 +241,7 @@ def load_run(path, dataset: Dataset, system_id: str | None = None) -> SystemRun:
             raise InconsistentClassCount(
                 f"run class labels {labels!r} differ from dataset's {dataset.class_labels!r}"
             )
-        values, _ = _table_values(mode, rows)
-        position = {case_id: i for i, (_, case_id, _) in enumerate(rows)}
+        position = {case_id: i for i, case_id in enumerate(cases)}
         missing = [cid for cid in dataset.case_ids if cid not in position]
         if missing:
             raise MissingCase(f"run lacks {len(missing)} dataset case(s), e.g. {missing[0]!r}")
@@ -296,7 +283,7 @@ def write_dataset(dataset: Dataset, path) -> Path:
     if dataset.votes is not None:
         for case_id, votes, gold in zip(dataset.case_ids, dataset.votes, dataset.gold):
             try:
-                same = np.array(_vote_shares(votes)).tobytes() == gold.tobytes()
+                same = from_votes(votes).tobytes() == gold.tobytes()
             except ValidationError:  # votes that give no shares, such as all zeros
                 same = False
             if not same:
@@ -483,7 +470,7 @@ def _check_written_form(doc: dict, written: dict) -> None:
     """A document must be the one the writer writes for its report, tool_version apart.
 
     Objects in both documents are compared key by key, so the first differing
-    'section.key' is named; values compare as parsed JSON.
+    'section.key' is named; values compare as _same compares them.
     """
     for key in {**written, **doc}:
         stored, derived = doc.get(key, _ABSENT), written.get(key, _ABSENT)
@@ -495,8 +482,17 @@ def _check_written_form(doc: dict, written: dict) -> None:
         else:
             entries = [(key, stored, derived)]
         for name, value, wanted in entries:
-            if name != "meta.tool_version" and value != wanted:
+            if name != "meta.tool_version" and not _same(value, wanted):
                 raise ParseError(f"report key '{_cut(name)}' is {_difference(value, wanted)}")
+
+
+def _same(value, wanted) -> bool:
+    """Equality of parsed JSON in which a bool equals only a bool: 1 == 1.0, but not true."""
+    if isinstance(value, list) and isinstance(wanted, list):
+        return len(value) == len(wanted) and all(map(_same, value, wanted))
+    if isinstance(value, dict) and isinstance(wanted, dict):
+        return value.keys() == wanted.keys() and all(_same(value[k], wanted[k]) for k in value)
+    return isinstance(value, bool) == isinstance(wanted, bool) and value == wanted
 
 
 QUOTE_LIMIT = 120  # characters of a key name or a value's repr that an error message quotes
@@ -518,7 +514,7 @@ def _difference(value, wanted) -> str:
     """'<value>, the data give <wanted>'; two lists are quoted at their first difference."""
     if isinstance(value, list) and isinstance(wanted, list):
         for i, (item, wanted_item) in enumerate(zip(value, wanted)):
-            if item != wanted_item:
+            if not _same(item, wanted_item):
                 item, wanted_item = _quote(item), _quote(wanted_item)
                 return f"a list whose item {i} is {item}, the data give {wanted_item}"
         return f"a list of length {len(value)}, the data give {len(wanted)}"

@@ -4,8 +4,9 @@ Classes are indexed 1..K in rank order (e.g. worst to best). A distribution
 is a float64 array whose last axis is the classes: one pair is two (K,)
 arrays, a table of cases is one (cases, K) array. validate() and
 from_votes() check one row and return it as a read-only (K,) array, so
-downstream code can assume a clean simplex point; the table loader checks
-each row the same way.
+downstream code can assume a clean simplex point. The table loader reads a
+row as the same floats (its cells or its _vote_shares) and checks the whole
+table by _normalized's rule at once.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ def _normalized(probs: list[float]) -> list[float]:
 
 
 def _vote_shares(counts: Sequence[int]) -> list[float]:
-    """Vote counts checked as from_votes() documents, as normalized shares."""
+    """Vote counts checked as from_votes() documents, each divided by their exact total."""
     if len(counts) < 2:
         raise TooFewClasses(f"need at least 2 classes, got {len(counts)}")
     for i, c in enumerate(counts, start=1):
@@ -85,7 +86,7 @@ def _vote_shares(counts: Sequence[int]) -> list[float]:
     total = sum(counts)
     if total == 0:
         raise AllZeroVotes("all vote counts are zero")
-    return _normalized([float(c / total) for c in counts])
+    return [float(c / total) for c in counts]
 
 
 def validate(raw: Iterable[float]) -> np.ndarray:
@@ -99,4 +100,4 @@ def validate(raw: Iterable[float]) -> np.ndarray:
 
 def from_votes(counts: Sequence[int]) -> np.ndarray:
     """Turn per-class vote counts (non-negative integers) into a read-only (K,) array."""
-    return _frozen(_vote_shares(tuple(counts)))
+    return _frozen(_normalized(_vote_shares(tuple(counts))))

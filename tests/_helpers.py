@@ -22,7 +22,7 @@ def random_distribution(rng: np.random.Generator, k: int, zero_rate: float = 0.2
     mask = rng.random(k) < zero_rate
     if mask.all():
         mask[int(rng.integers(k))] = False
-    raw = np.where(mask, 0.0, raw)
+    raw[mask] = 0.0
     return validate(raw / raw.sum())
 
 

@@ -23,6 +23,7 @@ from quantdiv.measures import (
     combine_harmonic,
     od,
     score,
+    score_batch,
 )
 from quantdiv.meta_eval import (
     FullSplit,
@@ -217,13 +218,20 @@ def test_c5_identity_is_zero():
 
 def test_c5_range_bounds():
     rng = np.random.default_rng(56)
-    lo, hi = np.inf, -np.inf
-    for _ in range(10000):
-        p, q = random_pair(rng)
-        for m in ALL_MEASURES:
-            v = score(m, p, q)
-            lo = min(lo, v)
-            hi = max(hi, v)
+    pairs = [random_pair(rng) for _ in range(10000)]
+    # One score_batch call per (measure, K): the pairs of one K stacked.
+    by_k = {}
+    for i, (p, _) in enumerate(pairs):
+        by_k.setdefault(len(p), []).append(i)
+    values = np.empty((len(ALL_MEASURES), len(pairs)))
+    for rows in by_k.values():
+        est, gold = np.array([pairs[i] for i in rows]).transpose(1, 0, 2)
+        for j, m in enumerate(ALL_MEASURES):
+            values[j, rows] = score_batch(m, est, gold)
+    # The batch is the per-pair call, checked on the first 100 pairs.
+    for j, m in enumerate(ALL_MEASURES):
+        assert [score(m, p, q) for p, q in pairs[:100]] == values[j, :100].tolist(), m
+    lo, hi = values.min(), values.max()
     ok = lo >= 0.0 and hi <= 1.0 + 1e-12
     note(f"C5 range: all 13 measures within [{lo:.3e}, {hi:.6f}] over 10000 pairs", ok)
     assert ok

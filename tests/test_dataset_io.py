@@ -127,14 +127,41 @@ def test_load_gold_skips_blank_lines(tmp_path):
         ("case_id\ta\tb\nq1\t0.5\t0.5\nq2\t-0.5\t1.5\n", NegativeProbability, "case 'q2': class 1"),
         # math.fsum raises ValueError on inf + -inf; the row's checks come first.
         ("case_id\ta\tb\nq1\tinf\t-inf\n", NegativeProbability, "case 'q1': class 2 has probability -inf"),
+        # Counts: a row the count checks refuse before a cell that does not
+        # parse, and the other way round.
+        (
+            "#mode: counts\ncase_id\ta\tb\nq1\t0\t0\nq2\t1\t1\nq3\t1\tx\n",
+            AllZeroVotes,
+            "line 3: case 'q1': all vote counts are zero",
+        ),
+        (
+            "#mode: counts\ncase_id\ta\tb\nq1\t1\tx\nq2\t-1\t3\n",
+            ParseError,
+            "line 3: bad vote count 'x'",
+        ),
+        # A row that only the check of the whole table refuses, after a row
+        # that parses and before a repeated case id.
+        (
+            "case_id\ta\tb\nq1\t0.5\t0.5\nq2\t0.5\t0.6\nq1\t0.5\t0.5\n",
+            NotNormalized,
+            "line 3: case 'q2': probabilities sum to 1.1",
+        ),
+        # The last row is the only bad one: the end-of-table check names it.
+        (
+            "case_id\ta\tb\n" + "".join(f"q{i}\t0.5\t0.5\n" for i in range(50)) + "q50\t0.5\t-0.5\n",
+            NegativeProbability,
+            "line 52: case 'q50': class 2 has probability -0.5",
+        ),
     ],
 )
 def test_parse_errors(tmp_path, text, exc, fragment):
     path = write(tmp_path, "bad.tsv", text)
-    with pytest.raises(exc) as err:
-        load_gold(path)
-    assert fragment in str(err.value)
-    assert str(err.value).startswith(f"{path}: ")
+    gold = Dataset(("q1",), ("a", "b"), gold=[[0.5, 0.5]])
+    for load in (load_gold, lambda table: load_run(table, gold)):
+        with pytest.raises(exc) as err:
+            load(path)
+        assert fragment in str(err.value)
+        assert str(err.value).startswith(f"{path}: ")
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
@@ -744,6 +771,28 @@ def test_read_report_bounds_the_per_trial_taus(tmp_path, reports):
         edited["payload"]["mean_tau"][0] = mean
         with pytest.raises(ParseError, match=r"per-trial taus must be numbers in \[-1, 1\]"):
             read_report(write(tmp_path, "r.json", json.dumps(edited)))
+
+
+def test_read_report_takes_no_bool_for_a_number(tmp_path, reports):
+    # Python's == makes true equal 1 and 1.0; the writer never writes a bool.
+    doc = json.loads(render_report(reports[0], "json"))
+    doc["payload"].update(system_ids=["s"], case_ids=["a", "b"], values=[[True, False]])
+    with pytest.raises(
+        ParseError,
+        match=r"^report key 'payload.values' is a list whose item 0 is \[True, False\], "
+        r"the data give \[1.0, 0.0\]$",
+    ):
+        read_report(write(tmp_path, "r.json", json.dumps(doc)))
+    doc["payload"]["values"] = [[1, 0]]  # an int still equals its float
+    assert read_report(write(tmp_path, "r.json", json.dumps(doc))).values.tolist() == [[1.0, 0.0]]
+    # A one-trial consistency report whose meta.B is true.
+    ds, runs = synth.generate(n_systems=4, n_cases=12, seed=2)
+    one = split_half_consistency(ds, runs, [MeasureId.NMD, MeasureId.NVD], B=1, seed=0, permutations=20)
+    doc = json.loads(render_report(one, "json"))
+    assert read_report(write(tmp_path, "c.json", json.dumps(doc))) == one
+    doc["meta"]["B"] = True
+    with pytest.raises(ParseError, match=r"^report key 'meta.B' is True, the data give 1$"):
+        read_report(write(tmp_path, "c.json", json.dumps(doc)))
 
 
 def test_read_report_quotes_lists_at_their_first_difference(tmp_path, reports):

@@ -4,7 +4,8 @@ Each mutation edits one random node of a report document: it deletes a key or
 an element, gives a value another JSON type, truncates, extends, duplicates
 within or reorders a list, or adds a key. read_report must then raise
 ParseError, or load a report that renders back to the mutated document, apart
-from meta.tool_version.
+from meta.tool_version. The two documents compare as parsed JSON, except that
+a bool equals only a bool: true is not the number 1.
 """
 
 import json
@@ -96,6 +97,15 @@ def _without_version(doc: dict) -> dict:
     return doc
 
 
+def _bools_tagged(value):
+    """value with each bool wrapped in a tuple, so == tells true from 1 and 1.0."""
+    if isinstance(value, dict):
+        return {key: _bools_tagged(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_bools_tagged(item) for item in value]
+    return ("bool", value) if isinstance(value, bool) else value
+
+
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_mutated_reports_raise_parse_error_or_read_back_unchanged(command, tmp_path, monkeypatch):
     monkeypatch.delenv("QUANTDIV_SEED", raising=False)
@@ -120,7 +130,7 @@ def test_mutated_reports_raise_parse_error_or_read_back_unchanged(command, tmp_p
             pytest.fail(f"{edit}: {type(exc).__name__}: {exc}")
         loaded += 1
         back = json.loads(render_report(report, "json"))
-        assert _without_version(back) == _without_version(doc), edit
+        assert _bools_tagged(_without_version(back)) == _bools_tagged(_without_version(doc)), edit
     # Some edits leave the document as written (a one-element list reordered,
     # tool_version changed); most must be rejected.
     assert 0 < loaded < MUTATIONS // 4
