@@ -14,16 +14,20 @@ goes on with `line N: case '<id>': `. The first bad row in file order is
 the one named. OS-level failures are not wrapped; OSError propagates.
 
 Score tables are rendered a whole row at a time, with one %-format per row.
+A JSON report's grid is written a row at a time, JSON_CHUNK values at a
+time, in the bytes json.dumps(indent=2) gives the whole document.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import re
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -307,7 +311,8 @@ def _meta(seed=None, B=None, mode=None, alpha=None) -> dict:
     return {"seed": seed, "B": B, "mode": mode, "alpha": alpha, "tool_version": __version__}
 
 
-def _json_doc(report) -> dict:
+def _json_doc(report, grid=np.ndarray.tolist) -> dict:
+    """The JSON document of a report; its grid of values, if it has one, is grid(array)."""
     if isinstance(report, ScoreMatrix):
         return {
             "kind": "score_matrix",
@@ -315,7 +320,7 @@ def _json_doc(report) -> dict:
             "payload": {
                 "system_ids": list(report.system_ids),
                 "case_ids": list(report.case_ids),
-                "values": report.values.tolist(),
+                "values": grid(report.values),
             },
             "meta": _meta(),
         }
@@ -336,7 +341,7 @@ def _json_doc(report) -> dict:
             "measures": [m.value for m in report.measures],
             "payload": {
                 "mean_tau": list(report.mean_tau),
-                "per_trial_tau": report.per_trial_tau.tolist(),
+                "per_trial_tau": grid(report.per_trial_tau),
                 "significant_pairs": [[w.value, l.value] for w, l in report.significant_pairs],
                 "permutations": report.permutations,
                 "tau_variant": report.tau_variant,
@@ -349,6 +354,52 @@ def _json_doc(report) -> dict:
             ),
         }
     raise OutOfRange(f"cannot serialize {type(report).__name__}")
+
+
+JSON_CHUNK = 2048  # grid values joined into one string; the writer peaks near 0.3 MB
+
+# The line of the grid's key when {} stands for the grid. No other object in
+# a report is empty, and no JSON string holds a raw newline or an unescaped
+# quote, so no id can make this line: only the grid's key starts it.
+_GRID_KEY_LINE = re.compile(r'^( *)("[^"\\\n]*": )\{\}', re.MULTILINE)
+
+
+def _json_chunks(report) -> Iterator[str]:
+    """The text of json.dumps(_json_doc(report), indent=2) + "\\n", in pieces.
+
+    The grid goes out a row at a time and JSON_CHUNK values at a time, each
+    value written as json writes a finite float (float.__repr__); a report's
+    checks keep every grid value finite. An unknown report kind raises here,
+    before the first piece is asked for.
+    """
+    grids = []
+
+    def hold(grid: np.ndarray) -> dict:
+        grids.append(grid)
+        return {}
+
+    text = json.dumps(_json_doc(report, grid=hold), indent=2) + "\n"
+    if not grids:
+        return iter((text,))
+    head, indent, key, tail = _GRID_KEY_LINE.split(text)
+    return itertools.chain((head + indent + key,), _json_list(grids[0], indent), (tail,))
+
+
+def _json_list(values: np.ndarray, indent: str) -> Iterator[str]:
+    """values.tolist() as json.dumps(indent=2) writes it on a line that starts with indent."""
+    if not len(values):
+        yield "[]"
+        return
+    sep = ",\n" + indent + "  "
+    if values.ndim == 1:
+        for start in range(0, len(values), JSON_CHUNK):
+            chunk = values[start : start + JSON_CHUNK].tolist()
+            yield (sep if start else "[" + sep[1:]) + sep.join(map(float.__repr__, chunk))
+    else:
+        for i, row in enumerate(values):
+            yield sep if i else "[" + sep[1:]
+            yield from _json_list(row, indent + "  ")
+    yield "\n" + indent + "]"
 
 
 def _render_scores(report: ScoreMatrix, fmt: str) -> str:
@@ -404,7 +455,7 @@ def render_report(report, fmt: str) -> str:
     if fmt not in FORMATS:
         raise OutOfRange(f"unknown format {fmt!r}; expected one of {FORMATS}")
     if fmt == "json":
-        return json.dumps(_json_doc(report), indent=2) + "\n"
+        return "".join(_json_chunks(report))
     if isinstance(report, ScoreMatrix):
         return _render_scores(report, fmt)
     if isinstance(report, AgreementReport):
@@ -415,8 +466,11 @@ def render_report(report, fmt: str) -> str:
 
 
 def write_report(report, fmt: str, path) -> Path:
+    """Write a report to path; a bad format or report kind raises before the file is opened."""
     path = Path(path)
-    path.write_text(render_report(report, fmt), encoding="utf-8")
+    chunks = _json_chunks(report) if fmt == "json" else (render_report(report, fmt),)
+    with path.open("w", encoding="utf-8") as out:
+        out.writelines(chunks)
     return path
 
 

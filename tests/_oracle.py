@@ -8,12 +8,14 @@ is meaningful. Each function takes its distributions as (K,) arrays and
 does its arithmetic on the Python floats of .tolist(). DNKT counts pairs
 with _helpers.naive_tau_b rather than the library's pair kernel. It also
 computes the split-half trials' subset means as the means of gathered
-subsets, the reference for the running sums of the library's trials.
-Nothing in the package imports this module.
+subsets, the reference for the running sums of the library's trials, and a
+JSON report's text as one json.dumps of the whole document, the reference
+for the library's chunked writer. Nothing in the package imports this module.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -21,6 +23,7 @@ from typing import Callable
 import numpy as np
 
 from _helpers import naive_tau_b
+from quantdiv.dataset_io import _json_doc
 from quantdiv.errors import LengthMismatch, OutOfRange, ValidationError
 from quantdiv.measures import BIN_TIE_EPS, DistanceScheme, MeasureId
 from quantdiv.rank_correlation import tau_b, tau_plain
@@ -246,3 +249,8 @@ def consistency_per_trial(
     )
     tau = {"b": tau_b, "plain": tau_plain}[tau_variant]
     return tau(first, second).T
+
+
+def json_report(report) -> str:
+    """A report's JSON text in one json.dumps; the reference for dataset_io's chunked writer."""
+    return json.dumps(_json_doc(report), indent=2) + "\n"

@@ -125,6 +125,20 @@ def test_score_json_matches_golden_digests(tmp_path, capsys):
     assert not wrong, f"scores changed for {', '.join(wrong)}"
 
 
+def test_consistency_json_matches_golden_digest(tmp_path, capsys, monkeypatch):
+    # The full-precision per-trial taus of the golden consistency run, pinned
+    # by the SHA-256 of its JSON report; consistency.tsv keeps only the means.
+    monkeypatch.delenv("QUANTDIV_SEED", raising=False)
+    out = tmp_path / "consistency.json"
+    argv = GOLDEN_COMMANDS["consistency"] + ["--format", "json", "--output", str(out)]
+    assert main(argv + ["--gold", str(DATA / "gold.tsv"), "--runs", str(DATA / "runs")]) == 0
+    capsys.readouterr()
+    line = (GOLDEN.parent / "consistency_json.sha256").read_text(encoding="utf-8")
+    digest, name = line.rstrip("\n").split("  ")
+    assert name == out.name
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_agreement_triangle_on_bundled_runs(bundled):
     dataset, runs = bundled
     nine = [

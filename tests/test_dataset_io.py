@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -34,7 +35,7 @@ from quantdiv.errors import (
     TooFewClasses,
     UnknownCase,
 )
-from quantdiv.measures import DEFAULT_SUITE, MeasureId
+from quantdiv.measures import _RANGE_SLACK, DEFAULT_SUITE, MeasureId
 from quantdiv.meta_eval import (
     ConsistencyReport,
     FixedSize,
@@ -44,9 +45,10 @@ from quantdiv.meta_eval import (
     score_matrix,
     split_half_consistency,
 )
+import _oracle
 import quantdiv
 from _helpers import reference_rows
-from quantdiv import synth
+from quantdiv import dataset_io, synth
 
 GOLD_PROBS = """\
 case_id\tlow\tmid\thigh
@@ -861,6 +863,71 @@ def test_write_report_writes_all_formats(tmp_path, reports):
     for fmt, name in (("tsv", "m.tsv"), ("json", "m.json"), ("markdown", "m.md")):
         path = write_report(matrix, fmt, tmp_path / name)
         assert path.read_text(encoding="utf-8") == render_report(matrix, fmt)
+
+
+def test_write_report_refuses_before_opening_the_file(tmp_path, reports):
+    kept = write(tmp_path, "kept.json", "earlier bytes\n")
+    fresh = tmp_path / "fresh.json"
+    for report, fmt in ((reports[2], "yaml"), (object(), "json"), (object(), "tsv")):
+        for path in (kept, fresh):
+            with pytest.raises(OutOfRange):
+                write_report(report, fmt, path)
+        assert kept.read_bytes() == b"earlier bytes\n"
+        assert not fresh.exists()
+
+
+# Ids that JSON must escape, or that spell the grid's key, its line or its stand-in.
+_AWKWARD_IDS = ('say "hi"', "two\nlines", "nul\x00", "]", "],", "values")
+_AWKWARD_IDS += ('"values": {}', '\n    "values": {}')
+
+
+def _edge_reports(rng, n):
+    """A ConsistencyReport and a ScoreMatrix whose rows hold n values, edge values first."""
+    taus = [-0.0, 1.0, -1.0, 5e-324, 0.30000000000000004, *rng.uniform(-1.0, 1.0, 3 * n)]
+    scores = [-0.0, 1.0, 1.0 + _RANGE_SLACK, 5e-324, 0.30000000000000004]
+    scores += rng.uniform(0.0, 1.0, len(_AWKWARD_IDS) * n).tolist()
+    measures = (MeasureId.NMD, MeasureId.NVD, MeasureId.JSD)
+    case_ids = (*_AWKWARD_IDS, *(f"c{i}" for i in range(n)))[:n]
+    return (
+        ConsistencyReport(
+            measures, np.resize(taus, (3, n)), (), FullSplit(), seed=1, alpha=0.05, permutations=10
+        ),
+        ScoreMatrix(
+            np.resize(scores, (len(_AWKWARD_IDS), n)), _AWKWARD_IDS, case_ids, MeasureId.NMD
+        ),
+    )
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, dataset_io.JSON_CHUNK])
+def test_json_reports_are_one_json_dumps_of_the_document(tmp_path, monkeypatch, reports, chunk):
+    monkeypatch.setattr(dataset_io, "JSON_CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
+    empty = (
+        ScoreMatrix(np.zeros((0, 2)), (), ("a", "b"), MeasureId.NMD),
+        ScoreMatrix(np.zeros((2, 0)), ("a", "b"), (), MeasureId.NMD),
+    )
+    lengths = sorted({1, max(chunk - 1, 1), chunk, chunk + 1})
+    edge = [report for n in lengths for report in _edge_reports(rng, n)]
+    for report in (*reports, *empty, *edge):
+        expected = _oracle.json_report(report)
+        assert render_report(report, "json") == expected
+        path = write_report(report, "json", tmp_path / "r.json")
+        assert path.read_bytes() == expected.encode("utf-8")
+
+
+def test_json_writer_memory_is_bounded_by_the_chunk(tmp_path):
+    # 300,000 taus: one json.dumps of the whole document peaks near 42 MB,
+    # the chunked writer near 0.3 MB, whatever B is.
+    taus = np.random.default_rng(5).uniform(-1.0, 1.0, (3, 100_000))
+    measures = (MeasureId.NMD, MeasureId.NVD, MeasureId.JSD)
+    report = ConsistencyReport(measures, taus, (), FullSplit(), seed=1, alpha=0.05, permutations=10)
+    tracemalloc.start()
+    try:
+        write_report(report, "json", tmp_path / "r.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 def test_default_suite_tags_are_stable():
