@@ -24,7 +24,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -436,7 +436,10 @@ def _trial_seed_type() -> type:
             self.words = words
 
         def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-            # PCG64 asks for exactly the four uint64 words a row holds.
+            # PCG64 asks for exactly the four uint64 words a row holds; any
+            # other request would seed the trial from other words.
+            if n_words != 4 or dtype is not np.uint64:
+                raise ValueError(f"a trial seed holds 4 uint64 words, not {n_words} {np.dtype(dtype)}")
             return self.words
 
     return _TrialSeed
@@ -504,7 +507,7 @@ def _run_all(task: Callable, items: Sequence, threads: int) -> None:
 
 
 def consistency_per_trial(
-    stacked: np.ndarray,
+    grids: Iterable[np.ndarray],
     mode: SubsetMode,
     B: int,
     seed: int,
@@ -513,13 +516,22 @@ def consistency_per_trial(
 ) -> np.ndarray:
     """Per-trial tau grid (measures x B) from raw score grids.
 
-    stacked is (measures, systems, cases). Each trial splits the cases per
-    mode, computes each measure's per-system mean on both subsets, and
+    grids holds one (systems, cases) grid per measure: a list, a one-shot
+    iterator or a (measures, systems, cases) array. They are copied once
+    into a case-major table and dropped, so a caller that hands over its
+    only references holds no copy of the scores. Each trial splits the cases
+    per mode, computes each measure's per-system mean on both subsets, and
     records the tau between the two system-score lists. Trials run a block
     at a time: one running sum per block and one tau call for the whole block.
+    The grid returned is owned and read-only, so a ConsistencyReport keeps it.
     """
-    stacked = np.asarray(stacked, dtype=np.float64)
-    n_measures, n_systems, n_cases = stacked.shape
+    grids = [np.asarray(grid, dtype=np.float64) for grid in grids]
+    if not grids:
+        raise TooFewMeasures("need at least 1 measure")
+    if grids[0].ndim != 2 or any(grid.shape != grids[0].shape for grid in grids):
+        raise LengthMismatch("score grids must be (systems, cases) arrays of one shape")
+    n_measures = len(grids)
+    n_systems, n_cases = grids[0].shape
     if n_systems < 2:
         raise TooFewSystems(f"need at least 2 systems, got {n_systems}")
     tau_fn = check_consistency_args(B=B, seed=seed, threads=threads, tau_variant=tau_variant)
@@ -539,7 +551,10 @@ def consistency_per_trial(
     words = _trial_seed_words(seed, 0, B)
     # One row of (measure, system) scores per case, so a subset position
     # gathers one whole row per trial.
-    cols = np.ascontiguousarray(stacked.reshape(cells, n_cases).T)
+    cols = np.empty((n_cases, cells))
+    for i, grid in enumerate(grids):
+        cols[:, i * n_systems : (i + 1) * n_systems] = grid.T
+    del grids, grid
 
     def run_block(block: tuple[int, int]) -> None:
         start, stop = block
@@ -549,6 +564,7 @@ def consistency_per_trial(
         per_trial[:, start:stop] = tau_fn(first, second).T
 
     _run_all(run_block, blocks, threads)
+    per_trial.setflags(write=False)
     return per_trial
 
 
@@ -631,8 +647,9 @@ def split_half_consistency(
         raise TooFewSystems(f"need at least 2 systems, got {len(runs)}")
     check_consistency_args(B, seed, alpha, permutations, threads, tau_variant)
     mode.bounds(len(dataset.case_ids))
-    stacked = np.stack([matrix.values for matrix in score_matrices(dataset, runs, measures)])
-    per_trial = consistency_per_trial(stacked, mode, B, seed, threads, tau_variant)
+    # A one-shot iterator, so the trials hold the only copy of the scores.
+    grids = (matrix.values for matrix in score_matrices(dataset, runs, measures))
+    per_trial = consistency_per_trial(grids, mode, B, seed, threads, tau_variant)
     if len(measures) >= 2 and B >= 2:
         sig_idx = randomized_tukey_hsd(per_trial, alpha, permutations, seed, threads)
     else:

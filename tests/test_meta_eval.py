@@ -35,7 +35,7 @@ from quantdiv.meta_eval import (
     score_matrix,
     split_half_consistency,
 )
-from quantdiv import meta_eval, synth
+from quantdiv import kernels, meta_eval, synth
 
 
 def tiny_dataset():
@@ -95,6 +95,17 @@ def test_trial_seed_words_equal_seed_sequence(seed):
         sequence = np.random.SeedSequence((seed, meta_eval.TRIAL_STREAM, b))
         assert np.array_equal(row, sequence.generate_state(4, np.uint64))
         assert np.random.PCG64(meta_eval._trial_seed_type()(row)).state == np.random.PCG64(sequence).state
+
+
+def test_trial_seed_refuses_a_request_it_cannot_serve():
+    # A row holds the four uint64 words PCG64 asks for; answering any other
+    # request with them would reseed every trial silently.
+    row = meta_eval._trial_seed_words(3, 0, 1)[0]
+    trial_seed = meta_eval._trial_seed_type()(row)
+    assert trial_seed.generate_state(4, np.uint64) is row
+    for n_words, dtype in ((8, np.uint32), (4, np.uint32), (2, np.uint64)):
+        with pytest.raises(ValueError, match="a trial seed holds 4 uint64 words"):
+            trial_seed.generate_state(n_words, dtype)
 
 
 @pytest.mark.parametrize("n_cases", [1, 2, 31, 200])
@@ -474,6 +485,23 @@ def test_consistency_per_trial_errors():
             consistency_per_trial(ok, FixedSize(10), B=5, seed=1, threads=threads)
 
 
+def test_consistency_per_trial_takes_any_iterable_of_grids():
+    # A 3-D array iterates as its grids, so it, a list of grids and a
+    # one-shot iterator give the same bits. No grid at all is refused before
+    # any work, and grids that differ in shape are refused, not broadcast.
+    stacked = np.random.default_rng(59).random((3, 8, 30))
+    expected = consistency_per_trial(stacked, FullSplit(), B=20, seed=3)
+    assert expected.base is None and not expected.flags.writeable
+    for grids in (list(stacked), [grid.tolist() for grid in stacked], (grid for grid in stacked)):
+        assert np.array_equal(consistency_per_trial(grids, FullSplit(), B=20, seed=3), expected)
+    for none in (np.empty((0, 5, 10)), [], iter(())):
+        with pytest.raises(TooFewMeasures, match="need at least 1 measure"):
+            consistency_per_trial(none, FullSplit(), 3, 1)
+    for odd in ([stacked[0], stacked[1][:1]], [stacked[0], stacked[1][:, :29]], [stacked[0][0]]):
+        with pytest.raises(LengthMismatch, match="one shape"):
+            consistency_per_trial(odd, FullSplit(), 3, 1)
+
+
 def test_consistency_per_trial_memory_counts_the_permutations():
     # Two subsets of one case out of 2000: the block's permutations, not its
     # sums, are what TRIAL_BLOCK must bound (32 MB for B = 2000 if not).
@@ -626,6 +654,48 @@ def test_split_half_consistency_report():
     means = dict(zip(report.measures, report.mean_tau))
     for winner, loser in report.significant_pairs:
         assert means[winner] > means[loser]
+
+
+def test_split_half_consistency_holds_one_copy_of_the_scores_in_the_trials_and_none_in_the_hsd(
+    monkeypatch,
+):
+    # 400 systems x 300 cases x 3 measures: one copy of the scores is
+    # 2.9 MB, well above TRIAL_BLOCK. When the trials pair up their first
+    # block they hold the case-major table and one block's temporaries; when
+    # the HSD starts it holds the per-trial taus and no score at all. These
+    # three measures score without pair_stats, so its first call is a trial's.
+    ds, runs = synth.generate(n_systems=20, n_cases=300, seed=3)
+    runs = [SystemRun(f"s{i}", runs[i % 20].est) for i in range(400)]
+    copy = 8 * 400 * 300 * 3
+    traced = {}
+    for name in ("pair_stats", "hsd_max_stats"):
+
+        def first_call(*args, _kernel=getattr(kernels, name), _name=name, **kwargs):
+            traced.setdefault(_name, tracemalloc.get_traced_memory()[0])
+            return _kernel(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, name, first_call)
+    measures = [MeasureId.NMD, MeasureId.NVD, MeasureId.JSD]
+    tracemalloc.start()
+    try:
+        split_half_consistency(ds, runs, measures, B=4, seed=1, permutations=10)
+    finally:
+        tracemalloc.stop()
+    assert traced["pair_stats"] <= copy + meta_eval.TRIAL_BLOCK, traced
+    assert traced["hsd_max_stats"] < copy / 2, traced
+
+
+def test_consistency_report_keeps_the_trial_grid_it_is_handed(monkeypatch):
+    returned = []
+
+    def recording(*args, **kwargs):
+        returned.append(consistency_per_trial(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(meta_eval, "consistency_per_trial", recording)
+    ds, runs = synth.generate(n_systems=6, n_cases=30, seed=4)
+    report = split_half_consistency(ds, runs, [MeasureId.NMD, MeasureId.JSD], B=5, permutations=10)
+    assert len(returned) == 1 and report.per_trial_tau is returned[0]
 
 
 def test_reports_check_their_invariants():

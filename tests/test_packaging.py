@@ -29,6 +29,45 @@ def test_build_needs_no_compiled_extension():
     assert not list(ROOT.rglob("*.pyx"))
 
 
+def _spans_targets() -> set[tuple[str, str]]:
+    """(module, attribute) of each entry of perfbench/spans.py's TARGETS, read from its source."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["TARGETS"]:
+            return {(entry.elts[0].value, entry.elts[1].value) for entry in node.value.elts}
+    raise AssertionError("perfbench/spans.py assigns no TARGETS")
+
+
+def _unused_imports(path: Path) -> set[str]:
+    """Names a module imports and never uses; a quoted annotation and __all__ count as uses."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
+            imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["__all__"]:
+            used.update(ast.literal_eval(node.value))
+        annotations = [getattr(node, "annotation", None), getattr(node, "returns", None)]
+        for annotation in filter(None, annotations):
+            for part in ast.walk(annotation):
+                if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                    quoted = ast.walk(ast.parse(part.value, mode="eval"))
+                    used.update(name.id for name in quoted if isinstance(name, ast.Name))
+    return imported - used
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # cli imports score_matrix only because the benchmark's tracer wraps
+    # cli.score_matrix; once TARGETS drops it, the import must go too.
+    modules = sorted((ROOT / "src" / "quantdiv").glob("*.py"))
+    unused = {f"{path.stem}.{name}" for path in modules for name in _unused_imports(path)}
+    if ("cli", "score_matrix") in _spans_targets():
+        unused.discard("cli.score_matrix")
+    assert unused == set()
+
+
 def test_readme_library_example_gives_its_commented_results():
     # The "Library" section's Python block, run as written; each line ending
     # in a `# <number>` comment must give that number at the digits shown.
