@@ -5,13 +5,14 @@ row per case. An optional directive line `#mode: counts` or `#mode: probs`
 before the header says whether rows hold raw vote counts or probabilities
 (default probs). One reader serves both modes in one pass over the lines:
 each row becomes floats as it is read (a probs row its float() cells, a
-counts row its exact vote shares) and keeps its math.fsum total; the table
-is then checked and divided by its totals at once, and stored as one
-read-only (cases, K) float64 array. Every error in a table's content begins
-with the table's path. An error in a row goes on with `line N: ` and carries
-N as .line; a row that fails its check (from_votes()'s or validate()'s)
-goes on with `line N: case '<id>': `. The first bad row in file order is
-the one named. OS-level failures are not wrapped; OSError propagates.
+counts row its exact vote shares) and is checked there, by the rule
+validate() uses, so the first bad row in file order is the one named. The
+check gives each row's math.fsum total; the table is divided by its totals
+at once and stored as one read-only (cases, K) float64 array. Every error
+in a table's content begins with the table's path. An error in a row goes
+on with `line N: ` and carries N as .line; a row that fails its check
+(from_votes()'s or validate()'s) goes on with `line N: case '<id>': `.
+OS-level failures are not wrapped; OSError propagates.
 
 Score tables are rendered a whole row at a time, with one %-format per row.
 A JSON report's grid is written a row at a time, JSON_CHUNK values at a
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import re
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
@@ -33,11 +33,10 @@ import numpy as np
 
 from ._version import __version__
 from .distributions import (
-    SUM_TOLERANCE,
     _check_ids,
+    _checked_total,
     _fields_equal,
     _frozen,
-    _normalized,
     _vote_shares,
     from_votes,
 )
@@ -126,27 +125,8 @@ def _read_text(path) -> str:
         raise ParseError(f"not UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})", line) from None
 
 
-def _divided(rows: list, totals: list, cases: dict) -> np.ndarray:
-    """The rows divided by their totals, checked at once by _normalized's rule; the
-    first row that fails goes through _normalized itself, which words its error."""
-    a, t = np.array(rows), np.array(totals)
-    # NaN fails >= 0; axis=-1 also takes an empty list of rows, which passes
-    ok = (a >= 0).all(axis=-1) & (np.abs(t - 1.0) <= SUM_TOLERANCE)
-    if not ok.all():
-        i = int(ok.argmin())
-        case_id, ln = list(cases.items())[i]
-        try:
-            _normalized(rows[i])
-        except ValidationError as exc:
-            raise type(exc)(f"case {case_id!r}: {exc}", ln) from exc
-    return a / t[:, None]
-
-
 def _read_table(path) -> tuple[tuple[str, ...], dict[str, int], np.ndarray, tuple | None]:
-    """(class labels, each case id's line, values, a counts table's votes or None), in one pass.
-
-    A row the loop refuses is named once the rows before it pass the check.
-    """
+    """(class labels, each case id's line, values, a counts table's votes or None), in one pass."""
     text = _read_text(path)
     mode, labels = "probs", None
     cases: dict[str, int] = {}
@@ -174,46 +154,40 @@ def _read_table(path) -> tuple[tuple[str, ...], dict[str, int], np.ndarray, tupl
             parse, noun = (int, "vote count") if mode == "counts" else (float, "probability")
             continue
         case_id = cells[0].strip()
+        if len(cells) != 1 + len(labels):
+            raise InconsistentClassCount(
+                f"row has {len(cells) - 1} values but header has {len(labels)} classes", ln
+            )
+        if not case_id:
+            raise ParseError("empty case id", ln)
+        if case_id in cases:
+            raise DuplicateCaseId(
+                f"case {case_id!r} repeated (first seen at line {cases[case_id]})", ln
+            )
+        del cells[0]
         try:
-            if len(cells) != 1 + len(labels):
-                raise InconsistentClassCount(
-                    f"row has {len(cells) - 1} values but header has {len(labels)} classes", ln
-                )
-            if not case_id:
-                raise ParseError("empty case id", ln)
-            if case_id in cases:
-                raise DuplicateCaseId(
-                    f"case {case_id!r} repeated (first seen at line {cases[case_id]})", ln
-                )
-            del cells[0]
-            try:
-                row = list(map(parse, cells))
-            except ValueError:
-                for cell in cells:  # name the first cell that does not parse
-                    try:
-                        parse(cell)
-                    except ValueError:
-                        raise ParseError(f"bad {noun} {cell!r}", ln) from None
+            row = list(map(parse, cells))
+        except ValueError:
+            for cell in cells:  # name the first cell that does not parse
+                try:
+                    parse(cell)
+                except ValueError:
+                    raise ParseError(f"bad {noun} {cell!r}", ln) from None
+        try:
             if mode == "counts":
                 votes.append(tuple(row))
-                try:
-                    row = _vote_shares(row)
-                except ValidationError as exc:
-                    raise type(exc)(f"case {case_id!r}: {exc}", ln) from exc
-        except ValidationError:
-            _divided(rows, totals, cases)  # an earlier bad row is named first
-            raise
-        try:
-            totals.append(math.fsum(row))
-        except (ValueError, OverflowError):  # inf - inf, or a sum beyond the float range
-            totals.append(math.inf)  # the check then refuses the row and _normalized words it
+                row = _vote_shares(row)
+            totals.append(_checked_total(row))
+        except ValidationError as exc:
+            raise type(exc)(f"case {case_id!r}: {exc}", ln) from exc
         rows.append(row)
         cases[case_id] = ln
     if labels is None:
         raise ParseError("missing header row")
     if not rows:
         raise ParseError("no data rows")
-    return labels, cases, _divided(rows, totals, cases), tuple(votes) if mode == "counts" else None
+    values = np.array(rows) / np.array(totals)[:, None]
+    return labels, cases, values, tuple(votes) if mode == "counts" else None
 
 
 @contextmanager

@@ -5,8 +5,8 @@ is a float64 array whose last axis is the classes: one pair is two (K,)
 arrays, a table of cases is one (cases, K) array. validate() and
 from_votes() check one row and return it as a read-only (K,) array, so
 downstream code can assume a clean simplex point. The table loader reads a
-row as the same floats (its cells or its _vote_shares) and checks the whole
-table by _normalized's rule at once.
+row as the same floats (its cells or its _vote_shares) and checks each row
+as it is read by the same rule, _checked_total.
 """
 
 from __future__ import annotations
@@ -58,19 +58,30 @@ def _check_ids(name: str, ids) -> None:
         raise OutOfRange(f"{name} must be unique")
 
 
-def _normalized(probs: list[float]) -> list[float]:
-    """probs checked as validate() documents, each divided by their exact total."""
-    if len(probs) < 2:
-        raise TooFewClasses(f"need at least 2 classes, got {len(probs)}")
-    for i, p in enumerate(probs, start=1):
+def _checked_total(row: Sequence[float]) -> float:
+    """The exact total of a row that passes validate()'s check, else that check's error.
+
+    A row passes with at least 2 classes, no negative entry and a total within
+    SUM_TOLERANCE of 1; a NaN entry, which min() can skip, fails the total.
+    A row that fails is walked in class order to name its first bad class.
+    """
+    if len(row) < 2:
+        raise TooFewClasses(f"need at least 2 classes, got {len(row)}")
+    try:
+        total = math.fsum(row)
+    except (ValueError, OverflowError):  # inf - inf, or a sum beyond the float range
+        total = math.inf
+    if min(row) >= 0.0 and abs(total - 1.0) <= SUM_TOLERANCE:
+        return total
+    for i, p in enumerate(row, start=1):
         if p < 0.0 or math.isnan(p):
             raise NegativeProbability(f"class {i} has probability {p}")
-    try:
-        total = math.fsum(probs)
-    except OverflowError:  # finite entries whose exact sum is beyond the float range
-        total = math.inf
-    if abs(total - 1.0) > SUM_TOLERANCE:
-        raise NotNormalized(f"probabilities sum to {total!r}")
+    raise NotNormalized(f"probabilities sum to {total!r}")
+
+
+def _normalized(probs: list[float]) -> list[float]:
+    """probs checked as validate() documents, each divided by their exact total."""
+    total = _checked_total(probs)
     return [p / total for p in probs]
 
 

@@ -242,6 +242,12 @@ _IMPLEMENTATIONS.update(
 )
 
 
+def _check_member(name: str, value, kind: type[Enum]) -> None:
+    """Reject a value that is not a member of kind, such as a plain "NMD" for a MeasureId."""
+    if not isinstance(value, kind):
+        raise OutOfRange(f"{name} {value!r} is not a {kind.__name__}")
+
+
 def _class_arrays(est, gold) -> tuple[np.ndarray, np.ndarray]:
     est = np.asarray(est, dtype=np.float64)
     gold = np.asarray(gold, dtype=np.float64)
@@ -258,6 +264,7 @@ def score_batch(measure: MeasureId, est, gold) -> np.ndarray:
     give a (systems, cases) grid. Rows are not re-validated; they must be
     simplex points, as validate() and the table loader guarantee.
     """
+    _check_member("measure", measure, MeasureId)
     return _IMPLEMENTATIONS[measure](*_class_arrays(est, gold))
 
 
@@ -268,6 +275,7 @@ def score(measure: MeasureId, est: np.ndarray, gold: np.ndarray) -> float:
 
 def od(est: np.ndarray, gold: np.ndarray, scheme: DistanceScheme) -> float:
     """Order-aware divergence of one (K,) pair: mean DW over the gold support."""
+    _check_member("scheme", scheme, DistanceScheme)
     est, gold = _class_arrays(est, gold)
     return float(_mean_dw(_dw_batch(est, gold, scheme), gold > 0.0))
 

@@ -39,8 +39,22 @@ from .errors import (
     TooFewSystems,
     TooFewTrials,
 )
-from .measures import _RANGE_SLACK, HYBRID_PARTNERS, MeasureId, combine_harmonic_batch, score_batch
-from .rank_correlation import TauResult, _check_fraction, tau_b, tau_plain, tau_with_ci
+from .measures import (
+    _RANGE_SLACK,
+    HYBRID_PARTNERS,
+    MeasureId,
+    _check_member,
+    combine_harmonic_batch,
+    score_batch,
+)
+from .rank_correlation import (
+    TauResult,
+    _check_confidence,
+    _check_fraction,
+    tau_b,
+    tau_plain,
+    tau_with_ci,
+)
 
 if TYPE_CHECKING:
     from .dataset_io import Dataset, SystemRun
@@ -82,8 +96,7 @@ def _check_integer(name: str, value) -> None:
 def _check_measures(measures: Sequence[MeasureId]) -> None:
     """Reject a measure listed twice, or a value that is not a MeasureId, such as a plain "NMD"."""
     for i, measure in enumerate(measures):
-        if not isinstance(measure, MeasureId):
-            raise OutOfRange(f"measure {measure!r} is not a MeasureId")
+        _check_member("measure", measure, MeasureId)
         if measure in measures[:i]:
             raise OutOfRange(f"measure {measure.value} is listed twice")
 
@@ -224,6 +237,10 @@ class ConsistencyReport:
         check_consistency_args(
             self.B, self.seed, self.alpha, self.permutations, tau_variant=self.tau_variant
         )
+        # Settings are stored as Python numbers, so a numpy scalar renders as JSON.
+        object.__setattr__(self, "seed", operator.index(self.seed))
+        object.__setattr__(self, "permutations", operator.index(self.permutations))
+        object.__setattr__(self, "alpha", float(self.alpha))
         # Each pair once, winner first: randomized_tukey_hsd reports a pair
         # only when the winner's mean per-trial tau is strictly higher.
         means = dict(zip(self.measures, self.mean_tau))
@@ -358,7 +375,7 @@ def agreement(
         raise TooFewSystems(f"need at least 3 systems, got {len(runs)}")
     if len(measures) < 2:
         raise TooFewMeasures(f"need at least 2 measures, got {len(measures)}")
-    _check_fraction("confidence", confidence)
+    _check_confidence(confidence)
     means = [mean_scores(matrix) for matrix in score_matrices(dataset, runs, measures)]
     taus = tuple(tau_with_ci(x, y, confidence) for x, y in combinations(means, 2))
     return AgreementReport(measures=measures, taus=taus)

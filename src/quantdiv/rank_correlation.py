@@ -87,6 +87,21 @@ def _check_fraction(name: str, value) -> None:
         raise OutOfRange(f"{name} must be in (0, 1), got {value}")
 
 
+def _check_confidence(confidence) -> float:
+    """0.5 + confidence / 2, the normal CDF level of a two-sided interval's z.
+
+    confidence follows _check_fraction's rule; the largest float below 1 is
+    refused too, because its level rounds to 1, where the quantile is infinite.
+    """
+    _check_fraction("confidence", confidence)
+    level = 0.5 + confidence / 2.0
+    if level >= 1.0:
+        raise OutOfRange(
+            f"confidence {confidence!r} is too close to 1: 0.5 + confidence / 2 rounds to 1"
+        )
+    return level
+
+
 def _as_arrays(xs: Lists, ys: Lists) -> tuple[np.ndarray, np.ndarray]:
     """Two lists, or stacked (..., n) arrays whose leading axes broadcast."""
     x = np.asarray(xs, dtype=np.float64)
@@ -157,7 +172,7 @@ def tau_with_ci(
     collapses to the degenerate interval [tau, tau]; for n <= 4 the variance
     term is undefined and the interval falls back to [-1, 1].
     """
-    _check_fraction("confidence", confidence)
+    level = _check_confidence(confidence)
     x, y = _as_arrays(xs, ys)
     if x.ndim != 1 or y.ndim != 1:
         raise OutOfRange("inputs must be one-dimensional sequences")
@@ -171,7 +186,7 @@ def tau_with_ci(
         return TauResult(tau=-1.0, ci_low=-1.0, ci_high=-1.0, n=n)
     if n <= 4:
         return TauResult(tau=tau, ci_low=-1.0, ci_high=1.0, n=n)
-    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
+    z = NormalDist().inv_cdf(level)
     half_width = z * math.sqrt(0.437 / (n - 4))
     zt = math.atanh(tau)
     return TauResult(

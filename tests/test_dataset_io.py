@@ -34,6 +34,7 @@ from quantdiv.errors import (
     ParseError,
     TooFewClasses,
     UnknownCase,
+    ValidationError,
 )
 from quantdiv.measures import _RANGE_SLACK, DEFAULT_SUITE, MeasureId
 from quantdiv.meta_eval import (
@@ -49,6 +50,7 @@ import _oracle
 import quantdiv
 from _helpers import reference_rows
 from quantdiv import dataset_io, synth
+from quantdiv.distributions import from_votes, validate
 
 GOLD_PROBS = """\
 case_id\tlow\tmid\thigh
@@ -298,6 +300,60 @@ def _table_text(mode, ids, rows):
     return f"#mode: {mode}\n{header}\n{body}"
 
 
+def _outcome(call):
+    """The bytes of the array call() returns, or the type and message of its error."""
+    try:
+        return call().tobytes()
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+def _short_repr(value) -> str:
+    """repr(value), or a long integer as '<first digit>e<exponent>'."""
+    text = repr(value)
+    return text if len(text) < 25 else f"{text[0]}e{len(text) - 1}"
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "mode, row",
+    [
+        ("probs", [-0.0, 1.0]),
+        ("probs", [5e-324, 1.0]),
+        ("probs", [NAN, 1.0]),
+        ("probs", [0.5, NAN, 0.5]),
+        ("probs", [INF, 0.0]),
+        ("probs", [-INF, 1.0]),
+        ("probs", [INF, -INF]),
+        ("probs", [1e308, 1e308]),
+        ("probs", [-0.25, 0.75, 0.5]),
+        ("probs", [0.5, 0.5 + 0.9e-9]),
+        ("probs", [0.5, 0.5 - 0.9e-9]),
+        ("probs", [0.5, 0.5 + 1.1e-9]),
+        ("probs", [0.5, 0.5 - 1.1e-9]),
+        ("counts", [0, 0, 0]),
+        ("counts", [3, -1, 2]),
+        ("counts", [10**400, 1]),
+        ("counts", [10**400, 0, 3 * 10**399]),
+    ],
+    ids=lambda v: v if isinstance(v, str) else "/".join(map(_short_repr, v)),
+)
+def test_a_one_row_table_loads_as_its_row_checks_it(tmp_path, mode, row):
+    # validate() (from_votes() for counts) and the loader share one row rule:
+    # the same values bit for bit, or the same error after the row's prefix.
+    check = from_votes if mode == "counts" else validate
+    path = write(tmp_path, "one.tsv", _table_text(mode, ["q1"], [list(map(repr, row))]))
+    expected = _outcome(lambda: check(row))
+    loaded = _outcome(lambda: load_gold(path).gold[0])
+    if isinstance(expected, bytes):
+        assert loaded == expected
+    else:
+        exc, message = expected
+        assert loaded == (exc, f"{path}: line 3: case 'q1': {message}")
+
+
 @pytest.mark.parametrize("mode", ["probs", "counts"])
 @pytest.mark.parametrize("seed", range(4))
 def test_loaded_arrays_equal_plain_python_reference(tmp_path, mode, seed):
@@ -439,6 +495,24 @@ def test_json_round_trip_is_exact(tmp_path, reports):
         assert back == report
         for fmt in ("tsv", "markdown"):
             assert render_report(back, fmt) == render_report(report, fmt)
+
+
+def test_consistency_report_from_numpy_scalars_writes_and_reads_back(tmp_path):
+    # check_consistency_args takes numpy integers and floats; the report
+    # stores them as Python numbers, so json can write them.
+    ds, runs = synth.generate(n_systems=6, n_cases=24, seed=9)
+    measures = [MeasureId.NMD, MeasureId.NVD]
+    plain = split_half_consistency(ds, runs, measures, B=5, seed=3, permutations=20)
+    numpy_ints = split_half_consistency(
+        ds, runs, measures, B=5, seed=np.int64(3), permutations=np.int64(20)
+    )
+    assert render_report(numpy_ints, "json") == render_report(plain, "json")
+    report = dataclasses.replace(
+        plain, seed=np.int64(3), alpha=np.float32(0.05), permutations=np.int64(20)
+    )
+    assert [type(v) for v in (report.seed, report.alpha, report.permutations)] == [int, float, int]
+    back = read_report(write_report(report, "json", tmp_path / "r.json"))
+    assert back == report and back.alpha == float(np.float32(0.05))
 
 
 def test_public_records_are_frozen_with_read_only_arrays(reports):

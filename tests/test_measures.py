@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -113,6 +114,18 @@ def test_od_examples():
         assert od_fn(d(0.0, 1.0, 0.0), d(0.5, 0.0, 0.5), GM) == pytest.approx(0.375, abs=1e-15)
     with pytest.raises(LengthMismatch):
         od(d(0.5, 0.5), d(0.2, 0.3, 0.5), EQ)
+
+
+def test_od_refuses_a_scheme_that_is_not_a_distance_scheme():
+    # Only a DistanceScheme selects a scheme: "equidistant" must not fall
+    # through to the gold-mass value (0.065 here, against 0.26).
+    est, gold = d(0.2, 0.3, 0.5), d(0.6, 0.0, 0.4)
+    assert od(est, gold, EQ) == pytest.approx(0.26, abs=1e-15)
+    assert od(est, gold, GM) == pytest.approx(0.065, abs=1e-15)
+    for scheme in ("equidistant", None, "gold_mass", 0):
+        message = f"^scheme {re.escape(repr(scheme))} is not a DistanceScheme$"
+        with pytest.raises(OutOfRange, match=message):
+            od(est, gold, scheme)
 
 
 def test_adw_example_and_equidistant_symmetry():
@@ -282,6 +295,16 @@ def test_score_dispatch_matches_functions():
 def test_score_length_mismatch():
     with pytest.raises(LengthMismatch):
         score(MeasureId.NMD, d(0.5, 0.5), d(0.2, 0.3, 0.5))
+
+
+def test_score_refuses_a_measure_that_is_not_a_measure_id():
+    # MeasureId is a str enum, so a plain "NMD" would find MeasureId.NMD's code.
+    est, gold = d(0.2, 0.3, 0.5), d(0.6, 0.0, 0.4)
+    for measure in ("NMD", "XYZ", None):
+        message = f"^measure {re.escape(repr(measure))} is not a MeasureId$"
+        for call in (score, score_batch):
+            with pytest.raises(OutOfRange, match=message):
+                call(measure, est, gold)
 
 
 def test_suites():

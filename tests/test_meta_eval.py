@@ -338,6 +338,10 @@ def test_agreement_checks_confidence_before_scoring(monkeypatch):
     monkeypatch.setattr(meta_eval, "score_matrix", no_scoring)
     with pytest.raises(OutOfRange, match="confidence must be in \\(0, 1\\), got 1.5"):
         agreement(ds, runs, [MeasureId.NVD, MeasureId.RNSS], confidence=1.5)
+    # The largest float below 1 is in (0, 1), but its normal quantile is infinite.
+    with pytest.raises(OutOfRange, match="^confidence 0.9999999999999999 is too close to 1"):
+        edge = math.nextafter(1.0, 0.0)
+        agreement(ds, runs, [MeasureId.NVD, MeasureId.RNSS], confidence=edge)
 
 
 # --- consistency trials ---

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -169,6 +167,23 @@ def test_tau_with_ci_errors():
             tau_with_ci([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], confidence=confidence)
     with pytest.raises(OutOfRange, match="one-dimensional"):
         tau_with_ci(np.zeros((2, 3)), np.zeros((2, 3)))
+
+
+def test_tau_with_ci_refuses_a_confidence_whose_level_rounds_to_one():
+    # 0.5 + c / 2 rounds to 1.0 only for the largest float below 1, where the
+    # normal quantile is infinite. Other confidences keep their interval bits.
+    xs, ys = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [1.0, 3.0, 2.0, 4.0, 6.0, 5.0]
+    for n in (3, 6):
+        with pytest.raises(OutOfRange, match=r"^confidence 0\.9999999999999999 is too close to 1"):
+            tau_with_ci(xs[:n], ys[:n], confidence=1.0 - 2.0**-53)
+    for confidence, ci_low, ci_high in (
+        (1.0 - 2.0**-52, -0.9939819540267054, 0.9998571413514132),
+        (0.99, -0.26189710895444446, 0.9726897896942157),
+        (0.95, 0.019733283542760927, 0.9519401812523016),
+        (0.5, 0.5515579678854534, 0.8486154484183941),
+    ):
+        r = tau_with_ci(xs, ys, confidence)
+        assert (r.ci_low, r.ci_high) == (ci_low, ci_high)
 
 
 def test_tau_result_checks_itself():
