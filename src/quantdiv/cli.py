@@ -162,8 +162,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
         action="store_true",
         help="add RSNOD to the measure list",
     )
-    sub.add_argument("--format", choices=FORMATS, default="json", help="--output serialization")
-    sub.add_argument("--output", default=None, help="write the machine report here")
+    sub.add_argument("--format", choices=FORMATS, default="json", help="--output format (default: json)")
+    sub.add_argument("--output", help="write the machine report here (default: no report file)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -174,39 +174,28 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"quantdiv {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    fmt = argparse.ArgumentDefaultsHelpFormatter
-
-    score_p = subs.add_parser(
-        "score", help="per-case scores and per-system means", formatter_class=fmt
-    )
+    score_p = subs.add_parser("score", help="per-case scores and per-system means")
     _add_common(score_p)
     score_p.set_defaults(func=cmd_score)
 
-    agree_p = subs.add_parser(
-        "agree", help="pairwise rank agreement between measures", formatter_class=fmt
-    )
+    agree_p = subs.add_parser("agree", help="pairwise rank agreement between measures")
     _add_common(agree_p)
     agree_p.set_defaults(func=cmd_agree)
 
-    cons_p = subs.add_parser(
-        "consistency", help="split-half consistency with significance", formatter_class=fmt
-    )
+    cons_p = subs.add_parser("consistency", help="split-half consistency with significance")
     _add_common(cons_p)
-    cons_p.add_argument("--B", type=int, default=1000, help="number of split trials")
+    cons_p.add_argument("--B", type=int, default=1000, help="number of split trials (default: 1000)")
     cons_p.add_argument(
-        "--subset-mode", default="half", help="'half' or 'k=<int>' disjoint subset size"
+        "--subset-mode", default="half", help="'half' or 'k=<int>' disjoint subset size (default: half)"
     )
-    cons_p.add_argument("--alpha", type=float, default=0.05, help="significance level")
-    cons_p.add_argument("--permutations", type=int, default=5000, help="HSD permutation rounds")
+    cons_p.add_argument("--alpha", type=float, default=0.05, help="significance level (default: 0.05)")
     cons_p.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="RNG seed (default: QUANTDIV_SEED env var, else 42)",
+        "--permutations", type=int, default=5000, help="HSD permutation rounds (default: 5000)"
     )
-    cons_p.add_argument("--threads", type=int, default=1, help="worker threads")
+    cons_p.add_argument("--seed", type=int, help="RNG seed (default: QUANTDIV_SEED env var, else 42)")
+    cons_p.add_argument("--threads", type=int, default=1, help="worker threads (default: 1)")
     cons_p.add_argument(
-        "--tau", choices=("taub", "plain"), default="taub", help="tau variant for trials"
+        "--tau", choices=("taub", "plain"), default="taub", help="tau variant for trials (default: taub)"
     )
     cons_p.set_defaults(func=cmd_consistency)
     return parser

@@ -32,14 +32,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from ._version import __version__
-from .distributions import (
-    _check_ids,
-    _checked_total,
-    _fields_equal,
-    _frozen,
-    _vote_shares,
-    from_votes,
-)
+from .distributions import _check_ids, _checked_array, _checked_total, _fields_equal, _frozen
+from .distributions import _vote_shares, from_votes
 from .errors import (
     DuplicateCaseId,
     InconsistentClassCount,
@@ -79,7 +73,7 @@ class Dataset:
         n, k = len(self.case_ids), len(self.class_labels)
         if k < 2:
             raise TooFewClasses(f"need at least 2 classes, got {k}")
-        object.__setattr__(self, "gold", _frozen(self.gold))
+        object.__setattr__(self, "gold", _frozen(_checked_array("gold", self.gold)))
         if self.gold.shape != (n, k):
             raise LengthMismatch(f"gold grid {self.gold.shape} must be {n} cases x {k} classes")
         if self.votes is not None and [len(row) for row in self.votes] != [k] * n:
@@ -98,7 +92,7 @@ class SystemRun:
     def __post_init__(self):
         if not isinstance(self.system_id, str):
             raise OutOfRange(f"system_id must be a string, got {self.system_id!r}")
-        object.__setattr__(self, "est", _frozen(self.est))
+        object.__setattr__(self, "est", _frozen(_checked_array("est", self.est)))
         if self.est.ndim != 2:
             raise LengthMismatch(f"est must be a (cases, K) grid, got shape {self.est.shape}")
 

@@ -1,4 +1,4 @@
-"""Validated categorical distributions over ordered classes.
+"""Validated categorical distributions over ordered classes, and the value rules.
 
 Classes are indexed 1..K in rank order (e.g. worst to best). A distribution
 is a float64 array whose last axis is the classes: one pair is two (K,)
@@ -7,12 +7,18 @@ from_votes() check one row and return it as a read-only (K,) array, so
 downstream code can assume a clean simplex point. The table loader reads a
 row as the same floats (its cells or its _vote_shares) and checks each row
 as it is read by the same rule, _checked_total.
+
+It is also the one home of the value rules that public functions apply to
+their arguments; each returns the Python int, float or float64 array it
+accepts, and no bool, str or complex passes any of them.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+import numbers
+import operator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -58,6 +64,55 @@ def _check_ids(name: str, ids) -> None:
         raise OutOfRange(f"{name} must be unique")
 
 
+def _outside(low: float, high: float, least, most, open: bool = False) -> str:
+    """[low, high] ((low, high) if open) as text, or "" if finite least..most lie inside it."""
+    within = low < least and most < high if open else low <= least and most <= high
+    if within and -math.inf < least and most < math.inf:
+        return ""
+    left, right = "(" if open or low == -math.inf else "[", ")" if open or high == math.inf else "]"
+    return f"{left}{low:g}, {high:g}{right}"
+
+
+def _checked_integer(name: str, value, low: int | None = None, error=OutOfRange) -> int:
+    """value as a Python int (what operator.index takes, but not a bool), at least low if given."""
+    try:
+        if not isinstance(value, bool) and (low is None or operator.index(value) >= low):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise error(f"{name} must be an integer{'' if low is None else f' >= {low}'}, got {value!r}")
+
+
+def _checked_number(name: str, value, low: float, high: float, open: bool = False) -> float:
+    """value as a Python float within _outside's bounds: a numbers.Real that is not a bool."""
+    number = math.nan
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an int beyond the float range
+            pass
+    if interval := _outside(low, high, number, number, open):
+        raise OutOfRange(f"{name} must be a number in {interval}, got {value!r}")
+    return number
+
+
+def _checked_array(name: str, values, low: float | None = None, high: float | None = None) -> np.ndarray:
+    """values as a float64 array (not copied if it is one) of an integer or float dtype, not bool.
+
+    With bounds, min and max go through _outside: NaN fails, and no temporary is made.
+    """
+    try:
+        array = np.asarray(values)
+    except ValueError:  # a ragged nesting
+        array = np.asarray(None)
+    if array.dtype.kind not in "iuf":
+        raise OutOfRange(f"{name} must be numbers, got a {array.dtype} array")
+    array = array.astype(np.float64, copy=False)
+    if low is not None and array.size and (interval := _outside(low, high, array.min(), array.max())):
+        raise OutOfRange(f"{name} must be numbers in {interval}")
+    return array
+
+
 def _checked_total(row: Sequence[float]) -> float:
     """The exact total of a row that passes validate()'s check, else that check's error.
 
@@ -89,11 +144,10 @@ def _vote_shares(counts: Sequence[int]) -> list[float]:
     """Vote counts checked as from_votes() documents, each divided by their exact total."""
     if len(counts) < 2:
         raise TooFewClasses(f"need at least 2 classes, got {len(counts)}")
-    for i, c in enumerate(counts, start=1):
-        if c != int(c):
-            raise NegativeProbability(f"class {i} has non-integer vote count {c!r}")
-        if c < 0:
-            raise NegativeProbability(f"class {i} has negative vote count {c}")
+    counts = [
+        _checked_integer(f"class {i} vote count", c, 0, NegativeProbability)
+        for i, c in enumerate(counts, start=1)
+    ]
     total = sum(counts)
     if total == 0:
         raise AllZeroVotes("all vote counts are zero")
@@ -103,12 +157,15 @@ def _vote_shares(counts: Sequence[int]) -> list[float]:
 def validate(raw: Iterable[float]) -> np.ndarray:
     """Check raw probabilities and return them as a normalized read-only (K,) array.
 
-    Requirements: at least two classes, no negative entry, total within
-    SUM_TOLERANCE of 1. The stored values are divided by the actual total.
+    Requirements: one row of numbers, at least two classes, no negative entry,
+    total within SUM_TOLERANCE of 1. The stored values are divided by the actual total.
     """
-    return _frozen(_normalized([float(p) for p in raw]))
+    row = _checked_array("probabilities", list(raw) if isinstance(raw, Iterator) else raw)
+    if row.ndim != 1:
+        raise OutOfRange(f"probabilities must be one (K,) row, got shape {row.shape}")
+    return _frozen(_normalized(row.tolist()))
 
 
-def from_votes(counts: Sequence[int]) -> np.ndarray:
+def from_votes(counts: Iterable[int]) -> np.ndarray:
     """Turn per-class vote counts (non-negative integers) into a read-only (K,) array."""
-    return _frozen(_normalized(_vote_shares(tuple(counts))))
+    return _frozen(_normalized(_vote_shares(tuple(counts) if np.iterable(counts) else (counts,))))

@@ -15,6 +15,7 @@ from typing import Callable
 
 import numpy as np
 
+from .distributions import _checked_array, _checked_total
 from .errors import LengthMismatch, OutOfRange
 from .rank_correlation import tau_b
 
@@ -22,8 +23,9 @@ from .rank_correlation import tau_b
 # at most this much, absorbing float noise from vote normalization.
 BIN_TIE_EPS = 1e-9
 
-# Slack on [0, 1] range checks for values produced by other measures.
+# Every score lies in SCORE_RANGE: [0, 1], with a slack above 1 for float noise.
 _RANGE_SLACK = 1e-9
+SCORE_RANGE = (0.0, 1.0 + _RANGE_SLACK)
 
 
 class DistanceScheme(Enum):
@@ -178,8 +180,10 @@ def _rnss_batch(est: np.ndarray, gold: np.ndarray) -> np.ndarray:
 
 
 def _kld_batch(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    # Classes with p_i = 0 get ratio 1, so their term is 0 * log2(1) = 0.
-    ratio = np.divide(p, q, out=np.ones(np.broadcast_shapes(p.shape, q.shape)), where=p > 0.0)
+    # Classes with p_i = 0 get ratio 1, so their term is 0 * log2(1) = 0. So do classes where
+    # q_i >= p_i / 2 underflowed to 0: p_i is then a subnormal, and its term below 1e-323.
+    ones = np.ones(np.broadcast_shapes(p.shape, q.shape))
+    ratio = np.divide(p, q, out=ones, where=(p > 0.0) & (q > 0.0))
     return _fsum_last(p * np.log2(ratio))
 
 
@@ -202,12 +206,8 @@ def _dnkt_batch(est: np.ndarray, gold: np.ndarray) -> np.ndarray:
 
 def combine_harmonic_batch(d, m) -> np.ndarray:
     """Harmonic mean of two broadcastable score arrays in [0, 1]; 0 where both are 0."""
-    d = np.asarray(d, dtype=np.float64)
-    m = np.asarray(m, dtype=np.float64)
-    for name, v in (("first", d), ("second", m)):
-        bad = ~((-_RANGE_SLACK <= v) & (v <= 1.0 + _RANGE_SLACK))
-        if bad.any():
-            raise OutOfRange(f"{name} input {v[bad][0]} outside [0, 1]")
+    d = _checked_array("first input", d, *SCORE_RANGE)
+    m = _checked_array("second input", m, *SCORE_RANGE)
     total = d + m
     return np.divide(2.0 * d * m, total, out=np.zeros(total.shape), where=total != 0.0)
 
@@ -249,10 +249,20 @@ def _check_member(name: str, value, kind: type[Enum]) -> None:
 
 
 def _class_arrays(est, gold) -> tuple[np.ndarray, np.ndarray]:
-    est = np.asarray(est, dtype=np.float64)
-    gold = np.asarray(gold, dtype=np.float64)
-    if est.shape[-1] != gold.shape[-1]:
-        raise LengthMismatch(f"est has {est.shape[-1]} classes, gold has {gold.shape[-1]}")
+    """est and gold by the array rule's dtype check, each with a last axis of K >= 2 classes."""
+    est, gold = _checked_array("est", est), _checked_array("gold", gold)
+    if min(est.ndim, gold.ndim) == 0 or not est.shape[-1] == gold.shape[-1] >= 2:
+        raise LengthMismatch(f"est {est.shape} and gold {gold.shape} need a last axis of K >= 2 classes")
+    return est, gold
+
+
+def _pair(est, gold) -> tuple[np.ndarray, np.ndarray]:
+    """One (K,) est row and one gold row, each checked by validate()'s row rule."""
+    est, gold = _class_arrays(est, gold)
+    if est.ndim != 1 or gold.ndim != 1:
+        raise LengthMismatch(f"need one (K,) row each, got est {est.shape} and gold {gold.shape}")
+    for row in (est, gold):
+        _checked_total(row.tolist())
     return est, gold
 
 
@@ -261,22 +271,23 @@ def score_batch(measure: MeasureId, est, gold) -> np.ndarray:
 
     Smaller is better; 0 means the estimate matches the gold. The leading
     axes broadcast: (systems, cases, K) estimates against (cases, K) gold
-    give a (systems, cases) grid. Rows are not re-validated; they must be
-    simplex points, as validate() and the table loader guarantee.
+    give a (systems, cases) grid. Only the arrays' dtype and class axis are
+    checked, with no pass over the data; the rows must be simplex points, as
+    validate() and the table loader guarantee.
     """
     _check_member("measure", measure, MeasureId)
     return _IMPLEMENTATIONS[measure](*_class_arrays(est, gold))
 
 
 def score(measure: MeasureId, est: np.ndarray, gold: np.ndarray) -> float:
-    """Evaluate one measure on one (K,) pair; smaller is better, 0 means est matches gold."""
-    return float(score_batch(measure, est, gold))
+    """One measure on one (K,) pair whose rows pass validate()'s check; smaller is better, 0 a match."""
+    return float(score_batch(measure, *_pair(est, gold)))
 
 
 def od(est: np.ndarray, gold: np.ndarray, scheme: DistanceScheme) -> float:
-    """Order-aware divergence of one (K,) pair: mean DW over the gold support."""
+    """Order-aware divergence of one (K,) pair, checked as in score(): mean DW over the gold support."""
     _check_member("scheme", scheme, DistanceScheme)
-    est, gold = _class_arrays(est, gold)
+    est, gold = _pair(est, gold)
     return float(_mean_dw(_dw_batch(est, gold, scheme), gold > 0.0))
 
 

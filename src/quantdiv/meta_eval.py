@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -29,7 +28,8 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import kernels
-from .distributions import _check_ids, _fields_equal, _frozen
+from .distributions import _check_ids, _checked_array, _checked_integer, _checked_number
+from .distributions import _fields_equal, _frozen
 from .errors import (
     DatasetTooSmall,
     LengthMismatch,
@@ -39,22 +39,9 @@ from .errors import (
     TooFewSystems,
     TooFewTrials,
 )
-from .measures import (
-    _RANGE_SLACK,
-    HYBRID_PARTNERS,
-    MeasureId,
-    _check_member,
-    combine_harmonic_batch,
-    score_batch,
-)
-from .rank_correlation import (
-    TauResult,
-    _check_confidence,
-    _check_fraction,
-    tau_b,
-    tau_plain,
-    tau_with_ci,
-)
+from .measures import HYBRID_PARTNERS, SCORE_RANGE, MeasureId, _check_member
+from .measures import combine_harmonic_batch, score_batch
+from .rank_correlation import TauResult, _check_confidence, tau_b, tau_plain, tau_with_ci
 
 if TYPE_CHECKING:
     from .dataset_io import Dataset, SystemRun
@@ -83,16 +70,6 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
-def _check_integer(name: str, value) -> None:
-    """Reject a value that operator.index does not take, or a bool."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        operator.index(value)
-    except TypeError:
-        raise OutOfRange(f"{name} must be an integer, got {value!r}") from None
-
-
 def _check_measures(measures: Sequence[MeasureId]) -> None:
     """Reject a measure listed twice, or a value that is not a MeasureId, such as a plain "NMD"."""
     for i, measure in enumerate(measures):
@@ -119,9 +96,7 @@ class FixedSize:
     k: int
 
     def __post_init__(self):
-        _check_integer("subset size", self.k)
-        if self.k < 1:
-            raise OutOfRange(f"subset size must be >= 1, got {self.k}")
+        object.__setattr__(self, "k", _checked_integer("subset size", self.k, 1))
 
     def bounds(self, n_cases: int) -> tuple[int, int]:
         """(split, end): a trial's subsets are perm[:split] and perm[split:end]."""
@@ -166,16 +141,12 @@ class ScoreMatrix:
         _check_measures((self.measure,))
         _check_ids("system_ids", self.system_ids)
         _check_ids("case_ids", self.case_ids)
-        object.__setattr__(self, "values", _frozen(self.values))
+        object.__setattr__(self, "values", _frozen(_checked_array("scores", self.values, *SCORE_RANGE)))
         if self.values.shape != (len(self.system_ids), len(self.case_ids)):
             raise MisalignedRun(
                 f"score grid {self.values.shape} does not match "
                 f"{len(self.system_ids)} systems x {len(self.case_ids)} cases"
             )
-        # min and max hold no grid-sized temporary; a NaN fails both comparisons.
-        low, high = (self.values.min(), self.values.max()) if self.values.size else (0.0, 0.0)
-        if not (low >= 0.0 and high <= 1.0 + _RANGE_SLACK):
-            raise OutOfRange("scores must lie in [0, 1]")
 
     __eq__ = _fields_equal
 
@@ -224,23 +195,20 @@ class ConsistencyReport:
     tau_variant: str = "b"
 
     def __post_init__(self):
-        object.__setattr__(self, "per_trial_tau", _frozen(self.per_trial_tau))
-        arr = self.per_trial_tau
+        arr = _frozen(_checked_array("per-trial taus", self.per_trial_tau, -1.0, 1.0))
+        object.__setattr__(self, "per_trial_tau", arr)
         if not self.measures or arr.ndim != 2 or arr.shape[0] != len(self.measures):
             raise LengthMismatch(
                 f"per-trial tau grid {arr.shape} must be (measures, B) with >= 1 measure, "
                 f"got {len(self.measures)} measures"
             )
-        if not (np.abs(arr) <= 1.0).all():
-            raise OutOfRange("per-trial taus must be numbers in [-1, 1]")
         _check_measures(self.measures)
-        check_consistency_args(
+        # Settings are stored as the Python numbers the rules give, so a numpy scalar renders as JSON.
+        _, seed, alpha, permutations, _, _ = check_consistency_args(
             self.B, self.seed, self.alpha, self.permutations, tau_variant=self.tau_variant
         )
-        # Settings are stored as Python numbers, so a numpy scalar renders as JSON.
-        object.__setattr__(self, "seed", operator.index(self.seed))
-        object.__setattr__(self, "permutations", operator.index(self.permutations))
-        object.__setattr__(self, "alpha", float(self.alpha))
+        for name, value in (("seed", seed), ("alpha", alpha), ("permutations", permutations)):
+            object.__setattr__(self, name, value)
         # Each pair once, winner first: randomized_tukey_hsd reports a pair
         # only when the winner's mean per-trial tau is strictly higher.
         means = dict(zip(self.measures, self.mean_tau))
@@ -281,30 +249,25 @@ def check_consistency_args(
     permutations: int = 1,
     threads: int = 1,
     tau_variant: str = "b",
-) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Reject a bad consistency argument before any work; return the tau function.
+) -> tuple[int, int, float, int, int, Callable[[np.ndarray, np.ndarray], np.ndarray]]:
+    """Reject a bad consistency argument before any work, by the value rules in distributions.
 
-    B, seed, permutations and threads must be integers (bool is not one);
-    alpha must be a real number in (0, 1), by the rule confidence follows.
+    Returns (B, seed, alpha, permutations, threads) as the Python numbers the
+    rules give, then the tau function.
     """
-    integers = {"B": B, "seed": seed, "permutations": permutations, "threads": threads}
-    for name, value in integers.items():
-        _check_integer(name, value)
-    _check_fraction("alpha", alpha)
+    B = _checked_integer("B", B)
     if B < 1:
         raise TooFewTrials(f"need at least 1 trial, got {B}")
     if B > 1 << 32:
         raise OutOfRange(f"at most 2**32 trials, got {B}")
-    if seed < 0:
-        raise OutOfRange(f"seed must be non-negative, got {seed}")
-    if permutations < 1:
-        raise OutOfRange(f"need at least 1 permutation round, got {permutations}")
-    if threads < 1:
-        raise OutOfRange(f"--threads must be >= 1, got {threads}")
+    seed = _checked_integer("seed", seed, 0)
+    alpha = _checked_number("alpha", alpha, 0.0, 1.0, open=True)
+    permutations = _checked_integer("permutations", permutations, 1)
+    threads = _checked_integer("--threads", threads, 1)
     tau_fn = {"b": tau_b, "plain": tau_plain}.get(tau_variant)  # tau_b: ties at equality
     if tau_fn is None:
         raise OutOfRange(f"unknown tau variant {tau_variant!r}")
-    return tau_fn
+    return B, seed, alpha, permutations, threads, tau_fn
 
 
 def score_matrix(dataset: "Dataset", runs: Sequence["SystemRun"], measure: MeasureId) -> ScoreMatrix:
@@ -355,7 +318,9 @@ def score_matrices(
 
 
 def mean_scores(matrix: ScoreMatrix) -> np.ndarray:
-    """Mean score per system over all cases."""
+    """Mean score per system over all cases, of which there must be at least one."""
+    if not matrix.case_ids:
+        raise DatasetTooSmall("mean scores need at least 1 case")
     return matrix.values.mean(axis=1)
 
 
@@ -542,7 +507,7 @@ def consistency_per_trial(
     at a time: one running sum per block and one tau call for the whole block.
     The grid returned is owned and read-only, so a ConsistencyReport keeps it.
     """
-    grids = [np.asarray(grid, dtype=np.float64) for grid in grids]
+    grids = [_checked_array("score grid", grid) for grid in grids]
     if not grids:
         raise TooFewMeasures("need at least 1 measure")
     if grids[0].ndim != 2 or any(grid.shape != grids[0].shape for grid in grids):
@@ -551,7 +516,9 @@ def consistency_per_trial(
     n_systems, n_cases = grids[0].shape
     if n_systems < 2:
         raise TooFewSystems(f"need at least 2 systems, got {n_systems}")
-    tau_fn = check_consistency_args(B=B, seed=seed, threads=threads, tau_variant=tau_variant)
+    B, seed, _, _, threads, tau_fn = check_consistency_args(
+        B, seed, threads=threads, tau_variant=tau_variant
+    )
     split, end = mode.bounds(n_cases)
 
     per_trial = np.empty((n_measures, B), dtype=np.float64)
@@ -600,7 +567,7 @@ def randomized_tukey_hsd(
     statistic. Returns (winner, loser) row-index pairs, winner having the
     higher mean.
     """
-    arr = np.ascontiguousarray(per_trial, dtype=np.float64)
+    arr = np.ascontiguousarray(_checked_array("per-trial grid", per_trial, -math.inf, math.inf))
     if arr.ndim != 2:
         raise OutOfRange("per-trial grid must be 2-dimensional")
     n_measures, n_trials = arr.shape
@@ -608,9 +575,7 @@ def randomized_tukey_hsd(
         raise TooFewMeasures(f"need at least 2 measures, got {n_measures}")
     if n_trials < 2:
         raise TooFewTrials(f"need at least 2 trials, got {n_trials}")
-    if not np.isfinite(arr).all():
-        raise OutOfRange("per-trial grid must be finite")
-    check_consistency_args(seed=seed, alpha=alpha, permutations=permutations, threads=threads)
+    seed, alpha, permutations, threads = check_consistency_args(1, seed, alpha, permutations, threads)[1:5]
 
     null_stats = np.empty(permutations, dtype=np.float64)
     chunks = [
@@ -671,9 +636,7 @@ def split_half_consistency(
         sig_idx = randomized_tukey_hsd(per_trial, alpha, permutations, seed, threads)
     else:
         sig_idx = frozenset()
-    pairs = tuple(
-        (measures[i], measures[j]) for i, j in sorted(sig_idx)
-    )
+    pairs = tuple((measures[i], measures[j]) for i, j in sorted(sig_idx))
     return ConsistencyReport(
         measures=measures,
         per_trial_tau=per_trial,

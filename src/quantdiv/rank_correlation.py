@@ -11,7 +11,6 @@ how the batch DNKT and the split-half trials use them.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Sequence
@@ -19,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
+from .distributions import _checked_array, _checked_integer, _checked_number
 from .errors import LengthMismatch, OutOfRange, TooShort
 
 # Two aligned lists, or two stacked (..., n) arrays.
@@ -56,9 +56,8 @@ class PairCounts:
 class TauResult:
     """A tau with its confidence interval; checked when built.
 
-    tau and both bounds are real numbers in [-1, 1] (so not NaN), with
-    ci_low <= tau <= ci_high; n is an integer of at least 3. A bool is
-    neither a number nor an integer here.
+    tau and both bounds are Python floats in [-1, 1], with ci_low <= tau <= ci_high;
+    n is a Python int >= 3. Both follow the value rules in distributions.
     """
 
     tau: float
@@ -67,45 +66,31 @@ class TauResult:
     n: int
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 3:
-            raise OutOfRange(f"n must be an integer >= 3, got {self.n!r}")
+        object.__setattr__(self, "n", _checked_integer("n", self.n, 3))
         for name in ("tau", "ci_low", "ci_high"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not -1.0 <= value <= 1.0:
-                raise OutOfRange(f"{name} must be a number in [-1, 1], got {value!r}")
+            object.__setattr__(self, name, _checked_number(name, getattr(self, name), -1.0, 1.0))
         if not self.ci_low <= self.tau <= self.ci_high:
             raise OutOfRange(
                 f"need ci_low <= tau <= ci_high, got {self.ci_low!r}, {self.tau!r}, {self.ci_high!r}"
             )
 
 
-def _check_fraction(name: str, value) -> None:
-    """Reject a value that is not a real number strictly between 0 and 1; a bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise OutOfRange(f"{name} must be a real number, got {value!r}")
-    if not 0.0 < value < 1.0:  # NaN fails
-        raise OutOfRange(f"{name} must be in (0, 1), got {value}")
-
-
 def _check_confidence(confidence) -> float:
     """0.5 + confidence / 2, the normal CDF level of a two-sided interval's z.
 
-    confidence follows _check_fraction's rule; the largest float below 1 is
+    confidence must be a number in (0, 1); the largest float below 1 is
     refused too, because its level rounds to 1, where the quantile is infinite.
     """
-    _check_fraction("confidence", confidence)
+    confidence = _checked_number("confidence", confidence, 0.0, 1.0, open=True)
     level = 0.5 + confidence / 2.0
     if level >= 1.0:
-        raise OutOfRange(
-            f"confidence {confidence!r} is too close to 1: 0.5 + confidence / 2 rounds to 1"
-        )
+        raise OutOfRange(f"confidence {confidence!r} is too close to 1: 0.5 + confidence / 2 rounds to 1")
     return level
 
 
 def _as_arrays(xs: Lists, ys: Lists) -> tuple[np.ndarray, np.ndarray]:
-    """Two lists, or stacked (..., n) arrays whose leading axes broadcast."""
-    x = np.asarray(xs, dtype=np.float64)
-    y = np.asarray(ys, dtype=np.float64)
+    """Two lists, or stacked (..., n) arrays whose leading axes broadcast, of finite numbers."""
+    x, y = (_checked_array("inputs", v, -math.inf, math.inf) for v in (xs, ys))
     if x.ndim == 0 or y.ndim == 0:
         raise OutOfRange("inputs must be sequences")
     if x.shape[-1] != y.shape[-1]:
@@ -114,8 +99,6 @@ def _as_arrays(xs: Lists, ys: Lists) -> tuple[np.ndarray, np.ndarray]:
         np.broadcast_shapes(x.shape, y.shape)
     except ValueError:
         raise LengthMismatch(f"stacked shapes {x.shape} and {y.shape} do not broadcast") from None
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise OutOfRange("inputs must be finite")
     return x, y
 
 
@@ -128,8 +111,7 @@ def pair_counts(xs: Lists, ys: Lists, tie_eps: float = 0.0) -> PairCounts:
 
     Stacked (..., n) arrays are tallied row by row along the last axis.
     """
-    if tie_eps < 0.0 or math.isnan(tie_eps):
-        raise OutOfRange(f"tie_eps must be >= 0, got {tie_eps}")
+    tie_eps = _checked_number("tie_eps", tie_eps, 0.0, math.inf)
     x, y = _as_arrays(xs, ys)
     n = x.shape[-1]
     if n < 2:
@@ -189,9 +171,10 @@ def tau_with_ci(
     z = NormalDist().inv_cdf(level)
     half_width = z * math.sqrt(0.437 / (n - 4))
     zt = math.atanh(tau)
+    # A tiny half width can round the interval past tau; the bounds are clamped to contain it.
     return TauResult(
         tau=tau,
-        ci_low=math.tanh(zt - half_width),
-        ci_high=math.tanh(zt + half_width),
+        ci_low=min(math.tanh(zt - half_width), tau),
+        ci_high=max(math.tanh(zt + half_width), tau),
         n=n,
     )

@@ -38,6 +38,17 @@ def test_help_and_version_exit_zero(capsys):
     assert "--include-rsnod" in capsys.readouterr().out
 
 
+def test_help_states_each_default_once(capsys):
+    # Each help string states its own default; argparse adds none, so no
+    # "(default: None)" follows a required option or one that states its own.
+    for command in ("score", "agree", "consistency"):
+        assert main([command, "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "(default: None)" not in text
+    assert "--B B number of split trials (default: 1000)" in text
+    assert "RNG seed (default: QUANTDIV_SEED env var, else 42) --threads" in text
+
+
 def test_usage_errors_exit_two(capsys):
     assert main([]) == 2
     assert main(["transmogrify"]) == 2
@@ -296,11 +307,11 @@ def test_consistency_flag_validation(bench, tmp_path, capsys):
     capsys.readouterr()
     # B = 1 or one measure skips the HSD, but the report would record the value
     assert main(consistency_args(bench, out, "--B", "1", "--alpha", "5")) == 2
-    assert "alpha must be in (0, 1), got 5.0" in capsys.readouterr().err
+    assert "alpha must be a number in (0, 1), got 5.0" in capsys.readouterr().err
     assert main(consistency_args(bench, out, "--measures", "NMD", "--alpha", "5")) == 2
-    assert "alpha must be in (0, 1), got 5.0" in capsys.readouterr().err
+    assert "alpha must be a number in (0, 1), got 5.0" in capsys.readouterr().err
     assert main(consistency_args(bench, out, "--B", "1", "--permutations", "0")) == 2
-    assert "need at least 1 permutation round, got 0" in capsys.readouterr().err
+    assert "permutations must be an integer >= 1, got 0" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -308,7 +319,7 @@ def test_consistency_flag_validation(bench, tmp_path, capsys):
     "flags, message",
     [
         (("--B", "0"), "need at least 1 trial, got 0"),
-        (("--seed", "-3"), "seed must be non-negative, got -3"),
+        pytest.param(("--seed", "-3"), "seed must be an integer >= 0, got -3", id="seed"),
         (("--subset-mode", "k=9"), "two disjoint subsets of 9 need 18 cases, got 16"),
     ],
 )
@@ -333,7 +344,7 @@ def test_consistency_threads_checked_before_loading(tmp_path, capsys):
     argv = ["consistency", "--gold", missing, "--runs", missing, "--threads", "0"]
     argv += ["--output", str(out)]
     assert main(argv) == 2
-    assert "--threads must be >= 1, got 0" in capsys.readouterr().err
+    assert "--threads must be an integer >= 1, got 0" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -344,9 +355,9 @@ def test_consistency_threads_checked_before_loading(tmp_path, capsys):
         (["consistency"], "lucky", "QUANTDIV_SEED is not an integer: 'lucky'"),
         (["score", "--measures", "BOGUS"], None, "unknown measure 'BOGUS'"),
         (["consistency", "--B", "0"], None, "need at least 1 trial, got 0"),
-        (["consistency", "--alpha", "5"], None, "alpha must be in (0, 1), got 5.0"),
-        (["consistency", "--permutations", "0"], None, "need at least 1 permutation round, got 0"),
-        (["consistency", "--seed", "-3"], None, "seed must be non-negative, got -3"),
+        (["consistency", "--alpha", "5"], None, "alpha must be a number in (0, 1), got 5.0"),
+        (["consistency", "--permutations", "0"], None, "permutations must be an integer >= 1, got 0"),
+        (["consistency", "--seed", "-3"], None, "seed must be an integer >= 0, got -3"),
         (["agree", "--measures", "NMD"], None, "need at least 2 measures, got 1"),
     ],
     ids=["subset-mode", "seed-env", "measures", "B", "alpha", "permutations", "seed", "agree-measures"],

@@ -110,7 +110,7 @@ def test_load_gold_skips_blank_lines(tmp_path):
         (
             "#mode: counts\ncase_id\ta\tb\nq1\t-1\t3\n",
             NegativeProbability,
-            "case 'q1': class 1 has negative vote count -1",
+            "case 'q1': class 1 vote count must be an integer >= 0, got -1",
         ),
         ("case_id\ta\tb\n\t0.5\t0.5\n", ParseError, "empty case id"),
         ("", ParseError, "missing header"),
@@ -272,7 +272,7 @@ def _corrupted(rng, mode, rows):
     cells = list(rows[bad])
     if mode == "counts":
         faults = (
-            ("-3", NegativeProbability, f"class {j + 1} has negative vote count -3"),
+            ("-3", NegativeProbability, f"class {j + 1} vote count must be an integer >= 0, got -3"),
             ("1.5", ParseError, "bad vote count '1.5'"),
             ("0", AllZeroVotes, "all vote counts are zero"),
         )
@@ -702,17 +702,17 @@ def test_read_report_rejects_bad_input(tmp_path, reports):
     scores = [[7.0, *scores[0][1:]], *scores[1:]]
     for report, section, key, value, message in (
         (0, "payload", "values", [[0.1, 0.2], [0.3]], "payload.values"),
-        (0, "payload", "values", scores, r"scores must lie in \[0, 1\]"),
+        (0, "payload", "values", scores, r"scores must be numbers in \[0, 1\]"),
         (2, "payload", "per_trial_tau", [[0.5], [0.5, 0.6]], "payload.per_trial_tau"),
         (2, "meta", "mode", 3, "meta.mode"),
         (2, "payload", "significant_pairs", [["NMD"]], "malformed report"),
         (2, "payload", "mean_tau", docs[2]["payload"]["mean_tau"][:1], "payload.mean_tau"),
         (2, "meta", "B", 7, "meta.B"),
         (2, "meta", "B", "five", "meta.B"),
-        (2, "meta", "seed", -3, "seed must be non-negative"),
+        (2, "meta", "seed", -3, "seed must be an integer >= 0"),
         (2, "meta", "seed", 1.5, "seed must be an integer"),
         (2, "payload", "permutations", 2.5, "permutations must be an integer"),
-        (2, "meta", "alpha", 7, "alpha must be in"),
+        (2, "meta", "alpha", 7, "alpha must be a number in"),
         (1, "payload", "pairs", pairs[1:], "agreement of 3 measures needs 3 TauResults"),
         (1, "payload", "pairs", pairs[::-1], "report key 'payload.pairs' is"),
         (1, "payload", "avg_similarity", averages[:2], "payload.avg_similarity"),

@@ -60,11 +60,11 @@ def test_parse_and_format_subset_mode():
     for bad in ("third", "k=", "k=x", "k=0"):
         with pytest.raises(OutOfRange):
             parse_subset_mode(bad)
-    with pytest.raises(OutOfRange, match="subset size must be >= 1, got 0"):
+    with pytest.raises(OutOfRange, match="subset size must be an integer >= 1, got 0"):
         FixedSize(0)
     # A bool would be written as "k=True", which no report reader parses.
     for k in (True, 1.5):
-        with pytest.raises(OutOfRange, match=f"subset size must be an integer, got {k}"):
+        with pytest.raises(OutOfRange, match=f"subset size must be an integer >= 1, got {k}"):
             FixedSize(k)
 
 
@@ -154,7 +154,7 @@ def test_score_matrix_values_read_only():
 
 def test_score_matrix_rejects_bad_values():
     for bad in (-0.2, 1.5, np.nan, np.inf):
-        with pytest.raises(OutOfRange, match=r"scores must lie in \[0, 1\]"):
+        with pytest.raises(OutOfRange, match=r"scores must be numbers in \[0, 1\]"):
             ScoreMatrix(np.array([[0.1, bad]]), ("s",), ("a", "b"), MeasureId.NMD)
     # Every measure lies in [0, 1]; the slack is the one combine_harmonic_batch allows.
     ScoreMatrix(np.array([[0.0, 1.0 + 1e-9]]), ("s",), ("a", "b"), MeasureId.NMD)
@@ -320,11 +320,11 @@ def test_agreement_errors(monkeypatch):
             agreement(ds, runs, measures)
     # confidence follows alpha's rule: a real number in (0, 1), and a bool is not one.
     for confidence, message in (
-        ("0.9", "confidence must be a real number, got '0.9'"),
-        (None, "confidence must be a real number, got None"),
-        (True, "confidence must be a real number, got True"),
-        (float("nan"), "confidence must be in \\(0, 1\\), got nan"),
-        (0, "confidence must be in \\(0, 1\\), got 0"),
+        ("0.9", "confidence must be a number in \\(0, 1\\), got '0.9'"),
+        (None, "confidence must be a number in \\(0, 1\\), got None"),
+        (True, "confidence must be a number in \\(0, 1\\), got True"),
+        (float("nan"), "confidence must be a number in \\(0, 1\\), got nan"),
+        (0, "confidence must be a number in \\(0, 1\\), got 0"),
     ):
         with pytest.raises(OutOfRange, match=message):
             agreement(ds, runs, [MeasureId.NVD, MeasureId.RNSS], confidence=confidence)
@@ -336,7 +336,7 @@ def test_agreement_checks_confidence_before_scoring(monkeypatch):
 
     ds, runs = synth.generate(n_systems=3, n_cases=10, seed=7)
     monkeypatch.setattr(meta_eval, "score_matrix", no_scoring)
-    with pytest.raises(OutOfRange, match="confidence must be in \\(0, 1\\), got 1.5"):
+    with pytest.raises(OutOfRange, match="confidence must be a number in \\(0, 1\\), got 1.5"):
         agreement(ds, runs, [MeasureId.NVD, MeasureId.RNSS], confidence=1.5)
     # The largest float below 1 is in (0, 1), but its normal quantile is infinite.
     with pytest.raises(OutOfRange, match="^confidence 0.9999999999999999 is too close to 1"):
@@ -485,7 +485,7 @@ def test_consistency_per_trial_errors():
     with pytest.raises(TooFewSystems):
         consistency_per_trial(solo, FullSplit(), B=5, seed=1)
     for threads in (0, -3):
-        with pytest.raises(OutOfRange, match=f"--threads must be >= 1, got {threads}"):
+        with pytest.raises(OutOfRange, match=f"--threads must be an integer >= 1, got {threads}"):
             consistency_per_trial(ok, FixedSize(10), B=5, seed=1, threads=threads)
 
 
@@ -631,13 +631,13 @@ def test_hsd_errors():
         with pytest.raises(OutOfRange, match=next(iter(kwargs))):
             randomized_tukey_hsd(two, **kwargs)
     for threads in (0, -3):
-        with pytest.raises(OutOfRange, match=f"--threads must be >= 1, got {threads}"):
+        with pytest.raises(OutOfRange, match=f"--threads must be an integer >= 1, got {threads}"):
             randomized_tukey_hsd(two, threads=threads)
     # one bad cell must not silently drop the pairs between finite rows
     for bad in (np.nan, np.inf, -np.inf):
         grid = np.vstack([two, np.full(10, 0.9)])
         grid[2, 3] = bad
-        with pytest.raises(OutOfRange, match="finite"):
+        with pytest.raises(OutOfRange, match=r"per-trial grid must be numbers in \(-inf, inf\)"):
             randomized_tukey_hsd(grid)
 
 

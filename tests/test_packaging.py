@@ -74,6 +74,39 @@ def test_no_module_imports_a_name_it_does_not_use():
     assert unused == set()
 
 
+def test_value_rules_live_only_in_distributions():
+    # Outside distributions.py a module calls _checked_integer, _checked_number
+    # or _checked_array instead of these tools of a value rule. dataset_io._same
+    # is exempt: it is JSON equality, in which true must not equal 1.
+    tools = {"operator.index", "numbers.Real", "np.isfinite", "numpy.isfinite"}
+    found = []
+    for path in sorted((ROOT / "src" / "quantdiv").glob("*.py")):
+        if path.name == "distributions.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exempt = {
+            id(node)
+            for function in ast.walk(tree)
+            if isinstance(function, ast.FunctionDef) and (path.name, function.name) == ("dataset_io.py", "_same")
+            for node in ast.walk(function)
+        }
+        for node in ast.walk(tree):
+            if id(node) in exempt:
+                continue
+            if isinstance(node, ast.Attribute):
+                used = {ast.unparse(node)}
+            elif isinstance(node, ast.ImportFrom):
+                used = {f"{node.module}.{alias.name}" for alias in node.names}
+            elif isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance" and len(node.args) == 2:
+                names = {part.id for part in ast.walk(node.args[1]) if isinstance(part, ast.Name)}
+                used = {"isinstance(..., bool)"} if "bool" in names else set()
+                tools.add("isinstance(..., bool)")
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {tool}" for tool in used & tools]
+    assert found == []
+
+
 def test_readme_library_example_gives_its_commented_results():
     # The "Library" section's Python block, run as written; each line ending
     # in a `# <number>` comment must give that number at the digits shown.
