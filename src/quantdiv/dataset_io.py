@@ -32,8 +32,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from ._version import __version__
-from .distributions import _check_ids, _checked_array, _checked_total, _fields_equal, _frozen
-from .distributions import _vote_shares, from_votes
+from .distributions import _checked_array, _checked_integer, _checked_member, _checked_members
+from .distributions import _checked_total, _fields_equal, _frozen, _vote_shares, from_votes
 from .errors import (
     DuplicateCaseId,
     InconsistentClassCount,
@@ -68,16 +68,19 @@ class Dataset:
     votes: tuple[tuple[int, ...], ...] | None = None  # Python ints: counts may exceed int64
 
     def __post_init__(self):
-        _check_ids("case_ids", self.case_ids)
-        _check_ids("class_labels", self.class_labels)
+        object.__setattr__(self, "case_ids", _checked_members("case id", self.case_ids, str))
+        object.__setattr__(self, "class_labels", _checked_members("class label", self.class_labels, str))
         n, k = len(self.case_ids), len(self.class_labels)
         if k < 2:
             raise TooFewClasses(f"need at least 2 classes, got {k}")
         object.__setattr__(self, "gold", _frozen(_checked_array("gold", self.gold)))
         if self.gold.shape != (n, k):
             raise LengthMismatch(f"gold grid {self.gold.shape} must be {n} cases x {k} classes")
-        if self.votes is not None and [len(row) for row in self.votes] != [k] * n:
-            raise LengthMismatch(f"votes must hold one row of {k} counts for each of {n} cases")
+        if self.votes is not None:
+            votes = tuple(tuple(_checked_integer("vote count", c, 0) for c in row) for row in self.votes)
+            object.__setattr__(self, "votes", votes)
+            if [len(row) for row in votes] != [k] * n:
+                raise LengthMismatch(f"votes must hold one row of {k} counts for each of {n} cases")
 
     __eq__ = _fields_equal
 
@@ -90,8 +93,7 @@ class SystemRun:
     est: np.ndarray  # stored read-only; any (cases, K) rows are accepted
 
     def __post_init__(self):
-        if not isinstance(self.system_id, str):
-            raise OutOfRange(f"system_id must be a string, got {self.system_id!r}")
+        _checked_member("system id", self.system_id, str)
         object.__setattr__(self, "est", _frozen(_checked_array("est", self.est)))
         if self.est.ndim != 2:
             raise LengthMismatch(f"est must be a (cases, K) grid, got shape {self.est.shape}")
@@ -198,7 +200,7 @@ def load_gold(path) -> Dataset:
     """Read the gold table; counts rows are converted to distributions."""
     with _errors_name(path):
         labels, cases, gold, votes = _read_table(path)
-    return Dataset(case_ids=tuple(cases), class_labels=labels, gold=gold, votes=votes)
+    return Dataset(case_ids=cases, class_labels=labels, gold=gold, votes=votes)
 
 
 def load_run(path, dataset: Dataset, system_id: str | None = None) -> SystemRun:
@@ -552,13 +554,13 @@ def _report_from_doc(doc: dict):
             raise ParseError(f"report key 'measures' must name one measure, got {len(measures)}")
         return ScoreMatrix(
             values=_float_grid(payload, "values"),
-            system_ids=tuple(payload["system_ids"]),
-            case_ids=tuple(payload["case_ids"]),
+            system_ids=payload["system_ids"],
+            case_ids=payload["case_ids"],
             measure=measures[0],
         )
     if kind == "agreement":
         taus = (TauResult(p["tau"], p["ci_low"], p["ci_high"], p["n"]) for p in payload["pairs"])
-        return AgreementReport(measures=measures, taus=tuple(taus))
+        return AgreementReport(measures=measures, taus=taus)
     if kind == "consistency":
         meta = doc["meta"]
         if not isinstance(meta["mode"], str):
@@ -566,9 +568,7 @@ def _report_from_doc(doc: dict):
         return ConsistencyReport(
             measures=measures,
             per_trial_tau=_float_grid(payload, "per_trial_tau"),
-            significant_pairs=tuple(
-                (_measure_tag(w), _measure_tag(l)) for w, l in payload["significant_pairs"]
-            ),
+            significant_pairs=(tuple(map(_measure_tag, pair)) for pair in payload["significant_pairs"]),
             mode=parse_subset_mode(meta["mode"]),
             seed=meta["seed"],
             alpha=meta["alpha"],

@@ -10,7 +10,8 @@ as it is read by the same rule, _checked_total.
 
 It is also the one home of the value rules that public functions apply to
 their arguments; each returns the Python int, float or float64 array it
-accepts, and no bool, str or complex passes any of them.
+accepts, and no bool, str or complex passes any of them. The members rule
+returns ids and measures as a tuple of distinct values of one type.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -56,14 +58,6 @@ def _fields_equal(a, b) -> bool:
     )
 
 
-def _check_ids(name: str, ids) -> None:
-    """Reject ids that are not unique strings."""
-    if not all(isinstance(i, str) for i in ids):
-        raise OutOfRange(f"{name} must be strings")
-    if len(set(ids)) != len(ids):
-        raise OutOfRange(f"{name} must be unique")
-
-
 def _outside(low: float, high: float, least, most, open: bool = False) -> str:
     """[low, high] ((low, high) if open) as text, or "" if finite least..most lie inside it."""
     within = low < least and most < high if open else low <= least and most <= high
@@ -94,6 +88,45 @@ def _checked_number(name: str, value, low: float, high: float, open: bool = Fals
     if interval := _outside(low, high, number, number, open):
         raise OutOfRange(f"{name} must be a number in {interval}, got {value!r}")
     return number
+
+
+def _check_confidence(confidence) -> float:
+    """0.5 + confidence / 2, the normal CDF level of a two-sided interval's z.
+
+    confidence must be a number in (0, 1); the largest float below 1 is
+    refused too, because its level rounds to 1, where the quantile is infinite.
+    """
+    confidence = _checked_number("confidence", confidence, 0.0, 1.0, open=True)
+    level = 0.5 + confidence / 2.0
+    if level >= 1.0:
+        raise OutOfRange(f"confidence {confidence!r} is too close to 1: 0.5 + confidence / 2 rounds to 1")
+    return level
+
+
+def _checked_member(name: str, value, kind: type):
+    """value if it is a kind, such as a MeasureId (a plain "NMD" is not one)."""
+    if not isinstance(value, kind):
+        raise OutOfRange(f"{name} {value!r} is not a {kind.__name__}")
+    return value
+
+
+def _checked_members(name: str, items, kind: type) -> tuple:
+    """items as a tuple of distinct kinds; a bare str is one value, not a collection of them.
+
+    One isinstance pass and one set; the items are walked again only to name
+    the first offender: an item that is not a kind, or one listed before.
+    """
+    if isinstance(items, str) or not np.iterable(items):
+        raise OutOfRange(f"{name}s must be a collection of {kind.__name__}, got {items!r}")
+    items = tuple(items)
+    if not all(isinstance(item, kind) for item in items) or len(set(items)) != len(items):
+        seen = set()
+        for item in items:
+            if _checked_member(name, item, kind) in seen:
+                label = item.value if isinstance(item, Enum) else repr(item)
+                raise OutOfRange(f"{name} {label} is listed twice")
+            seen.add(item)
+    return items
 
 
 def _checked_array(name: str, values, low: float | None = None, high: float | None = None) -> np.ndarray:

@@ -15,8 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import _checked_array, _checked_total
-from .errors import LengthMismatch, OutOfRange
+from .distributions import _checked_array, _checked_member, _checked_total
+from .errors import LengthMismatch
 from .rank_correlation import tau_b
 
 # Ties between probability bins: two bins count as tied when they differ by
@@ -242,12 +242,6 @@ _IMPLEMENTATIONS.update(
 )
 
 
-def _check_member(name: str, value, kind: type[Enum]) -> None:
-    """Reject a value that is not a member of kind, such as a plain "NMD" for a MeasureId."""
-    if not isinstance(value, kind):
-        raise OutOfRange(f"{name} {value!r} is not a {kind.__name__}")
-
-
 def _class_arrays(est, gold) -> tuple[np.ndarray, np.ndarray]:
     """est and gold by the array rule's dtype check, each with a last axis of K >= 2 classes."""
     est, gold = _checked_array("est", est), _checked_array("gold", gold)
@@ -275,8 +269,7 @@ def score_batch(measure: MeasureId, est, gold) -> np.ndarray:
     checked, with no pass over the data; the rows must be simplex points, as
     validate() and the table loader guarantee.
     """
-    _check_member("measure", measure, MeasureId)
-    return _IMPLEMENTATIONS[measure](*_class_arrays(est, gold))
+    return _IMPLEMENTATIONS[_checked_member("measure", measure, MeasureId)](*_class_arrays(est, gold))
 
 
 def score(measure: MeasureId, est: np.ndarray, gold: np.ndarray) -> float:
@@ -286,7 +279,7 @@ def score(measure: MeasureId, est: np.ndarray, gold: np.ndarray) -> float:
 
 def od(est: np.ndarray, gold: np.ndarray, scheme: DistanceScheme) -> float:
     """Order-aware divergence of one (K,) pair, checked as in score(): mean DW over the gold support."""
-    _check_member("scheme", scheme, DistanceScheme)
+    scheme = _checked_member("scheme", scheme, DistanceScheme)
     est, gold = _pair(est, gold)
     return float(_mean_dw(_dw_batch(est, gold, scheme), gold > 0.0))
 

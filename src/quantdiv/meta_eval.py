@@ -28,8 +28,8 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import kernels
-from .distributions import _check_ids, _checked_array, _checked_integer, _checked_number
-from .distributions import _fields_equal, _frozen
+from .distributions import _check_confidence, _checked_array, _checked_integer, _checked_member
+from .distributions import _checked_members, _checked_number, _fields_equal, _frozen
 from .errors import (
     DatasetTooSmall,
     LengthMismatch,
@@ -39,9 +39,8 @@ from .errors import (
     TooFewSystems,
     TooFewTrials,
 )
-from .measures import HYBRID_PARTNERS, SCORE_RANGE, MeasureId, _check_member
-from .measures import combine_harmonic_batch, score_batch
-from .rank_correlation import TauResult, _check_confidence, tau_b, tau_plain, tau_with_ci
+from .measures import HYBRID_PARTNERS, SCORE_RANGE, MeasureId, combine_harmonic_batch, score_batch
+from .rank_correlation import TauResult, tau_b, tau_plain, tau_with_ci
 
 if TYPE_CHECKING:
     from .dataset_io import Dataset, SystemRun
@@ -70,16 +69,12 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
-def _check_measures(measures: Sequence[MeasureId]) -> None:
-    """Reject a measure listed twice, or a value that is not a MeasureId, such as a plain "NMD"."""
-    for i, measure in enumerate(measures):
-        _check_member("measure", measure, MeasureId)
-        if measure in measures[:i]:
-            raise OutOfRange(f"measure {measure.value} is listed twice")
+class SubsetMode:
+    """How a trial draws its two disjoint case subsets: FullSplit or FixedSize."""
 
 
 @dataclass(frozen=True)
-class FullSplit:
+class FullSplit(SubsetMode):
     """Shuffle all cases and split in half; odd case goes to the first half."""
 
     def bounds(self, n_cases: int) -> tuple[int, int]:
@@ -90,7 +85,7 @@ class FullSplit:
 
 
 @dataclass(frozen=True)
-class FixedSize:
+class FixedSize(SubsetMode):
     """Draw two disjoint subsets of exactly k cases each."""
 
     k: int
@@ -105,9 +100,6 @@ class FixedSize:
                 f"two disjoint subsets of {self.k} need {2 * self.k} cases, got {n_cases}"
             )
         return self.k, 2 * self.k
-
-
-SubsetMode = FullSplit | FixedSize
 
 
 def format_subset_mode(mode: SubsetMode) -> str:
@@ -138,9 +130,9 @@ class ScoreMatrix:
     measure: MeasureId
 
     def __post_init__(self):
-        _check_measures((self.measure,))
-        _check_ids("system_ids", self.system_ids)
-        _check_ids("case_ids", self.case_ids)
+        _checked_member("measure", self.measure, MeasureId)
+        object.__setattr__(self, "system_ids", _checked_members("system id", self.system_ids, str))
+        object.__setattr__(self, "case_ids", _checked_members("case id", self.case_ids, str))
         object.__setattr__(self, "values", _frozen(_checked_array("scores", self.values, *SCORE_RANGE)))
         if self.values.shape != (len(self.system_ids), len(self.case_ids)):
             raise MisalignedRun(
@@ -159,10 +151,11 @@ class AgreementReport:
     taus: tuple[TauResult, ...]  # one per pair, in itertools.combinations order
 
     def __post_init__(self):
+        object.__setattr__(self, "measures", _checked_members("measure", self.measures, MeasureId))
+        object.__setattr__(self, "taus", tuple(self.taus))
         m = len(self.measures)
         if m < 2:
             raise TooFewMeasures(f"need at least 2 measures, got {m}")
-        _check_measures(self.measures)
         n_pairs = m * (m - 1) // 2
         if len(self.taus) != n_pairs or not all(isinstance(t, TauResult) for t in self.taus):
             raise LengthMismatch(f"agreement of {m} measures needs {n_pairs} TauResults, one per pair")
@@ -195,6 +188,7 @@ class ConsistencyReport:
     tau_variant: str = "b"
 
     def __post_init__(self):
+        object.__setattr__(self, "measures", _checked_members("measure", self.measures, MeasureId))
         arr = _frozen(_checked_array("per-trial taus", self.per_trial_tau, -1.0, 1.0))
         object.__setattr__(self, "per_trial_tau", arr)
         if not self.measures or arr.ndim != 2 or arr.shape[0] != len(self.measures):
@@ -202,7 +196,7 @@ class ConsistencyReport:
                 f"per-trial tau grid {arr.shape} must be (measures, B) with >= 1 measure, "
                 f"got {len(self.measures)} measures"
             )
-        _check_measures(self.measures)
+        _checked_member("mode", self.mode, SubsetMode)
         # Settings are stored as the Python numbers the rules give, so a numpy scalar renders as JSON.
         _, seed, alpha, permutations, _, _ = check_consistency_args(
             self.B, self.seed, self.alpha, self.permutations, tau_variant=self.tau_variant
@@ -211,22 +205,21 @@ class ConsistencyReport:
             object.__setattr__(self, name, value)
         # Each pair once, winner first: randomized_tukey_hsd reports a pair
         # only when the winner's mean per-trial tau is strictly higher.
+        pairs = tuple(_checked_members("measure", pair, MeasureId) for pair in self.significant_pairs)
+        object.__setattr__(self, "significant_pairs", pairs)
         means = dict(zip(self.measures, self.mean_tau))
         listed = set()
-        for winner, loser in self.significant_pairs:
-            if winner == loser or winner not in self.measures or loser not in self.measures:
-                raise OutOfRange(
-                    f"significant pair ({winner}, {loser}) must name two different report measures"
-                )
-            if frozenset((winner, loser)) in listed:
-                raise OutOfRange(
-                    f"significant pair ({winner.value}, {loser.value}) is listed twice "
-                    "(in either orientation)"
-                )
-            listed.add(frozenset((winner, loser)))
+        for pair in pairs:
+            named = ", ".join(m.value for m in pair)
+            if len(pair) != 2 or not means.keys() >= set(pair):
+                raise OutOfRange(f"significant pair ({named}) must name two report measures")
+            if frozenset(pair) in listed:
+                raise OutOfRange(f"significant pair ({named}) is listed twice (in either orientation)")
+            listed.add(frozenset(pair))
+            winner, loser = pair
             if not means[winner] > means[loser]:
                 raise OutOfRange(
-                    f"significant pair ({winner.value}, {loser.value}): the winner's mean tau "
+                    f"significant pair ({named}): the winner's mean tau "
                     f"{means[winner]!r} is not above the loser's {means[loser]!r}"
                 )
 
@@ -277,7 +270,7 @@ def score_matrix(dataset: "Dataset", runs: Sequence["SystemRun"], measure: Measu
     SCORE_BLOCK elements whatever the number of systems. The ScoreMatrix
     holds the grid this call fills, not a copy of it.
     """
-    _check_measures((measure,))
+    _checked_member("measure", measure, MeasureId)
     n_cases = len(dataset.case_ids)
     for run in runs:
         if len(run.est) != n_cases:
@@ -292,8 +285,7 @@ def score_matrix(dataset: "Dataset", runs: Sequence["SystemRun"], measure: Measu
         block = np.stack([run.est for run in runs[start : start + rows]])
         values[start : start + rows] = score_batch(measure, block, dataset.gold)
     values.setflags(write=False)
-    system_ids = tuple(run.system_id for run in runs)
-    return ScoreMatrix(values, system_ids, tuple(dataset.case_ids), measure)
+    return ScoreMatrix(values, (run.system_id for run in runs), dataset.case_ids, measure)
 
 
 def score_matrices(
@@ -304,8 +296,7 @@ def score_matrices(
     A hybrid whose DNKT and partner are both listed, in any order, is the
     harmonic mean of their grids: the same bits as scoring it.
     """
-    measures = tuple(measures)
-    _check_measures(measures)
+    measures = _checked_members("measure", measures, MeasureId)
     listed = set(measures)
     composed = {h: p for h, p in HYBRID_PARTNERS.items() if {h, p, MeasureId.DNKT} <= listed}
     done = {m: score_matrix(dataset, runs, m) for m in measures if m not in composed}
@@ -335,7 +326,7 @@ def agreement(
     Ties are counted at exact equality; tau close to 1 means two measures
     rank the systems nearly identically.
     """
-    measures = tuple(measures)
+    measures = _checked_members("measure", measures, MeasureId)
     if len(runs) < 3:
         raise TooFewSystems(f"need at least 3 systems, got {len(runs)}")
     if len(measures) < 2:
@@ -621,14 +612,13 @@ def split_half_consistency(
     Every argument, the subset mode and the number of systems are
     validated before any scoring.
     """
-    measures = tuple(measures)
+    measures = _checked_members("measure", measures, MeasureId)
     if len(measures) < 1:
         raise TooFewMeasures("need at least 1 measure")
-    _check_measures(measures)
     if len(runs) < 2:
         raise TooFewSystems(f"need at least 2 systems, got {len(runs)}")
     check_consistency_args(B, seed, alpha, permutations, threads, tau_variant)
-    mode.bounds(len(dataset.case_ids))
+    _checked_member("mode", mode, SubsetMode).bounds(len(dataset.case_ids))
     # A one-shot iterator, so the trials hold the only copy of the scores.
     grids = (matrix.values for matrix in score_matrices(dataset, runs, measures))
     per_trial = consistency_per_trial(grids, mode, B, seed, threads, tau_variant)

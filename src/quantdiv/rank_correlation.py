@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
-from .distributions import _checked_array, _checked_integer, _checked_number
+from .distributions import _check_confidence, _checked_array, _checked_integer, _checked_number
 from .errors import LengthMismatch, OutOfRange, TooShort
 
 # Two aligned lists, or two stacked (..., n) arrays.
@@ -73,19 +73,6 @@ class TauResult:
             raise OutOfRange(
                 f"need ci_low <= tau <= ci_high, got {self.ci_low!r}, {self.tau!r}, {self.ci_high!r}"
             )
-
-
-def _check_confidence(confidence) -> float:
-    """0.5 + confidence / 2, the normal CDF level of a two-sided interval's z.
-
-    confidence must be a number in (0, 1); the largest float below 1 is
-    refused too, because its level rounds to 1, where the quantile is infinite.
-    """
-    confidence = _checked_number("confidence", confidence, 0.0, 1.0, open=True)
-    level = 0.5 + confidence / 2.0
-    if level >= 1.0:
-        raise OutOfRange(f"confidence {confidence!r} is too close to 1: 0.5 + confidence / 2 rounds to 1")
-    return level
 
 
 def _as_arrays(xs: Lists, ys: Lists) -> tuple[np.ndarray, np.ndarray]:

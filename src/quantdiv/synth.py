@@ -12,8 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dataset_io import Dataset, SystemRun
-from .distributions import from_votes, validate
-from .errors import OutOfRange
+from .distributions import _checked_integer, _checked_number, from_votes, validate
 
 GENERATOR_STREAM = 0
 
@@ -33,32 +32,27 @@ def generate(
     noise_hi: float = 0.65,
 ) -> tuple[Dataset, list[SystemRun]]:
     """Build a voted gold dataset and n_systems runs of graded quality."""
-    if n_systems < 1 or n_cases < 1 or n_classes < 2 or assessors < 1:
-        raise OutOfRange("need n_systems >= 1, n_cases >= 1, n_classes >= 2, assessors >= 1")
-    if not 0.0 <= noise_lo <= noise_hi <= 1.0:
-        raise OutOfRange("need 0 <= noise_lo <= noise_hi <= 1")
-    if seed < 0:
-        raise OutOfRange(f"seed must be non-negative, got {seed}")
+    n_systems = _checked_integer("n_systems", n_systems, 1)
+    n_cases = _checked_integer("n_cases", n_cases, 1)
+    n_classes = _checked_integer("n_classes", n_classes, 2)
+    assessors = _checked_integer("assessors", assessors, 1)
+    seed = _checked_integer("seed", seed, 0)
+    noise_lo = _checked_number("noise_lo", noise_lo, 0.0, 1.0)
+    noise_hi = _checked_number("noise_hi", noise_hi, noise_lo, 1.0)
     rng = np.random.default_rng(np.random.SeedSequence((seed, GENERATOR_STREAM)))
 
     width = max(4, len(str(n_cases)))
     case_ids = tuple(f"d{i:0{width}d}" for i in range(1, n_cases + 1))
     class_labels = tuple(f"c{i}" for i in range(1, n_classes + 1))
 
-    votes = []
-    for _ in range(n_cases):
-        latent = rng.dirichlet(np.full(n_classes, 0.8))
-        votes.append(tuple(int(v) for v in rng.multinomial(assessors, latent)))
+    # Each case draws its latent distribution, then its votes; the record keeps them as Python ints.
+    votes = [rng.multinomial(assessors, rng.dirichlet(np.full(n_classes, 0.8))) for _ in range(n_cases)]
     gold = [from_votes(v) for v in votes]
-    dataset = Dataset(case_ids=case_ids, class_labels=class_labels, gold=gold, votes=tuple(votes))
+    dataset = Dataset(case_ids=case_ids, class_labels=class_labels, gold=gold, votes=votes)
 
-    if n_systems == 1:
-        levels = [noise_lo]
-    else:
-        levels = list(np.linspace(noise_lo, noise_hi, n_systems))
     sys_width = len(str(n_systems))
     runs = []
-    for s, level in enumerate(levels, start=1):
+    for s, level in enumerate(np.linspace(noise_lo, noise_hi, n_systems), start=1):
         est = [
             validate((1.0 - level) * row + level * rng.dirichlet(np.ones(n_classes)))
             for row in dataset.gold

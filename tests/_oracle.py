@@ -170,18 +170,22 @@ def rnss(est: np.ndarray, gold: np.ndarray) -> float:
     return math.sqrt(total / 2.0)
 
 
-def _kld(p: list[float], q: list[float]) -> float:
-    """Kullback-Leibler divergence in bits; terms with p_i = 0 contribute 0."""
-    return math.fsum(pi * math.log2(pi / qi) for pi, qi in zip(p, q) if pi > 0.0)
+def _kld_to_mid(p: list[float], q: list[float]) -> float:
+    """Kullback-Leibler divergence of p from the midpoint (p + q) / 2, in bits.
+
+    Each ratio p_i / mid_i is taken as 2 p_i / (p_i + q_i), which is finite
+    where the midpoint of a subnormal and 0 underflows to 0; terms with
+    p_i = 0 contribute 0.
+    """
+    return math.fsum(pi * math.log2(2.0 * pi / (pi + qi)) for pi, qi in zip(p, q) if pi > 0.0)
 
 
 def jsd(est: np.ndarray, gold: np.ndarray) -> float:
     """Jensen-Shannon divergence in bits, bounded by 1."""
     _check_pair(est, gold)
     e, g = est.tolist(), gold.tolist()
-    mid = [(a + b) / 2.0 for a, b in zip(e, g)]
     # Near-equal inputs can round to about -1e-17; JSD is non-negative.
-    return max(0.0, (_kld(e, mid) + _kld(g, mid)) / 2.0)
+    return max(0.0, (_kld_to_mid(e, g) + _kld_to_mid(g, e)) / 2.0)
 
 
 def dnkt(est: np.ndarray, gold: np.ndarray) -> float:

@@ -515,17 +515,68 @@ def test_consistency_report_from_numpy_scalars_writes_and_reads_back(tmp_path):
     assert back == report and back.alpha == float(np.float32(0.05))
 
 
-def test_public_records_are_frozen_with_read_only_arrays(reports):
+def _as_lists(value):
+    """value with every tuple in it, nested ones too, turned into a list."""
+    return [_as_lists(item) for item in value] if isinstance(value, tuple) else value
+
+
+def _types(value):
+    """The type of value and, for a tuple or a list, of each item in it, nested ones too."""
+    if isinstance(value, (tuple, list)):
+        return type(value), [_types(item) for item in value]
+    return type(value)
+
+
+def test_public_records_are_frozen_with_read_only_arrays(tmp_path, reports):
     records = [getattr(quantdiv, name) for name in quantdiv.__all__]
     records = [cls for cls in records if isinstance(cls, type) and dataclasses.is_dataclass(cls)]
     for cls in records:
         assert cls.__dataclass_params__.frozen, cls.__name__
     ds, runs = synth.generate(n_systems=2, n_cases=5, seed=1)
-    matrix, _, consistency = reports
+    matrix, agree, consistency = reports
     for record in (ds, runs[0], matrix, consistency):
         arrays = [getattr(record, f.name) for f in dataclasses.fields(record)]
         arrays = [a for a in arrays if isinstance(a, np.ndarray)]
         assert len(arrays) == 1 and not arrays[0].flags.writeable, type(record).__name__
+    # Every collection field is stored as a tuple, pairs and votes as tuples of
+    # tuples, whether a list or a one-shot iterator of lists built the record:
+    # it equals the record built from tuples and writes the same bytes.
+    nmd, nvd, jsd = MeasureId.NMD, MeasureId.NVD, MeasureId.JSD
+    apart = np.array([[0.9] * 5, [0.1] * 5])
+    ranked = ConsistencyReport((nmd, nvd), apart, ((nmd, nvd),), FullSplit(), 1, 0.05, 4)
+
+    def written(record) -> bytes:
+        if isinstance(record, Dataset):
+            return write_dataset(record, tmp_path / "d.tsv").read_bytes()
+        return write_report(record, "json", tmp_path / "r.json").read_bytes()
+
+    for record, names in (
+        (ds, ("case_ids", "class_labels", "votes")),
+        (matrix, ("system_ids", "case_ids")),
+        (agree, ("measures", "taus")),
+        (ranked, ("measures", "significant_pairs")),
+    ):
+        for name in names:
+            value = getattr(record, name)
+            assert type(value) is tuple and len(value) >= 1, name
+            for given in (_as_lists(value), iter(_as_lists(value))):
+                built = dataclasses.replace(record, **{name: given})
+                assert _types(getattr(built, name)) == _types(value), name
+                assert built == record, name
+                assert written(built) == written(record), name
+    # A mode that is not a FullSplit or FixedSize, a significant pair of other
+    # than 2 measures, and ids given as one string (each character an id) are refused.
+    with pytest.raises(OutOfRange, match="mode 'half' is not a SubsetMode"):
+        dataclasses.replace(ranked, mode="half")
+    for pair in ((nmd,), (nmd, nvd, jsd)):
+        with pytest.raises(OutOfRange, match="must name two report measures"):
+            dataclasses.replace(ranked, significant_pairs=(pair,))
+    for record, name in (
+        (ds, "case_ids"), (ds, "class_labels"), (matrix, "system_ids"), (matrix, "case_ids")
+    ):
+        text = "".join(chr(0x4E00 + i) for i in range(len(getattr(record, name))))
+        with pytest.raises(OutOfRange, match=f"must be a collection of str, got '{text}'"):
+            dataclasses.replace(record, **{name: text})
 
 
 def test_dataset_and_run_check_their_shapes_when_built():
@@ -536,27 +587,31 @@ def test_dataset_and_run_check_their_shapes_when_built():
     pair = Dataset(case_ids=("a", "b"), class_labels=("x", "y"), gold=[[0.5, 0.5], [1.0, 0.0]])
     with pytest.raises(LengthMismatch, match=r"est must be a \(cases, K\) grid, got shape \(2,\)"):
         SystemRun("s1", [0.3, 0.7])
-    with pytest.raises(OutOfRange, match="case_ids must be unique"):
+    with pytest.raises(OutOfRange, match="case id 'a' is listed twice"):
         dataclasses.replace(pair, case_ids=("a", "a"))
     for changes, error, message in (
-        ({"case_ids": ("a", 2)}, OutOfRange, "case_ids must be strings"),
-        ({"class_labels": ("x", "x")}, OutOfRange, "class_labels must be unique"),
-        ({"class_labels": ("x", None)}, OutOfRange, "class_labels must be strings"),
+        ({"case_ids": ("a", 2)}, OutOfRange, "case id 2 is not a str"),
+        ({"class_labels": ("x", "x")}, OutOfRange, "class label 'x' is listed twice"),
+        ({"class_labels": ("x", None)}, OutOfRange, "class label None is not a str"),
         ({"class_labels": ("x",), "gold": [[1.0], [1.0]]}, TooFewClasses, "got 1"),
         ({"gold": [0.5, 0.5]}, LengthMismatch, "gold grid"),
         ({"gold": [[0.5, 0.5, 0.0], [1.0, 0.0, 0.0]]}, LengthMismatch, "gold grid"),
         ({"votes": ((1, 1),)}, LengthMismatch, "votes must hold one row of 2 counts"),
         ({"votes": ((1, 1), (1, 1, 0))}, LengthMismatch, "votes must hold one row of 2 counts"),
+        ({"votes": ((True, 1), (1, 1))}, OutOfRange, "vote count must be an integer >= 0, got True"),
+        ({"votes": ((1.0, 1), (1, 1))}, OutOfRange, "vote count must be an integer >= 0, got 1.0"),
+        ({"votes": ((1, 1), (-1, 2))}, OutOfRange, "vote count must be an integer >= 0, got -1"),
     ):
         with pytest.raises(error, match=message):
             dataclasses.replace(pair, **changes)
-    with pytest.raises(OutOfRange, match="system_id must be a string, got 1"):
+    with pytest.raises(OutOfRange, match="system id 1 is not a str"):
         SystemRun(1, [[0.5, 0.5]])
     with pytest.raises(LengthMismatch, match="got shape"):
         SystemRun("s1", [[[0.5, 0.5]]])
-    # Rows need not be simplex points, and votes need not match gold.
-    loose = dataclasses.replace(pair, gold=[[2.0, -1.0], [0.0, 0.0]], votes=((1, 1), (0, 3)))
+    # Rows need not be simplex points, and votes need not match gold; counts are kept as Python ints.
+    loose = dataclasses.replace(pair, gold=[[2.0, -1.0], [0.0, 0.0]], votes=[[np.int64(1), 1], [0, 3]])
     assert loose.gold.tolist() == [[2.0, -1.0], [0.0, 0.0]]
+    assert _types(loose.votes) == (tuple, [(tuple, [int, int])] * 2)
     assert SystemRun("s1", [[2.0, -1.0]]).est.shape == (1, 2)
 
 
@@ -724,9 +779,9 @@ def test_read_report_rejects_bad_input(tmp_path, reports):
         (0, None, "note", None, "report key 'note' is None, the data give absent"),
         (2, "meta", "mode", "k=+2", "report key 'meta.mode' is 'k=\\+2', the data give 'k=2'"),
         (0, None, "measures", [], "'measures' must name one measure"),
-        (0, "payload", "system_ids", ["a"] * 6, "system_ids must be unique"),
-        (0, "payload", "system_ids", list(range(6)), "system_ids must be strings"),
-        (0, "payload", "case_ids", ["c"] * 24, "case_ids must be unique"),
+        (0, "payload", "system_ids", ["a"] * 6, "system id 'a' is listed twice"),
+        (0, "payload", "system_ids", list(range(6)), "system id 0 is not a str"),
+        (0, "payload", "case_ids", ["c"] * 24, "case id 'c' is listed twice"),
         (2, None, "measures", ["NMD", "NMD"], "measure NMD is listed twice"),
     ):
         doc = json.loads(render_report(reports[report], "json"))

@@ -378,6 +378,18 @@ def test_batch_matches_scalar_score(k):
         assert ((batch >= 0.0) & (batch <= 1.0 + 1e-12)).all(), measure
 
 
+def test_jsd_matches_the_oracle_where_the_midpoint_underflows():
+    # The first class holds a subnormal in one row and 0 in the other, so its
+    # midpoint underflows to 0 and its term is below 1e-323. This pair is not
+    # one of _tricky_rows: there the subnormal row puts NVD one ulp from
+    # math.fsum, the rounding-boundary case _fsum_last documents.
+    est, gold = validate([0.0, 0.5, 0.5]), validate([5e-324, 0.0, 1.0])
+    for measure in (MeasureId.JSD, MeasureId.DNKT_JSD):
+        for e, g in ((est, gold), (gold, est)):
+            assert abs(score(measure, e, g) - _oracle.score(measure, e, g)) <= 1e-15, measure
+    assert _oracle.jsd(est, gold) == 0.31127812445913283
+
+
 @pytest.mark.parametrize("k", range(2, 12))
 def test_batch_identity_is_zero(k):
     rows = np.stack(_tricky_rows(np.random.default_rng(200 + k), k))

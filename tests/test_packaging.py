@@ -75,10 +75,12 @@ def test_no_module_imports_a_name_it_does_not_use():
 
 
 def test_value_rules_live_only_in_distributions():
-    # Outside distributions.py a module calls _checked_integer, _checked_number
-    # or _checked_array instead of these tools of a value rule. dataset_io._same
-    # is exempt: it is JSON equality, in which true must not equal 1.
-    tools = {"operator.index", "numbers.Real", "np.isfinite", "numpy.isfinite"}
+    # Outside distributions.py a module calls _checked_integer, _checked_number,
+    # _checked_array or _checked_members instead of these tools of a value rule,
+    # and defines no _check* function of its own. dataset_io._same is exempt:
+    # it is JSON equality, in which true must not equal 1; so is
+    # dataset_io._check_written_form, which compares a report file with its record.
+    tools = {"operator.index", "numbers.Real", "np.isfinite", "numpy.isfinite", "def _check*"}
     found = []
     for path in sorted((ROOT / "src" / "quantdiv").glob("*.py")):
         if path.name == "distributions.py":
@@ -87,13 +89,16 @@ def test_value_rules_live_only_in_distributions():
         exempt = {
             id(node)
             for function in ast.walk(tree)
-            if isinstance(function, ast.FunctionDef) and (path.name, function.name) == ("dataset_io.py", "_same")
+            if isinstance(function, ast.FunctionDef) and path.name == "dataset_io.py"
+            and function.name in ("_same", "_check_written_form")
             for node in ast.walk(function)
         }
         for node in ast.walk(tree):
             if id(node) in exempt:
                 continue
-            if isinstance(node, ast.Attribute):
+            if isinstance(node, ast.FunctionDef):
+                used = {"def _check*"} if node.name.startswith("_check") else set()
+            elif isinstance(node, ast.Attribute):
                 used = {ast.unparse(node)}
             elif isinstance(node, ast.ImportFrom):
                 used = {f"{node.module}.{alias.name}" for alias in node.names}

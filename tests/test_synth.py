@@ -66,3 +66,22 @@ def test_parameter_validation():
         synth.generate(noise_lo=0.5, noise_hi=0.2)
     with pytest.raises(OutOfRange):
         synth.generate(assessors=0)
+    # Each argument goes through the integer or the number rule: a bool, a
+    # float count or a string is refused, not read as 1, truncated or compared.
+    for kwargs in (
+        {"n_systems": True, "n_cases": 4, "seed": True},
+        {"n_cases": 4, "seed": True},
+        {"n_systems": 2.5, "n_cases": 4},
+        {"n_cases": 4.0},
+        {"assessors": np.int64(0)},
+        {"noise_lo": True},
+        {"noise_hi": "0.5"},
+        {"noise_lo": math.nan},
+        {"noise_hi": 1.5},
+    ):
+        with pytest.raises(OutOfRange):
+            synth.generate(**kwargs)
+    # numpy integers and floats are taken as the Python numbers they hold.
+    ds, runs = synth.generate(n_systems=np.int64(2), n_cases=np.int64(4), noise_lo=np.float32(0.25))
+    assert ds == synth.generate(n_systems=2, n_cases=4, noise_lo=0.25)[0]
+    assert [run.system_id for run in runs] == ["s1", "s2"]
