@@ -4,8 +4,6 @@ and randomized significance testing."""
 
 from ._version import __version__
 from .dataset_io import (
-    Dataset,
-    SystemRun,
     load_gold,
     load_run,
     read_report,
@@ -14,7 +12,7 @@ from .dataset_io import (
     write_report,
     write_run,
 )
-from .distributions import from_votes, validate
+from .distributions import Dataset, SystemRun, from_votes, validate
 from .measures import (
     ALL_MEASURES,
     DEFAULT_SUITE,

@@ -25,23 +25,20 @@ import itertools
 import json
 import re
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from ._version import __version__
-from .distributions import _checked_array, _checked_integer, _checked_member, _checked_members
-from .distributions import _checked_total, _fields_equal, _frozen, _vote_shares, from_votes
+from .distributions import Dataset, SystemRun, _checked_total, _vote_shares, from_votes
 from .errors import (
     DuplicateCaseId,
     InconsistentClassCount,
-    LengthMismatch,
     MissingCase,
     OutOfRange,
     ParseError,
-    TooFewClasses,
     UnknownCase,
     ValidationError,
 )
@@ -56,49 +53,6 @@ from .meta_eval import (
 from .rank_correlation import TauResult
 
 FORMATS = ("tsv", "json", "markdown")
-
-
-@dataclass(frozen=True, eq=False)
-class Dataset:
-    """Gold distributions as one (cases, K) array; votes kept when loaded from counts."""
-
-    case_ids: tuple[str, ...]
-    class_labels: tuple[str, ...]
-    gold: np.ndarray  # stored read-only; any (cases, K) rows are accepted
-    votes: tuple[tuple[int, ...], ...] | None = None  # Python ints: counts may exceed int64
-
-    def __post_init__(self):
-        object.__setattr__(self, "case_ids", _checked_members("case id", self.case_ids, str))
-        object.__setattr__(self, "class_labels", _checked_members("class label", self.class_labels, str))
-        n, k = len(self.case_ids), len(self.class_labels)
-        if k < 2:
-            raise TooFewClasses(f"need at least 2 classes, got {k}")
-        object.__setattr__(self, "gold", _frozen(_checked_array("gold", self.gold)))
-        if self.gold.shape != (n, k):
-            raise LengthMismatch(f"gold grid {self.gold.shape} must be {n} cases x {k} classes")
-        if self.votes is not None:
-            votes = tuple(tuple(_checked_integer("vote count", c, 0) for c in row) for row in self.votes)
-            object.__setattr__(self, "votes", votes)
-            if [len(row) for row in votes] != [k] * n:
-                raise LengthMismatch(f"votes must hold one row of {k} counts for each of {n} cases")
-
-    __eq__ = _fields_equal
-
-
-@dataclass(frozen=True, eq=False)
-class SystemRun:
-    """One system's estimated distributions as one (cases, K) array, in dataset order."""
-
-    system_id: str
-    est: np.ndarray  # stored read-only; any (cases, K) rows are accepted
-
-    def __post_init__(self):
-        _checked_member("system id", self.system_id, str)
-        object.__setattr__(self, "est", _frozen(_checked_array("est", self.est)))
-        if self.est.ndim != 2:
-            raise LengthMismatch(f"est must be a (cases, K) grid, got shape {self.est.shape}")
-
-    __eq__ = _fields_equal
 
 
 def _lines(text: str) -> list[str]:
@@ -469,7 +423,11 @@ def read_report(path):
         raise
     except (TypeError, ValueError) as exc:  # the reports' own checks raise ValidationError
         raise ParseError(f"malformed report: {exc}") from None
-    _check_written_form(doc, _json_doc(report))
+    written = _json_doc(report)  # the one valid document, but for tool_version: other releases load
+    if isinstance(doc.get("meta"), dict):
+        written["meta"]["tool_version"] = doc["meta"].get("tool_version", _ABSENT)
+    if found := _first_difference(doc, written):
+        raise ParseError(f"report key '{_cut(found[0][1:])}' is {found[1]}")
     return report
 
 
@@ -490,36 +448,7 @@ class _Absent:
 _ABSENT = _Absent()
 
 
-def _check_written_form(doc: dict, written: dict) -> None:
-    """A document must be the one the writer writes for its report, tool_version apart.
-
-    Objects in both documents are compared key by key, so the first differing
-    'section.key' is named; values compare as _same compares them.
-    """
-    for key in {**written, **doc}:
-        stored, derived = doc.get(key, _ABSENT), written.get(key, _ABSENT)
-        if isinstance(stored, dict) and isinstance(derived, dict):
-            entries = [
-                (f"{key}.{sub}", stored.get(sub, _ABSENT), derived.get(sub, _ABSENT))
-                for sub in {**derived, **stored}
-            ]
-        else:
-            entries = [(key, stored, derived)]
-        for name, value, wanted in entries:
-            if name != "meta.tool_version" and not _same(value, wanted):
-                raise ParseError(f"report key '{_cut(name)}' is {_difference(value, wanted)}")
-
-
-def _same(value, wanted) -> bool:
-    """Equality of parsed JSON in which a bool equals only a bool: 1 == 1.0, but not true."""
-    if isinstance(value, list) and isinstance(wanted, list):
-        return len(value) == len(wanted) and all(map(_same, value, wanted))
-    if isinstance(value, dict) and isinstance(wanted, dict):
-        return value.keys() == wanted.keys() and all(_same(value[k], wanted[k]) for k in value)
-    return isinstance(value, bool) == isinstance(wanted, bool) and value == wanted
-
-
-QUOTE_LIMIT = 120  # characters of a key name or a value's repr that an error message quotes
+QUOTE_LIMIT = 120  # characters of a key path or a value's repr that an error message quotes
 
 
 def _cut(text: str) -> str:
@@ -529,20 +458,29 @@ def _cut(text: str) -> str:
     return f"{text[:QUOTE_LIMIT]}... ({len(text)} characters)"
 
 
-def _quote(value) -> str:
-    """repr(value), cut as _cut cuts it."""
-    return _cut(repr(value))
+def _first_difference(value, wanted) -> tuple[str, str] | None:
+    """(key path, "<value>, the data give <wanted>") where parsed JSON first differs, else None.
 
-
-def _difference(value, wanted) -> str:
-    """'<value>, the data give <wanted>'; two lists are quoted at their first difference."""
-    if isinstance(value, list) and isinstance(wanted, list):
-        for i, (item, wanted_item) in enumerate(zip(value, wanted)):
-            if not _same(item, wanted_item):
-                item, wanted_item = _quote(item), _quote(wanted_item)
-                return f"a list whose item {i} is {item}, the data give {wanted_item}"
-        return f"a list of length {len(value)}, the data give {len(wanted)}"
-    return f"{_quote(value)}, the data give {_quote(wanted)}"
+    Objects are walked key by key, wanted's keys in their order and then
+    value's others, a key that one lacks reading as absent; lists item by
+    item, then by length. A bool equals only a bool: 1 == 1.0, but not true.
+    The path is built on the way back, so items that agree cost no string.
+    """
+    if isinstance(value, dict) and isinstance(wanted, dict):
+        for key in itertools.chain(wanted, (key for key in value if key not in wanted)):
+            found = _first_difference(value.get(key, _ABSENT), wanted.get(key, _ABSENT))
+            if found:
+                return f".{key}{found[0]}", found[1]
+    elif isinstance(value, list) and isinstance(wanted, list):
+        if any(map(_first_difference, value, wanted)):  # walked again only to find the index
+            for i, found in enumerate(map(_first_difference, value, wanted)):
+                if found:
+                    return f"[{i}]{found[0]}", found[1]
+        if len(value) != len(wanted):
+            return "", f"a list of length {len(value)}, the data give {len(wanted)}"
+    elif isinstance(value, bool) != isinstance(wanted, bool) or value != wanted:
+        return "", f"{_cut(repr(value))}, the data give {_cut(repr(wanted))}"
+    return None
 
 
 def _report_from_doc(doc: dict):

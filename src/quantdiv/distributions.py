@@ -5,13 +5,15 @@ is a float64 array whose last axis is the classes: one pair is two (K,)
 arrays, a table of cases is one (cases, K) array. validate() and
 from_votes() check one row and return it as a read-only (K,) array, so
 downstream code can assume a clean simplex point. The table loader reads a
-row as the same floats (its cells or its _vote_shares) and checks each row
-as it is read by the same rule, _checked_total.
+row as the same floats (its cells or its _vote_shares), checks it by the
+same rule, _checked_total, and divides by that total in one numpy division,
+as they do. Dataset and SystemRun each hold a table of rows.
 
 It is also the one home of the value rules that public functions apply to
 their arguments; each returns the Python int, float or float64 array it
-accepts, and no bool, str or complex passes any of them. The members rule
-returns ids and measures as a tuple of distinct values of one type.
+accepts, and no bool, str or complex passes any of them. The items rule
+returns a collection as a tuple of values of one type, and the members
+rule returns ids and measures as a tuple of distinct ones.
 """
 
 from __future__ import annotations
@@ -19,12 +21,14 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import AllZeroVotes, NegativeProbability, NotNormalized, OutOfRange, TooFewClasses
+from .errors import AllZeroVotes, LengthMismatch, NegativeProbability, NotNormalized, OutOfRange
+from .errors import TooFewClasses
 
 # Absolute slack allowed on sum(probs) == 1 before rejecting; inputs inside
 # the slack are renormalized so stored values sum to 1 up to float rounding.
@@ -110,19 +114,28 @@ def _checked_member(name: str, value, kind: type):
     return value
 
 
-def _checked_members(name: str, items, kind: type) -> tuple:
-    """items as a tuple of distinct kinds; a bare str is one value, not a collection of them.
+def _checked_items(name: str, items, kind: type = object) -> tuple:
+    """items as a tuple of kinds (any by default); a bare str is one value, not a collection.
 
-    One isinstance pass and one set; the items are walked again only to name
-    the first offender: an item that is not a kind, or one listed before.
+    One isinstance pass; the items are walked again only to name the first that is not a kind.
     """
     if isinstance(items, str) or not np.iterable(items):
-        raise OutOfRange(f"{name}s must be a collection of {kind.__name__}, got {items!r}")
+        of_kind = "" if kind is object else f" of {kind.__name__}"
+        raise OutOfRange(f"{name}s must be a collection{of_kind}, got {items!r}")
     items = tuple(items)
-    if not all(isinstance(item, kind) for item in items) or len(set(items)) != len(items):
+    if not all(isinstance(item, kind) for item in items):
+        for item in items:
+            _checked_member(name, item, kind)
+    return items
+
+
+def _checked_members(name: str, items, kind: type) -> tuple:
+    """_checked_items of distinct kinds, by one set; walked again only to name a repeat."""
+    items = _checked_items(name, items, kind)
+    if len(set(items)) != len(items):
         seen = set()
         for item in items:
-            if _checked_member(name, item, kind) in seen:
+            if item in seen:
                 label = item.value if isinstance(item, Enum) else repr(item)
                 raise OutOfRange(f"{name} {label} is listed twice")
             seen.add(item)
@@ -167,12 +180,6 @@ def _checked_total(row: Sequence[float]) -> float:
     raise NotNormalized(f"probabilities sum to {total!r}")
 
 
-def _normalized(probs: list[float]) -> list[float]:
-    """probs checked as validate() documents, each divided by their exact total."""
-    total = _checked_total(probs)
-    return [p / total for p in probs]
-
-
 def _vote_shares(counts: Sequence[int]) -> list[float]:
     """Vote counts checked as from_votes() documents, each divided by their exact total."""
     if len(counts) < 2:
@@ -196,9 +203,60 @@ def validate(raw: Iterable[float]) -> np.ndarray:
     row = _checked_array("probabilities", list(raw) if isinstance(raw, Iterator) else raw)
     if row.ndim != 1:
         raise OutOfRange(f"probabilities must be one (K,) row, got shape {row.shape}")
-    return _frozen(_normalized(row.tolist()))
+    row = row / _checked_total(row.tolist())  # a fresh array, so _frozen's copy is not needed
+    row.setflags(write=False)
+    return row
 
 
 def from_votes(counts: Iterable[int]) -> np.ndarray:
     """Turn per-class vote counts (non-negative integers) into a read-only (K,) array."""
-    return _frozen(_normalized(_vote_shares(tuple(counts) if np.iterable(counts) else (counts,))))
+    shares = _vote_shares(tuple(counts) if np.iterable(counts) else (counts,))
+    row = np.divide(shares, _checked_total(shares))
+    row.setflags(write=False)
+    return row
+
+
+@dataclass(frozen=True, eq=False)
+class Dataset:
+    """Gold distributions as one (cases, K) array; votes kept when loaded from counts."""
+
+    case_ids: tuple[str, ...]
+    class_labels: tuple[str, ...]
+    gold: np.ndarray  # stored read-only; any (cases, K) rows are accepted
+    votes: tuple[tuple[int, ...], ...] | None = None  # Python ints: counts may exceed int64
+
+    def __post_init__(self):
+        object.__setattr__(self, "case_ids", _checked_members("case id", self.case_ids, str))
+        object.__setattr__(self, "class_labels", _checked_members("class label", self.class_labels, str))
+        n, k = len(self.case_ids), len(self.class_labels)
+        if k < 2:
+            raise TooFewClasses(f"need at least 2 classes, got {k}")
+        object.__setattr__(self, "gold", _frozen(_checked_array("gold", self.gold)))
+        if self.gold.shape != (n, k):
+            raise LengthMismatch(f"gold grid {self.gold.shape} must be {n} cases x {k} classes")
+        if self.votes is not None:
+            votes = tuple(
+                tuple(_checked_integer("vote count", c, 0) for c in _checked_items("vote count", row))
+                for row in _checked_items("vote row", self.votes)
+            )
+            object.__setattr__(self, "votes", votes)
+            if [len(row) for row in votes] != [k] * n:
+                raise LengthMismatch(f"votes must hold one row of {k} counts for each of {n} cases")
+
+    __eq__ = _fields_equal
+
+
+@dataclass(frozen=True, eq=False)
+class SystemRun:
+    """One system's estimated distributions as one (cases, K) array, in dataset order."""
+
+    system_id: str
+    est: np.ndarray  # stored read-only; any (cases, K) rows are accepted
+
+    def __post_init__(self):
+        _checked_member("system id", self.system_id, str)
+        object.__setattr__(self, "est", _frozen(_checked_array("est", self.est)))
+        if self.est.ndim != 2:
+            raise LengthMismatch(f"est must be a (cases, K) grid, got shape {self.est.shape}")
+
+    __eq__ = _fields_equal

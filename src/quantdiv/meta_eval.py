@@ -23,13 +23,14 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import kernels
-from .distributions import _check_confidence, _checked_array, _checked_integer, _checked_member
-from .distributions import _checked_members, _checked_number, _fields_equal, _frozen
+from .distributions import Dataset, SystemRun, _check_confidence, _checked_array, _checked_integer
+from .distributions import _checked_items, _checked_member, _checked_members, _checked_number
+from .distributions import _fields_equal, _frozen
 from .errors import (
     DatasetTooSmall,
     LengthMismatch,
@@ -41,9 +42,6 @@ from .errors import (
 )
 from .measures import HYBRID_PARTNERS, SCORE_RANGE, MeasureId, combine_harmonic_batch, score_batch
 from .rank_correlation import TauResult, tau_b, tau_plain, tau_with_ci
-
-if TYPE_CHECKING:
-    from .dataset_io import Dataset, SystemRun
 
 TRIAL_STREAM = 1
 HSD_STREAM = 2
@@ -152,7 +150,7 @@ class AgreementReport:
 
     def __post_init__(self):
         object.__setattr__(self, "measures", _checked_members("measure", self.measures, MeasureId))
-        object.__setattr__(self, "taus", tuple(self.taus))
+        object.__setattr__(self, "taus", _checked_items("tau", self.taus))
         m = len(self.measures)
         if m < 2:
             raise TooFewMeasures(f"need at least 2 measures, got {m}")
@@ -205,7 +203,8 @@ class ConsistencyReport:
             object.__setattr__(self, name, value)
         # Each pair once, winner first: randomized_tukey_hsd reports a pair
         # only when the winner's mean per-trial tau is strictly higher.
-        pairs = tuple(_checked_members("measure", pair, MeasureId) for pair in self.significant_pairs)
+        pairs = _checked_items("significant pair", self.significant_pairs)
+        pairs = tuple(_checked_members("measure", pair, MeasureId) for pair in pairs)
         object.__setattr__(self, "significant_pairs", pairs)
         means = dict(zip(self.measures, self.mean_tau))
         listed = set()
@@ -263,7 +262,7 @@ def check_consistency_args(
     return B, seed, alpha, permutations, threads, tau_fn
 
 
-def score_matrix(dataset: "Dataset", runs: Sequence["SystemRun"], measure: MeasureId) -> ScoreMatrix:
+def score_matrix(dataset: Dataset, runs: Sequence[SystemRun], measure: MeasureId) -> ScoreMatrix:
     """Score every system on every case with one measure.
 
     Systems are scored a block of rows at a time, so temporaries stay within
@@ -271,6 +270,8 @@ def score_matrix(dataset: "Dataset", runs: Sequence["SystemRun"], measure: Measu
     holds the grid this call fills, not a copy of it.
     """
     _checked_member("measure", measure, MeasureId)
+    _checked_member("dataset", dataset, Dataset)
+    runs = _checked_items("run", runs, SystemRun)
     n_cases = len(dataset.case_ids)
     for run in runs:
         if len(run.est) != n_cases:
@@ -289,7 +290,7 @@ def score_matrix(dataset: "Dataset", runs: Sequence["SystemRun"], measure: Measu
 
 
 def score_matrices(
-    dataset: "Dataset", runs: Sequence["SystemRun"], measures: Sequence[MeasureId]
+    dataset: Dataset, runs: Sequence[SystemRun], measures: Sequence[MeasureId]
 ) -> tuple[ScoreMatrix, ...]:
     """score_matrix for each measure, in list order, each scored once.
 
@@ -297,6 +298,7 @@ def score_matrices(
     harmonic mean of their grids: the same bits as scoring it.
     """
     measures = _checked_members("measure", measures, MeasureId)
+    runs = _checked_items("run", runs, SystemRun)  # a one-shot iterator is read once
     listed = set(measures)
     composed = {h: p for h, p in HYBRID_PARTNERS.items() if {h, p, MeasureId.DNKT} <= listed}
     done = {m: score_matrix(dataset, runs, m) for m in measures if m not in composed}
@@ -316,8 +318,8 @@ def mean_scores(matrix: ScoreMatrix) -> np.ndarray:
 
 
 def agreement(
-    dataset: "Dataset",
-    runs: Sequence["SystemRun"],
+    dataset: Dataset,
+    runs: Sequence[SystemRun],
     measures: Sequence[MeasureId],
     confidence: float = 0.95,
 ) -> AgreementReport:
@@ -327,6 +329,7 @@ def agreement(
     rank the systems nearly identically.
     """
     measures = _checked_members("measure", measures, MeasureId)
+    runs = _checked_items("run", runs, SystemRun)
     if len(runs) < 3:
         raise TooFewSystems(f"need at least 3 systems, got {len(runs)}")
     if len(measures) < 2:
@@ -510,7 +513,7 @@ def consistency_per_trial(
     B, seed, _, _, threads, tau_fn = check_consistency_args(
         B, seed, threads=threads, tau_variant=tau_variant
     )
-    split, end = mode.bounds(n_cases)
+    split, end = _checked_member("mode", mode, SubsetMode).bounds(n_cases)
 
     per_trial = np.empty((n_measures, B), dtype=np.float64)
     cells = n_measures * n_systems
@@ -593,8 +596,8 @@ def randomized_tukey_hsd(
 
 
 def split_half_consistency(
-    dataset: "Dataset",
-    runs: Sequence["SystemRun"],
+    dataset: Dataset,
+    runs: Sequence[SystemRun],
     measures: Sequence[MeasureId],
     mode: SubsetMode = FullSplit(),
     B: int = 1000,
@@ -615,6 +618,8 @@ def split_half_consistency(
     measures = _checked_members("measure", measures, MeasureId)
     if len(measures) < 1:
         raise TooFewMeasures("need at least 1 measure")
+    _checked_member("dataset", dataset, Dataset)
+    runs = _checked_items("run", runs, SystemRun)
     if len(runs) < 2:
         raise TooFewSystems(f"need at least 2 systems, got {len(runs)}")
     check_consistency_args(B, seed, alpha, permutations, threads, tau_variant)

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataset_io import Dataset, SystemRun
-from .distributions import _checked_integer, _checked_number, from_votes, validate
+from .distributions import Dataset, SystemRun, _checked_integer, _checked_number, from_votes, validate
 
 GENERATOR_STREAM = 0
 

@@ -755,6 +755,7 @@ def test_read_report_rejects_bad_input(tmp_path, reports):
     pairs, averages = docs[1]["payload"]["pairs"], docs[1]["payload"]["avg_similarity"]
     scores = docs[0]["payload"]["values"]
     scores = [[7.0, *scores[0][1:]], *scores[1:]]
+    noted = [{**pairs[0], "note": 0}, *pairs[1:]]
     for report, section, key, value, message in (
         (0, "payload", "values", [[0.1, 0.2], [0.3]], "payload.values"),
         (0, "payload", "values", scores, r"scores must be numbers in \[0, 1\]"),
@@ -769,9 +770,11 @@ def test_read_report_rejects_bad_input(tmp_path, reports):
         (2, "payload", "permutations", 2.5, "permutations must be an integer"),
         (2, "meta", "alpha", 7, "alpha must be a number in"),
         (1, "payload", "pairs", pairs[1:], "agreement of 3 measures needs 3 TauResults"),
-        (1, "payload", "pairs", pairs[::-1], "report key 'payload.pairs' is"),
+        (1, "payload", "pairs", pairs[::-1], r"key 'payload.pairs\[0\].first' is 'NVD', the data give 'NMD'"),
         (1, "payload", "avg_similarity", averages[:2], "payload.avg_similarity"),
         (1, "payload", "note", "hand-edited", "report key 'payload.note' is 'hand-edited'"),
+        (1, "payload", "pairs", noted, r"'payload.pairs\[0\].note' is 0, the data give absent$"),
+        (0, None, "meta", [None], r"^report key 'meta' is \[None\], the data give \{'seed': None, "),
         (1, "meta", "alpha", "?", "report key 'meta.alpha' is '\\?', the data give None"),
         (1, "meta", "seed", 4, "report key 'meta.seed' is 4, the data give None"),
         (0, "meta", "seed", 4, "report key 'meta.seed' is 4, the data give None"),
@@ -822,7 +825,7 @@ def test_read_report_agreement_pair_outside_measure_list(tmp_path, reports):
     doc = json.loads(render_report(reports[1], "json"))
     for measures, message in (
         (["NMD", "JSD"], "agreement of 2 measures needs 1 TauResults"),
-        (["NMD", "JSD", "DNKT"], "report key 'payload.pairs' is .*'NVD'.*the data give .*'JSD'"),
+        (["NMD", "JSD", "DNKT"], r"^report key 'payload.pairs\[0\].second' is 'NVD', the data give 'JSD'$"),
     ):
         doc["measures"] = measures
         with pytest.raises(ParseError, match=message):
@@ -848,7 +851,7 @@ def test_read_report_checks_each_agreement_pair(tmp_path, reports):
     cases += [
         ([*pairs, pairs[0]], "agreement of 3 measures needs 3 TauResults"),
         ([*pairs, other], "agreement of 3 measures needs 3 TauResults"),
-        ([pairs[0], pairs[0], pairs[2]], "report key 'payload.pairs' is"),
+        ([pairs[0], pairs[0], pairs[2]], r"key 'payload.pairs\[1\].second' is 'NVD', the data give 'DNKT'"),
     ]
     for bad, message in cases:
         edited = {**doc, "payload": {**doc["payload"], "pairs": bad}}
@@ -908,12 +911,13 @@ def test_read_report_takes_no_bool_for_a_number(tmp_path, reports):
     # Python's == makes true equal 1 and 1.0; the writer never writes a bool.
     doc = json.loads(render_report(reports[0], "json"))
     doc["payload"].update(system_ids=["s"], case_ids=["a", "b"], values=[[True, False]])
-    with pytest.raises(
-        ParseError,
-        match=r"^report key 'payload.values' is a list whose item 0 is \[True, False\], "
-        r"the data give \[1.0, 0.0\]$",
+    for values, message in (
+        ([[True, False]], r"^report key 'payload.values\[0\]\[0\]' is True, the data give 1.0$"),
+        ([[1, False]], r"^report key 'payload.values\[0\]\[1\]' is False, the data give 0.0$"),
     ):
-        read_report(write(tmp_path, "r.json", json.dumps(doc)))
+        doc["payload"]["values"] = values
+        with pytest.raises(ParseError, match=message):
+            read_report(write(tmp_path, "r.json", json.dumps(doc)))
     doc["payload"]["values"] = [[1, 0]]  # an int still equals its float
     assert read_report(write(tmp_path, "r.json", json.dumps(doc))).values.tolist() == [[1.0, 0.0]]
     # A one-trial consistency report whose meta.B is true.
@@ -937,10 +941,7 @@ def test_read_report_quotes_lists_at_their_first_difference(tmp_path, reports):
     with pytest.raises(ParseError) as err:
         read_report(write(tmp_path, "r.json", json.dumps(edited)))
     message = str(err.value)
-    assert message.startswith(
-        f"report key 'payload.pairs' is a list whose item 0 is {pairs[-1]!r}, "
-        "the data give {'first': 'NMD', 'second': 'RNADW', "
-    )
+    assert message == f"report key 'payload.pairs[0].first' is {pairs[-1]['first']!r}, the data give 'NMD'"
     assert len(message) < 300
     # One list a prefix of the other: the two lengths.
     doc = json.loads(render_report(reports[2], "json"))
@@ -967,8 +968,8 @@ def test_read_report_cuts_long_quotes(tmp_path, reports):
     with pytest.raises(ParseError) as err:
         read_report(write(tmp_path, "r.json", json.dumps(doc)))
     message = str(err.value)
-    assert message.startswith("report key 'payload.pairs' is a list whose item 0 is {'first': 'xx")
-    assert f", the data give {pair!r}" in message
+    assert message.startswith("report key 'payload.pairs[0].first' is 'xxx")
+    assert message.endswith("xxx... (100002 characters), the data give 'NMD'")
     assert len(message) < 400
     # A key name is cut the same way.
     doc["payload"]["pairs"][0] = pair
@@ -978,6 +979,15 @@ def test_read_report_cuts_long_quotes(tmp_path, reports):
     message = str(err.value)
     assert message.startswith("report key 'payload.xxx")
     assert message.endswith("xxx... (100008 characters)' is 1, the data give absent")
+    assert len(message) < 400
+    # So is a key path that runs through a list.
+    del doc["payload"]["x" * 100_000]
+    doc["payload"]["pairs"][0] = {**pair, "x" * 100_000: 1}
+    with pytest.raises(ParseError) as err:
+        read_report(write(tmp_path, "r.json", json.dumps(doc)))
+    message = str(err.value)
+    assert message.startswith("report key 'payload.pairs[0].xxx")
+    assert message.endswith("xxx... (100017 characters)' is 1, the data give absent")
     assert len(message) < 400
 
 

@@ -52,6 +52,7 @@ from quantdiv import (
 )
 from quantdiv.errors import ValidationError
 from quantdiv.measures import _RANGE_SLACK, od
+from quantdiv.meta_eval import consistency_per_trial
 
 CASES = 2000
 # Names that take no data, or take it only as files, which the table and
@@ -323,6 +324,7 @@ def _outcome(call, check, numbers=()) -> str:
 # The defects this sweep was written for, one call each, before the drawn cases: a valid
 # input that must return within its invariants, or (check None) one that must be refused.
 XS, YS = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [1.0, 3.0, 2.0, 4.0, 6.0, 5.0]
+DS, RUNS = _data(np.random.default_rng(0))
 NAMED = [
     ((combine_harmonic, -1e-10, 0.5), None),
     ((TauResult, 0.5, 0.0, 1.0, np.int64(5)), _is_tau_result),
@@ -345,6 +347,17 @@ NAMED = [
     ((tau_b, XS, YS, "0"), None),
     ((combine_harmonic, True, 0.5), None),
     ((combine_harmonic, "0.5", 0.5), None),
+    # A collection, mode or record argument of the wrong kind.
+    ((AgreementReport, [MeasureId.NMD, MeasureId.NVD], 5), None),
+    ((ConsistencyReport, [MeasureId.NMD], np.zeros((1, 2)), 5, FullSplit(), 0, 0.05, 10), None),
+    ((Dataset, ("c",), ("a", "b"), [[0.5, 0.5]], [1, 2]), None),
+    ((consistency_per_trial, [np.zeros((3, 4))], "half", 2, 1), None),
+    ((agreement, DS, 5, [MeasureId.NMD, MeasureId.NVD]), None),
+    ((split_half_consistency, DS, 5, [MeasureId.NMD]), None),
+    ((score_matrix, DS, 5, MeasureId.NMD), None),
+    ((agreement, DS, [5, 5, 5], [MeasureId.NMD, MeasureId.NVD]), None),
+    ((score_matrices, DS, [RUNS[0], 5], [MeasureId.NMD]), None),
+    ((score_matrix, 5, RUNS, MeasureId.NMD), None),
 ]
 
 

@@ -76,10 +76,9 @@ def test_no_module_imports_a_name_it_does_not_use():
 
 def test_value_rules_live_only_in_distributions():
     # Outside distributions.py a module calls _checked_integer, _checked_number,
-    # _checked_array or _checked_members instead of these tools of a value rule,
-    # and defines no _check* function of its own. dataset_io._same is exempt:
-    # it is JSON equality, in which true must not equal 1; so is
-    # dataset_io._check_written_form, which compares a report file with its record.
+    # _checked_array, _checked_items or _checked_members instead of these tools of a value rule,
+    # and defines no _check* function of its own. Only dataset_io._first_difference
+    # may test isinstance(..., bool): it is JSON equality, in which true must not equal 1.
     tools = {"operator.index", "numbers.Real", "np.isfinite", "numpy.isfinite", "def _check*"}
     found = []
     for path in sorted((ROOT / "src" / "quantdiv").glob("*.py")):
@@ -90,8 +89,9 @@ def test_value_rules_live_only_in_distributions():
             id(node)
             for function in ast.walk(tree)
             if isinstance(function, ast.FunctionDef) and path.name == "dataset_io.py"
-            and function.name in ("_same", "_check_written_form")
+            and function.name == "_first_difference"
             for node in ast.walk(function)
+            if isinstance(node, ast.Call)
         }
         for node in ast.walk(tree):
             if id(node) in exempt:
