@@ -137,6 +137,7 @@ def _read_table(path) -> tuple[tuple[str, ...], dict[str, int], np.ndarray, tupl
     if not rows:
         raise ParseError("no data rows")
     values = np.array(rows) / np.array(totals)[:, None]
+    values.setflags(write=False)  # a fresh array, so the record holds it without a copy
     return labels, cases, values, tuple(votes) if mode == "counts" else None
 
 
@@ -176,10 +177,9 @@ def load_run(path, dataset: Dataset, system_id: str | None = None) -> SystemRun:
         extra = sorted(set(position) - set(dataset.case_ids))
         if extra:
             raise UnknownCase(f"run has {len(extra)} unknown case(s), e.g. {extra[0]!r}")
-    return SystemRun(
-        system_id=system_id if system_id is not None else Path(path).stem,
-        est=values[[position[cid] for cid in dataset.case_ids]],
-    )
+    est = values[[position[cid] for cid in dataset.case_ids]]
+    est.setflags(write=False)  # the gather is a fresh array too
+    return SystemRun(system_id=system_id if system_id is not None else Path(path).stem, est=est)
 
 
 def _layout(fmt: str) -> tuple[str, str, str]:
@@ -483,10 +483,17 @@ def _first_difference(value, wanted) -> tuple[str, str] | None:
     return None
 
 
+def _object(doc: dict, key: str) -> dict:
+    """doc[key], which must be a JSON object (KeyError when absent)."""
+    if not isinstance(value := doc[key], dict):
+        raise ParseError(f"report key {key!r} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def _report_from_doc(doc: dict):
     kind = doc.get("kind")
     measures = tuple(_measure_tag(tag) for tag in doc.get("measures", []))
-    payload = doc["payload"]
+    payload = _object(doc, "payload")
     if kind == "score_matrix":
         if len(measures) != 1:
             raise ParseError(f"report key 'measures' must name one measure, got {len(measures)}")
@@ -500,7 +507,7 @@ def _report_from_doc(doc: dict):
         taus = (TauResult(p["tau"], p["ci_low"], p["ci_high"], p["n"]) for p in payload["pairs"])
         return AgreementReport(measures=measures, taus=taus)
     if kind == "consistency":
-        meta = doc["meta"]
+        meta = _object(doc, "meta")
         if not isinstance(meta["mode"], str):
             raise ParseError(f"report key 'meta.mode' must be a string, got {meta['mode']!r}")
         return ConsistencyReport(

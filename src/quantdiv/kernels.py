@@ -20,39 +20,68 @@ def pair_stats(x: np.ndarray, y: np.ndarray, tie_eps: float):
 
     Each list gives an n x n matrix above[i, j] = x_i - x_j > tie_eps (for
     tie_eps == 0 the comparison x_i > x_j, which is the same for finite
-    floats). An untied pair is above in exactly one orientation, so
-    conc = count(above_x & above_y), disc = count(above_x & above_y.T) and
-    tied = n (n - 1) / 2 - count(above). Temporaries are three n x n boolean
-    arrays per broadcast row, plus one n x n float difference at a time when
-    tie_eps > 0.
+    floats). An untied pair is above in exactly one orientation, so a list's
+    untied pairs are count(above). differ = above_x ^ above_y holds both
+    cells of a discordant pair and one of a pair tied in one list only, so
+    count(differ) = untied_x + untied_y - 2 conc; where above_x holds,
+    differ.T is above_y.T, so disc = count(above_x & differ.T).
+
+    The matrices are (rows, n, n), or (n, n, rows) when tie_eps == 0 and
+    the broadcast rows number at least n, so that numpy's inner loops run
+    over the rows; the counts do not depend on the layout. differ and the
+    AND overwrite the matrices of the broadcast shape: the temporaries are
+    two n x n booleans per broadcast row (plus those of a list whose rows
+    broadcast), a float64 copy of one list at a time for (n, n, rows), and
+    an n x n float difference at a time when tie_eps > 0. Lists of one
+    shape get one allocation for both matrices, which glibc's malloc then
+    keeps for the next call instead of returning it to the system: that
+    spares the split-half trials most of their page faults.
     """
-    if tie_eps == 0:
-        above_x = x[..., :, None] > x[..., None, :]
-        above_y = y[..., :, None] > y[..., None, :]
+    n = x.shape[-1]
+    lead = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
+    pair = (0, 1) if tie_eps == 0 and np.prod(lead) >= n else (-2, -1)
+    if x.shape == y.shape:  # one allocation for both matrices: see the docstring
+        above_x, above_y = np.empty((2, n, n, *lead) if pair == (0, 1) else (2, *lead, n, n), dtype=bool)
+        for v, out in ((x, above_x), (y, above_y)):
+            _above(v, tie_eps, len(lead), pair, out)
     else:
-        above_x = x[..., :, None] - x[..., None, :] > tie_eps
-        above_y = y[..., :, None] - y[..., None, :] > tie_eps
-    both = above_x & above_y
-    conc = _count_cells(both)
-    np.logical_and(above_x, np.swapaxes(above_y, -2, -1), out=both)
-    disc = _count_cells(both)
-    total = x.shape[-1] * (x.shape[-1] - 1) // 2
-    return conc, disc, total - _count_cells(above_x), total - _count_cells(above_y)
+        above_x, above_y = (_above(v, tie_eps, len(lead), pair) for v in (x, y))
+    # The reshape drops the axes _above padded, and makes a 0-d count a numpy integer.
+    untied_x = _count_cells(above_x, pair).reshape(x.shape[:-1])
+    untied_y = _count_cells(above_y, pair).reshape(y.shape[:-1])
+    shape = np.broadcast_shapes(above_x.shape, above_y.shape)
+    x_out, y_out = (above if above.shape == shape else None for above in (above_x, above_y))
+    differ = np.logical_xor(above_x, above_y, out=y_out)
+    conc = (untied_x + untied_y - _count_cells(differ, pair)) // 2
+    disc = _count_cells(np.logical_and(above_x, np.swapaxes(differ, *pair), out=x_out), pair)
+    total = n * (n - 1) // 2
+    return conc, disc, total - untied_x, total - untied_y
 
 
-def _count_cells(above: np.ndarray) -> np.ndarray:
-    """Number of True cells in each trailing n x n matrix, as intp.
+def _above(v: np.ndarray, tie_eps: float, ndim: int, pair: tuple[int, int], out=None) -> np.ndarray:
+    """Each row's v_i - v_j > tie_eps on the pair axes; for (0, 1), rows padded to ndim axes."""
+    if pair == (0, 1):
+        v = np.moveaxis(v.reshape((1,) * (ndim + 1 - v.ndim) + v.shape), -1, 0).copy()
+        v_i, v_j = v[:, None], v[None]
+    else:
+        v_i, v_j = v[..., :, None], v[..., None, :]
+    return np.greater(v_i - v_j, tie_eps, out=out) if tie_eps else np.greater(v_i, v_j, out=out)
 
-    A pair is above in at most one orientation, so a matrix holds at most
-    n (n - 1) / 2 True cells. Summing into the narrowest integer type that
-    holds that is several times faster than count_nonzero along axes, which
-    casts every cell to intp. The totals are widened back so that products
-    of them cannot overflow.
+
+def _count_cells(above: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
+    """Number of True cells in each n x n matrix on the pair axes, as intp.
+
+    A column holds at most n - 1 True cells and a matrix n (n - 1) (differ
+    holds both cells of a discordant pair). Summing into the smallest type
+    that holds that is several times faster than count_nonzero along axes,
+    which casts every cell to intp. (n, n, rows) is first summed down its
+    columns, with the contiguous rows innermost; (rows, n, n) over both
+    pair axes at once. The totals are intp, so products cannot overflow.
     """
-    n = above.shape[-1]
-    most = n * (n - 1) // 2
-    acc = next(t for t in (np.uint16, np.int32, np.int64) if most <= np.iinfo(t).max)
-    return above.sum(axis=(-2, -1), dtype=acc).astype(np.intp)
+    n = above.shape[pair[0]]
+    if pair == (0, 1):
+        above, pair = above.sum(axis=0, dtype=np.min_scalar_type(n - 1)), 0
+    return above.sum(axis=pair, dtype=np.min_scalar_type(n * (n - 1))).astype(np.intp)
 
 
 def hsd_max_stats(values: np.ndarray, rng: np.random.Generator, out: np.ndarray) -> None:

@@ -519,12 +519,14 @@ def consistency_per_trial(
     cells = n_measures * n_systems
     # The bytes each trial adds to a block, at the larger of its two peaks.
     # Summing holds its permutation and index (intp) and its two gathered
-    # rows and two sums (float64); the tau step holds the sums, three n x n
-    # boolean pair matrices per measure, a finiteness flag per cell and at
-    # most eight (trials, measures) counts and quotients.
+    # rows and two sums (float64); the tau step holds the sums, two n x n
+    # boolean pair matrices per measure, a float64 copy of one half's means
+    # (or narrow counts) and at most eight (trials, measures) counts and
+    # quotients. Broadcasting ufuncs may buffer np.getbufsize() values of two
+    # float64 operands whatever the block size: that is set aside first.
     summing = 8 * (n_cases + 2 * (end - split) + 4 * cells)
-    pairing = 16 * cells + cells * (3 * n_systems + 1) + 64 * n_measures
-    step = max(1, TRIAL_BLOCK // max(summing, pairing))
+    pairing = 16 * cells + cells * (2 * n_systems + 8) + 64 * n_measures
+    step = max(1, (TRIAL_BLOCK - 16 * np.getbufsize()) // max(summing, pairing))
     blocks = [(start, min(start + step, B)) for start in range(0, B, step)]
     words = _trial_seed_words(seed, 0, B)
     # One row of (measure, system) scores per case, so a subset position

@@ -49,7 +49,7 @@ from quantdiv.meta_eval import (
 import _oracle
 import quantdiv
 from _helpers import reference_rows
-from quantdiv import dataset_io, synth
+from quantdiv import dataset_io, distributions, synth
 from quantdiv.distributions import from_votes, validate
 
 GOLD_PROBS = """\
@@ -527,6 +527,22 @@ def _types(value):
     return type(value)
 
 
+def test_loaders_hand_the_arrays_they_build_to_the_records(monkeypatch):
+    # Each loader builds a fresh array and makes it read-only, so the record
+    # holds that array and _frozen makes no second copy of the table.
+    handed = []
+
+    def spy(values, _frozen=distributions._frozen):
+        handed.append(values)
+        return _frozen(values)
+
+    monkeypatch.setattr(distributions, "_frozen", spy)
+    data = Path(__file__).resolve().parent.parent / "data" / "synth"
+    ds = load_gold(data / "gold.tsv")
+    run = load_run(sorted((data / "runs").glob("*.tsv"))[0], ds)
+    assert len(handed) == 2 and handed[0] is ds.gold and handed[1] is run.est
+
+
 def test_public_records_are_frozen_with_read_only_arrays(tmp_path, reports):
     records = [getattr(quantdiv, name) for name in quantdiv.__all__]
     records = [cls for cls in records if isinstance(cls, type) and dataclasses.is_dataclass(cls)]
@@ -786,6 +802,9 @@ def test_read_report_rejects_bad_input(tmp_path, reports):
         (0, "payload", "system_ids", list(range(6)), "system id 0 is not a str"),
         (0, "payload", "case_ids", ["c"] * 24, "case id 'c' is listed twice"),
         (2, None, "measures", ["NMD", "NMD"], "measure NMD is listed twice"),
+        (2, None, "meta", [0.05], "^report key 'meta' must be a JSON object, got list$"),
+        (2, None, "payload", [], "^report key 'payload' must be a JSON object, got list$"),
+        (0, None, "payload", [[0.1]], "^report key 'payload' must be a JSON object, got list$"),
     ):
         doc = json.loads(render_report(reports[report], "json"))
         (doc if section is None else doc[section])[key] = value

@@ -11,6 +11,11 @@ from quantdiv.meta_eval import randomized_tukey_hsd
 from quantdiv.rank_correlation import tau_with_ci
 
 
+def _tie_heavy(rng, shape):
+    # Seven levels: about one pair in seven is an exact tie, whatever n.
+    return rng.integers(-3, 4, size=shape) / 4
+
+
 def test_pair_stats_matches_naive():
     rng = np.random.default_rng(41)
     for _ in range(200):
@@ -20,6 +25,24 @@ def test_pair_stats_matches_naive():
         for eps in (0.0, 0.05):
             got = kernels.pair_stats(xs, ys, eps)
             assert tuple(got) == naive_pair_counts(list(xs), list(ys), eps)
+    # Exact ties lay the pair matrices out (n, n, rows) once the rows number
+    # at least n: the split-half blocks of the consistency-trials benchmark
+    # and of the bundled data. Few rows of many items keep (rows, n, n).
+    for shape in [(94, 3, 40), (167, 12, 12), (1, 3, 400)]:
+        xs, ys = _tie_heavy(rng, shape), _tie_heavy(rng, shape)
+        got = kernels.pair_stats(xs, ys, 0.0)
+        assert all(count.shape == shape[:-1] for count in got)
+        rows = zip(xs.reshape(-1, shape[-1]), ys.reshape(-1, shape[-1]))
+        expected = [naive_pair_counts(list(x), list(y)) for x, y in rows]
+        assert np.array_equal(np.stack(got, axis=-1).reshape(-1, 4), expected)
+
+
+def _sign_pair_counts(xs, ys):
+    # Exact-tie counts from the signs of the differences over pairs i < j.
+    i, j = np.triu_indices(xs.shape[-1], 1)
+    sx, sy = np.sign(xs[..., i] - xs[..., j]), np.sign(ys[..., i] - ys[..., j])
+    product = sx * sy
+    return (product > 0).sum(-1), (product < 0).sum(-1), (sx == 0).sum(-1), (sy == 0).sum(-1)
 
 
 def test_pair_stats_counts_stacked_rows_independently():
@@ -34,6 +57,21 @@ def test_pair_stats_counts_stacked_rows_independently():
             for j in range(4):
                 expected = naive_pair_counts(list(xs[i, j]), list(ys[j]), eps)
                 assert tuple(int(count[i, j]) for count in got) == expected
+    # 12 broadcast rows: (n, n, rows) matrices up to n = 12, (rows, n, n)
+    # beyond; every n up to 40, then every 12th, to keep the oracle quick.
+    for n in [*range(2, 41), *range(48, 301, 12)]:
+        xs, ys = _tie_heavy(rng, (3, 4, n)), _tie_heavy(rng, (4, n))
+        got = kernels.pair_stats(xs, ys, 0.0)
+        assert [count.shape for count in got] == [(3, 4), (3, 4), (3, 4), (4,)]
+        assert all(map(np.array_equal, got, _sign_pair_counts(xs, ys))), n
+    # A 1-D list against stacked rows, in either layout: its tied count is a numpy integer.
+    for n in (5, 30):
+        flat, stacked = _tie_heavy(rng, n), _tie_heavy(rng, (3, 4, n))
+        for xs, ys in ((flat, stacked), (stacked, flat)):
+            got = kernels.pair_stats(xs, ys, 0.0)
+            assert [np.shape(count) for count in got] == [(3, 4), (3, 4), xs.shape[:-1], ys.shape[:-1]]
+            assert isinstance(got[2] if xs is flat else got[3], np.integer)
+            assert all(map(np.array_equal, got, _sign_pair_counts(xs, ys)))
 
 
 def _edge_values(rng, shape, eps):
@@ -79,8 +117,17 @@ def test_pair_stats_counts_past_uint16(n):
     assert tied_x == 0 and tied_y.tolist() == [0, 0]
 
 
+@pytest.mark.parametrize("n", [256, 257, 400])
+def test_column_counts_past_uint8(n):
+    # With the rows innermost, each column is counted first: column 0 of
+    # this matrix (x ascending) holds n - 1 True cells, past 255 from n = 257.
+    above = np.tril(np.ones((n, n), dtype=bool), -1)[..., None]
+    assert kernels._count_cells(above, (0, 1)).tolist() == [n * (n - 1) // 2]
+
+
 def test_tau_with_ci_memory_is_quadratic_bytes():
-    # Three n x n boolean matrices; the float pair differences took 21 n^2 bytes.
+    # Two n x n boolean matrices, which the XOR and the AND overwrite; three
+    # took 3 n^2 bytes, and the float pair differences 21 n^2 bytes.
     n = 3000
     rng = np.random.default_rng(48)
     xs, ys = rng.random(n), np.round(rng.random(n), 2)
@@ -90,7 +137,7 @@ def test_tau_with_ci_memory_is_quadratic_bytes():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5 * n * n
+    assert peak < 2.5 * n * n
 
 
 def test_hsd_max_stats_matches_label_permutation_loop():

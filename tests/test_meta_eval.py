@@ -519,12 +519,14 @@ def test_consistency_per_trial_memory_counts_the_permutations():
     assert peak < 2 * meta_eval.TRIAL_BLOCK
 
 
-@pytest.mark.parametrize("shape, B", [((12, 12, 300), 1000), ((3, 40, 200), 2000)])
+@pytest.mark.parametrize("shape, B", [((12, 12, 300), 1000), ((3, 40, 200), 2000), ((3, 400, 60), 3)])
 def test_consistency_per_trial_block_stays_within_its_byte_budget(shape, B):
-    # The bundled data's shape and the consistency-trials benchmark's. The
-    # output, the seed words and the case-major copy of the scores live
-    # through the whole call; beyond them the peak is one block's
-    # temporaries, within TRIAL_BLOCK bytes, plus a few small Python objects.
+    # The bundled data's shape and the consistency-trials benchmark's, whose
+    # blocks lay the pair matrices out (n, n, rows), and many systems, whose
+    # one-trial blocks keep (rows, n, n). The output, the seed words and the
+    # case-major copy of the scores live through the whole call; beyond them
+    # the peak is one block's temporaries, within TRIAL_BLOCK bytes, plus a
+    # few small Python objects.
     n_measures, n_systems, n_cases = shape
     stacked = np.random.default_rng(58).random(shape)
     tracemalloc.start()
