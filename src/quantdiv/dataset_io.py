@@ -483,17 +483,18 @@ def _first_difference(value, wanted) -> tuple[str, str] | None:
     return None
 
 
-def _object(doc: dict, key: str) -> dict:
-    """doc[key], which must be a JSON object (KeyError when absent)."""
-    if not isinstance(value := doc[key], dict):
-        raise ParseError(f"report key {key!r} must be a JSON object, got {type(value).__name__}")
+def _typed(value, kind: type, path: str):
+    """value, which the report key path must hold as a JSON object (kind dict) or list."""
+    if not isinstance(value, kind):
+        name = "object" if kind is dict else "list"
+        raise ParseError(f"report key {path!r} must be a JSON {name}, got {type(value).__name__}")
     return value
 
 
 def _report_from_doc(doc: dict):
     kind = doc.get("kind")
-    measures = tuple(_measure_tag(tag) for tag in doc.get("measures", []))
-    payload = _object(doc, "payload")
+    measures = tuple(_measure_tag(tag) for tag in _typed(doc.get("measures", []), list, "measures"))
+    payload = _typed(doc["payload"], dict, "payload")
     if kind == "score_matrix":
         if len(measures) != 1:
             raise ParseError(f"report key 'measures' must name one measure, got {len(measures)}")
@@ -504,10 +505,12 @@ def _report_from_doc(doc: dict):
             measure=measures[0],
         )
     if kind == "agreement":
-        taus = (TauResult(p["tau"], p["ci_low"], p["ci_high"], p["n"]) for p in payload["pairs"])
+        pairs = _typed(payload["pairs"], list, "payload.pairs")
+        objects = (_typed(p, dict, f"payload.pairs[{i}]") for i, p in enumerate(pairs))
+        taus = (TauResult(p["tau"], p["ci_low"], p["ci_high"], p["n"]) for p in objects)
         return AgreementReport(measures=measures, taus=taus)
     if kind == "consistency":
-        meta = _object(doc, "meta")
+        meta = _typed(doc["meta"], dict, "meta")
         if not isinstance(meta["mode"], str):
             raise ParseError(f"report key 'meta.mode' must be a string, got {meta['mode']!r}")
         return ConsistencyReport(

@@ -12,11 +12,10 @@ HSD_BLOCK = 1 << 18
 def pair_stats(x: np.ndarray, y: np.ndarray, tie_eps: float):
     """Count (concordant, discordant, tied_x, tied_y) over index pairs i < j.
 
-    Pairs are taken along the last axis and the leading axes of x and y
-    broadcast: conc and disc have the broadcast leading shape, tied_x and
-    tied_y the leading shape of x and of y (numpy integers for 1-D inputs).
-    A pair is tied in a list when the absolute difference is <= tie_eps;
-    pairs tied in either list are excluded from the concordance counts.
+    x and y are float64 (rows, n) arrays of one shape, and each count is an
+    intp array with one entry per row; rank_correlation.pair_counts does the
+    broadcasting. A pair is tied in a list when the absolute difference is
+    <= tie_eps; pairs tied in either list are in neither conc nor disc.
 
     Each list gives an n x n matrix above[i, j] = x_i - x_j > tie_eps (for
     tie_eps == 0 the comparison x_i > x_j, which is the same for finite
@@ -26,46 +25,30 @@ def pair_stats(x: np.ndarray, y: np.ndarray, tie_eps: float):
     count(differ) = untied_x + untied_y - 2 conc; where above_x holds,
     differ.T is above_y.T, so disc = count(above_x & differ.T).
 
-    The matrices are (rows, n, n), or (n, n, rows) when tie_eps == 0 and
-    the broadcast rows number at least n, so that numpy's inner loops run
-    over the rows; the counts do not depend on the layout. differ and the
-    AND overwrite the matrices of the broadcast shape: the temporaries are
-    two n x n booleans per broadcast row (plus those of a list whose rows
-    broadcast), a float64 copy of one list at a time for (n, n, rows), and
-    an n x n float difference at a time when tie_eps > 0. Lists of one
-    shape get one allocation for both matrices, which glibc's malloc then
-    keeps for the next call instead of returning it to the system: that
-    spares the split-half trials most of their page faults.
+    The matrices are (n, n, rows) when rows >= n, from a transposed copy of
+    each list, so that numpy's inner loops run over the contiguous rows, and
+    (rows, n, n) otherwise; the counts do not depend on the layout. Both are
+    one allocation, which glibc's malloc keeps for the next call instead of
+    returning it to the system: that spares the split-half trials most of
+    their page faults. differ and the AND overwrite them; beyond their two
+    n x n booleans per row, the temporaries are a float64 copy of one list
+    at a time for (n, n, rows), and one list's n x n float differences per
+    row when tie_eps > 0.
     """
-    n = x.shape[-1]
-    lead = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
-    pair = (0, 1) if tie_eps == 0 and np.prod(lead) >= n else (-2, -1)
-    if x.shape == y.shape:  # one allocation for both matrices: see the docstring
-        above_x, above_y = np.empty((2, n, n, *lead) if pair == (0, 1) else (2, *lead, n, n), dtype=bool)
-        for v, out in ((x, above_x), (y, above_y)):
-            _above(v, tie_eps, len(lead), pair, out)
-    else:
-        above_x, above_y = (_above(v, tie_eps, len(lead), pair) for v in (x, y))
-    # The reshape drops the axes _above padded, and makes a 0-d count a numpy integer.
-    untied_x = _count_cells(above_x, pair).reshape(x.shape[:-1])
-    untied_y = _count_cells(above_y, pair).reshape(y.shape[:-1])
-    shape = np.broadcast_shapes(above_x.shape, above_y.shape)
-    x_out, y_out = (above if above.shape == shape else None for above in (above_x, above_y))
-    differ = np.logical_xor(above_x, above_y, out=y_out)
+    rows, n = x.shape
+    pair = (0, 1) if rows >= n else (1, 2)
+    above_x, above_y = np.empty((2, n, n, rows) if rows >= n else (2, rows, n, n), dtype=bool)
+    for v, out in ((x, above_x), (y, above_y)):
+        v_i = v.T.copy()[:, None] if rows >= n else v[:, :, None]  # item i on the first pair axis
+        v_j = np.swapaxes(v_i, *pair)
+        np.greater(v_i - v_j, tie_eps, out=out) if tie_eps else np.greater(v_i, v_j, out=out)
+        del v_i, v_j  # one list's float64 copy at a time
+    untied_x, untied_y = _count_cells(above_x, pair), _count_cells(above_y, pair)
+    differ = np.logical_xor(above_x, above_y, out=above_y)
     conc = (untied_x + untied_y - _count_cells(differ, pair)) // 2
-    disc = _count_cells(np.logical_and(above_x, np.swapaxes(differ, *pair), out=x_out), pair)
+    disc = _count_cells(np.logical_and(above_x, np.swapaxes(differ, *pair), out=above_x), pair)
     total = n * (n - 1) // 2
     return conc, disc, total - untied_x, total - untied_y
-
-
-def _above(v: np.ndarray, tie_eps: float, ndim: int, pair: tuple[int, int], out=None) -> np.ndarray:
-    """Each row's v_i - v_j > tie_eps on the pair axes; for (0, 1), rows padded to ndim axes."""
-    if pair == (0, 1):
-        v = np.moveaxis(v.reshape((1,) * (ndim + 1 - v.ndim) + v.shape), -1, 0).copy()
-        v_i, v_j = v[:, None], v[None]
-    else:
-        v_i, v_j = v[..., :, None], v[..., None, :]
-    return np.greater(v_i - v_j, tie_eps, out=out) if tie_eps else np.greater(v_i, v_j, out=out)
 
 
 def _count_cells(above: np.ndarray, pair: tuple[int, int]) -> np.ndarray:

@@ -5,7 +5,8 @@ denominator so fully tied lists give 0 instead of dividing by zero. Pairs
 tied in either list (absolute difference <= tie_eps) are excluded from the
 concordance counts. pair_counts, tau_b and tau_plain also take stacked
 (..., n) arrays and then give one result per row of the last axis, which is
-how the batch DNKT and the split-half trials use them.
+how the batch DNKT and the split-half trials use them; pair_counts alone
+broadcasts them, into the two (rows, n) arrays of one kernels.pair_stats call.
 """
 
 from __future__ import annotations
@@ -103,10 +104,22 @@ def pair_counts(xs: Lists, ys: Lists, tie_eps: float = 0.0) -> PairCounts:
     n = x.shape[-1]
     if n < 2:
         raise TooShort(f"need at least 2 items, got {n}")
-    counts = kernels.pair_stats(x, y, tie_eps)
+    shape = np.broadcast_shapes(x.shape, y.shape)
+    # reshape copies only a list whose rows broadcast but do not flatten.
+    counts = kernels.pair_stats(*[np.broadcast_to(v, shape).reshape(-1, n) for v in (x, y)], tie_eps)
     if x.ndim == y.ndim == 1:
-        counts = tuple(int(c) for c in counts)
-    return PairCounts(*counts, n=n)
+        return PairCounts(*[int(c[0]) for c in counts], n=n)
+    conc, disc, tied_x, tied_y = [c.reshape(shape[:-1]) for c in counts]
+    return PairCounts(conc, disc, _own_rows(tied_x, x, tie_eps), _own_rows(tied_y, y, tie_eps), n=n)
+
+
+def _own_rows(count: np.ndarray, v: np.ndarray, tie_eps: float) -> np.ndarray | np.integer:
+    """count over the broadcast rows, cut to v's own rows: all agree where v broadcasts."""
+    own = v.shape[:-1]
+    if count.size == 0 and v.size:  # no broadcast rows to cut: v's rows are counted alone
+        count = kernels.pair_stats(*[v.reshape(-1, v.shape[-1])] * 2, tie_eps)[2].reshape(own)
+    index = [slice(size) for size in (1,) * (count.ndim - len(own)) + own]
+    return count[tuple(index)].reshape(own)[()]  # [()]: a numpy integer for 1-D v
 
 
 def tau_b(xs: Lists, ys: Lists, tie_eps: float = 0.0) -> float | np.ndarray:

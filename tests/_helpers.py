@@ -60,6 +60,23 @@ def tied_lists(rng: np.random.Generator, n: int) -> tuple[list[float], list[floa
     return xs, ys
 
 
+def tie_heavy(rng: np.random.Generator, shape) -> np.ndarray:
+    """Seven levels: about one pair in seven is an exact tie, whatever n."""
+    return rng.integers(-3, 4, size=shape) / 4
+
+
+def edge_values(rng: np.random.Generator, shape, eps: float) -> np.ndarray:
+    """Values whose gaps sit on and either side of the tie tolerance eps.
+
+    Half the values come from a pool whose gaps are exact ties, exactly
+    eps (2 eps - eps, eps - 0) and eps one ulp either side of it: values
+    within a factor of two subtract exactly. The rest are rounded normals.
+    """
+    pool = np.array([0.0, eps, 2 * eps, np.nextafter(eps, 0.0), np.nextafter(eps, 1.0)])
+    edge = rng.choice(pool, size=shape)
+    return np.where(rng.random(shape) < 0.5, edge, np.round(rng.normal(size=shape), 1))
+
+
 def naive_pair_counts(xs, ys, tie_eps: float = 0.0) -> tuple[int, int, int, int]:
     """Brute-force pair tally: (conc, disc, tied_x, tied_y)."""
     n = len(xs)

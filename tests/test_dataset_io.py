@@ -805,6 +805,13 @@ def test_read_report_rejects_bad_input(tmp_path, reports):
         (2, None, "meta", [0.05], "^report key 'meta' must be a JSON object, got list$"),
         (2, None, "payload", [], "^report key 'payload' must be a JSON object, got list$"),
         (0, None, "payload", [[0.1]], "^report key 'payload' must be a JSON object, got list$"),
+        # A collection of another JSON type is named by its key.
+        (1, "payload", "pairs", [[1, 2], *pairs[1:]], r"^report key 'payload.pairs\[0\]' must be a JSON object"),
+        (1, "payload", "pairs", [pairs[0], "NMD", pairs[2]], r"key 'payload.pairs\[1\]' must .* got str$"),
+        (1, "payload", "pairs", 5, "^report key 'payload.pairs' must be a JSON list, got int$"),
+        (1, "payload", "pairs", {}, "^report key 'payload.pairs' must be a JSON list, got dict$"),
+        (2, None, "measures", "NMD", "^report key 'measures' must be a JSON list, got str$"),
+        (0, None, "measures", 5, "^report key 'measures' must be a JSON list, got int$"),
     ):
         doc = json.loads(render_report(reports[report], "json"))
         (doc if section is None else doc[section])[key] = value

@@ -4,102 +4,58 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _helpers import naive_pair_counts
+from _helpers import edge_values, naive_pair_counts, tie_heavy
 from quantdiv import kernels
 from quantdiv.measures import BIN_TIE_EPS
 from quantdiv.meta_eval import randomized_tukey_hsd
-from quantdiv.rank_correlation import tau_with_ci
+from quantdiv.rank_correlation import pair_counts, tau_b, tau_with_ci
 
 
-def _tie_heavy(rng, shape):
-    # Seven levels: about one pair in seven is an exact tie, whatever n.
-    return rng.integers(-3, 4, size=shape) / 4
+def _matches_naive(xs, ys, eps):
+    # The kernel's counts of two (rows, n) blocks against the brute-force tally of each row.
+    got = kernels.pair_stats(xs, ys, eps)
+    assert all(count.shape == xs.shape[:1] and count.dtype == np.intp for count in got)
+    expected = [naive_pair_counts(list(x), list(y), eps) for x, y in zip(xs, ys)]
+    return np.array_equal(np.stack(got, axis=-1), expected)
+
+
+# 2-D blocks where rows >= n, whose matrices are (n, n, rows): the DNKT
+# block of the score-wide shape (250 cases, 11 classes) and a split-half
+# block of 113 trials of 3 measures and 40 systems.
+ROWS_INNERMOST = [(250, 11), (339, 40)]
 
 
 def test_pair_stats_matches_naive():
     rng = np.random.default_rng(41)
     for _ in range(200):
         n = int(rng.integers(2, 30))
-        xs = np.round(rng.normal(size=n), 1)
-        ys = np.round(rng.normal(size=n), 1)
+        xs = np.round(rng.normal(size=(1, n)), 1)
+        ys = np.round(rng.normal(size=(1, n)), 1)
         for eps in (0.0, 0.05):
-            got = kernels.pair_stats(xs, ys, eps)
-            assert tuple(got) == naive_pair_counts(list(xs), list(ys), eps)
-    # Exact ties lay the pair matrices out (n, n, rows) once the rows number
-    # at least n: the split-half blocks of the consistency-trials benchmark
-    # and of the bundled data. Few rows of many items keep (rows, n, n).
-    for shape in [(94, 3, 40), (167, 12, 12), (1, 3, 400)]:
-        xs, ys = _tie_heavy(rng, shape), _tie_heavy(rng, shape)
-        got = kernels.pair_stats(xs, ys, 0.0)
-        assert all(count.shape == shape[:-1] for count in got)
-        rows = zip(xs.reshape(-1, shape[-1]), ys.reshape(-1, shape[-1]))
-        expected = [naive_pair_counts(list(x), list(y)) for x, y in rows]
-        assert np.array_equal(np.stack(got, axis=-1).reshape(-1, 4), expected)
-
-
-def _sign_pair_counts(xs, ys):
-    # Exact-tie counts from the signs of the differences over pairs i < j.
-    i, j = np.triu_indices(xs.shape[-1], 1)
-    sx, sy = np.sign(xs[..., i] - xs[..., j]), np.sign(ys[..., i] - ys[..., j])
-    product = sx * sy
-    return (product > 0).sum(-1), (product < 0).sum(-1), (sx == 0).sum(-1), (sy == 0).sum(-1)
-
-
-def test_pair_stats_counts_stacked_rows_independently():
-    rng = np.random.default_rng(42)
-    xs = np.round(rng.normal(size=(3, 4, 9)), 1)
-    ys = np.round(rng.normal(size=(4, 9)), 1)  # broadcasts against every xs[i]
-    for eps in (0.0, 1e-9, 0.1):
-        conc, disc, tied_x, tied_y = kernels.pair_stats(xs, ys, eps)
-        assert conc.shape == disc.shape == tied_x.shape == (3, 4) and tied_y.shape == (4,)
-        got = np.broadcast_arrays(conc, disc, tied_x, tied_y)
-        for i in range(3):
-            for j in range(4):
-                expected = naive_pair_counts(list(xs[i, j]), list(ys[j]), eps)
-                assert tuple(int(count[i, j]) for count in got) == expected
-    # 12 broadcast rows: (n, n, rows) matrices up to n = 12, (rows, n, n)
-    # beyond; every n up to 40, then every 12th, to keep the oracle quick.
-    for n in [*range(2, 41), *range(48, 301, 12)]:
-        xs, ys = _tie_heavy(rng, (3, 4, n)), _tie_heavy(rng, (4, n))
-        got = kernels.pair_stats(xs, ys, 0.0)
-        assert [count.shape for count in got] == [(3, 4), (3, 4), (3, 4), (4,)]
-        assert all(map(np.array_equal, got, _sign_pair_counts(xs, ys))), n
-    # A 1-D list against stacked rows, in either layout: its tied count is a numpy integer.
-    for n in (5, 30):
-        flat, stacked = _tie_heavy(rng, n), _tie_heavy(rng, (3, 4, n))
-        for xs, ys in ((flat, stacked), (stacked, flat)):
-            got = kernels.pair_stats(xs, ys, 0.0)
-            assert [np.shape(count) for count in got] == [(3, 4), (3, 4), xs.shape[:-1], ys.shape[:-1]]
-            assert isinstance(got[2] if xs is flat else got[3], np.integer)
-            assert all(map(np.array_equal, got, _sign_pair_counts(xs, ys)))
-
-
-def _edge_values(rng, shape, eps):
-    # Half the values come from a pool whose gaps are exact ties, exactly
-    # eps (2 eps - eps, eps - 0) and eps one ulp either side of it: values
-    # within a factor of two subtract exactly. The rest are rounded normals.
-    pool = np.array([0.0, eps, 2 * eps, np.nextafter(eps, 0.0), np.nextafter(eps, 1.0)])
-    edge = rng.choice(pool, size=shape)
-    return np.where(rng.random(shape) < 0.5, edge, np.round(rng.normal(size=shape), 1))
+            assert _matches_naive(xs, ys, eps), (n, eps)
+    # (n, n, rows) matrices for the split-half blocks of the consistency-trials
+    # benchmark and of the bundled data; few rows of many items keep (rows, n, n).
+    for shape in [(282, 40), (2004, 12), (3, 400)]:
+        assert _matches_naive(tie_heavy(rng, shape), tie_heavy(rng, shape), 0.0), shape
+    # Tolerant ties on (n, n, rows), on values rounded to multiples of the tolerances.
+    for shape in ROWS_INNERMOST:
+        xs, ys = np.round(rng.normal(size=(2, *shape)), 1)
+        for eps in (BIN_TIE_EPS, 0.05):
+            assert _matches_naive(xs, ys, eps), (shape, eps)
 
 
 @pytest.mark.parametrize("eps", [0.0, BIN_TIE_EPS, 0.05])
 def test_pair_stats_matches_naive_at_tie_edges(eps):
     rng = np.random.default_rng(47)
+    # Six rows: (n, n, rows) matrices up to n = 6, (rows, n, n) beyond.
     for n in range(2, 61):
-        xs = _edge_values(rng, (2, 1, n), eps)
-        ys = _edge_values(rng, (3, n), eps)  # broadcasts to (2, 3) rows
-        conc, disc, tied_x, tied_y = kernels.pair_stats(xs, ys, eps)
-        assert conc.shape == disc.shape == (2, 3)
-        assert tied_x.shape == (2, 1) and tied_y.shape == (3,)
-        for i in range(2):
-            for j in range(3):
-                expected = naive_pair_counts(list(xs[i, 0]), list(ys[j]), eps)
-                assert (conc[i, j], disc[i, j], tied_x[i, 0], tied_y[j]) == expected
+        assert _matches_naive(edge_values(rng, (6, n), eps), edge_values(rng, (6, n), eps), eps), n
+    for shape in ROWS_INNERMOST:
+        assert _matches_naive(edge_values(rng, shape, eps), edge_values(rng, shape, eps), eps), shape
 
 
 def test_pair_stats_edge_values_hit_the_tie_boundary():
-    # The pool above really produces gaps of eps and one ulp either side.
+    # The pool of edge_values really produces gaps of eps and one ulp either side.
     eps = 0.05
     assert 2 * eps - eps == eps
     assert 2 * eps - np.nextafter(eps, 0.0) > eps > 2 * eps - np.nextafter(eps, 1.0)
@@ -108,13 +64,18 @@ def test_pair_stats_edge_values_hit_the_tie_boundary():
 @pytest.mark.parametrize("n", [362, 363, 400])
 def test_pair_stats_counts_past_uint16(n):
     # n (n - 1) / 2 exceeds 65535 from n = 363 on: every pair is concordant
-    # in one row and discordant in the other.
+    # in one row and discordant in the other, in the kernel and through
+    # pair_counts with a 1-D list against a stack.
     xs = np.arange(n, dtype=np.float64)
     ys = np.stack([xs, -xs])
-    conc, disc, tied_x, tied_y = kernels.pair_stats(xs, ys, 0.0)
     pairs = n * (n - 1) // 2
-    assert conc.tolist() == [pairs, 0] and disc.tolist() == [0, pairs]
-    assert tied_x == 0 and tied_y.tolist() == [0, 0]
+    through_api = pair_counts(xs, ys)
+    for conc, disc, tied_x, tied_y in (
+        kernels.pair_stats(np.stack([xs, xs]), ys, 0.0),
+        (through_api.conc, through_api.disc, through_api.tied_x, through_api.tied_y),
+    ):
+        assert conc.tolist() == [pairs, 0] and disc.tolist() == [0, pairs]
+        assert np.all(tied_x == 0) and tied_y.tolist() == [0, 0]
 
 
 @pytest.mark.parametrize("n", [256, 257, 400])
@@ -123,6 +84,33 @@ def test_column_counts_past_uint8(n):
     # this matrix (x ascending) holds n - 1 True cells, past 255 from n = 257.
     above = np.tril(np.ones((n, n), dtype=bool), -1)[..., None]
     assert kernels._count_cells(above, (0, 1)).tolist() == [n * (n - 1) // 2]
+
+
+@pytest.mark.parametrize("block", ["trials", "dnkt", "lists"])
+def test_pair_counting_retains_no_memory(block):
+    # Nothing a call allocates may outlive it. A tuple built from a generator
+    # (or by np.moveaxis) on the per-call path leaves one more tuple on
+    # CPython's free lists each call, up to 2000, and tracemalloc counts them.
+    # 1,000 calls on a split-half block of 113 trials, 3 measures and 40
+    # systems, on a DNKT block (250 cases of 11 classes against the gold) and
+    # on two 1-D lists of 12 must leave under 8 KB traced.
+    rng = np.random.default_rng(49)
+    xs, ys, eps = {
+        "trials": (tie_heavy(rng, (113, 3, 40)), tie_heavy(rng, (113, 3, 40)), 0.0),
+        "dnkt": (rng.dirichlet(np.ones(11), (1, 250)), rng.dirichlet(np.ones(11), 250), BIN_TIE_EPS),
+        "lists": (rng.random(12), np.round(rng.random(12), 1), 0.0),
+    }[block]
+    tracemalloc.start()
+    try:
+        for _ in range(10):
+            tau_b(xs, ys, eps)
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(1000):
+            tau_b(xs, ys, eps)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 8 << 10, retained
 
 
 def test_tau_with_ci_memory_is_quadratic_bytes():

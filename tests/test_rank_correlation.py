@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from _helpers import naive_pair_counts, naive_tau_b, tied_lists
+from _helpers import edge_values, naive_pair_counts, naive_tau_b, tie_heavy, tied_lists
 from quantdiv.errors import LengthMismatch, OutOfRange, TooShort
+from quantdiv.measures import BIN_TIE_EPS
 from quantdiv.rank_correlation import (
     PairCounts,
     TauResult,
@@ -90,6 +91,75 @@ def test_tau_b_matches_naive_oracle():
                 *naive_pair_counts(xs, ys, eps), n=n
             )
             assert tau_b(xs, ys, eps) == naive_tau_b(xs, ys, eps)
+
+
+def _tallies(c: PairCounts):
+    return c.conc, c.disc, c.tied_x, c.tied_y
+
+
+def _sign_pair_counts(xs, ys):
+    # Exact-tie counts from the signs of the differences over pairs i < j.
+    i, j = np.triu_indices(xs.shape[-1], 1)
+    sx, sy = np.sign(xs[..., i] - xs[..., j]), np.sign(ys[..., i] - ys[..., j])
+    product = sx * sy
+    return (product > 0).sum(-1), (product < 0).sum(-1), (sx == 0).sum(-1), (sy == 0).sum(-1)
+
+
+def test_pair_counts_tallies_stacked_rows_independently():
+    rng = np.random.default_rng(42)
+    xs = np.round(rng.normal(size=(3, 4, 9)), 1)
+    ys = np.round(rng.normal(size=(4, 9)), 1)  # broadcasts against every xs[i]
+    for eps in (0.0, 1e-9, 0.1):
+        conc, disc, tied_x, tied_y = _tallies(pair_counts(xs, ys, eps))
+        assert conc.shape == disc.shape == tied_x.shape == (3, 4) and tied_y.shape == (4,)
+        got = np.broadcast_arrays(conc, disc, tied_x, tied_y)
+        for i in range(3):
+            for j in range(4):
+                expected = naive_pair_counts(list(xs[i, j]), list(ys[j]), eps)
+                assert tuple(int(count[i, j]) for count in got) == expected
+    # 12 broadcast rows: (n, n, rows) matrices up to n = 12, (rows, n, n)
+    # beyond; every n up to 40, then every 12th, to keep the oracle quick.
+    for n in [*range(2, 41), *range(48, 301, 12)]:
+        xs, ys = tie_heavy(rng, (3, 4, n)), tie_heavy(rng, (4, n))
+        got = _tallies(pair_counts(xs, ys))
+        assert [count.shape for count in got] == [(3, 4), (3, 4), (3, 4), (4,)]
+        assert all(map(np.array_equal, got, _sign_pair_counts(xs, ys))), n
+    # A 1-D list against stacked rows, in either layout: its tied count is a numpy integer.
+    for n in (5, 30):
+        flat, stacked = tie_heavy(rng, n), tie_heavy(rng, (3, 4, n))
+        for xs, ys in ((flat, stacked), (stacked, flat)):
+            got = _tallies(pair_counts(xs, ys))
+            assert [np.shape(count) for count in got] == [(3, 4), (3, 4), xs.shape[:-1], ys.shape[:-1]]
+            assert isinstance(got[2] if xs is flat else got[3], np.integer)
+            assert all(map(np.array_equal, got, _sign_pair_counts(xs, ys)))
+
+
+@pytest.mark.parametrize("eps", [0.0, BIN_TIE_EPS, 0.05])
+def test_pair_counts_matches_naive_at_tie_edges(eps):
+    rng = np.random.default_rng(47)
+    for n in range(2, 61):
+        xs = edge_values(rng, (2, 1, n), eps)
+        ys = edge_values(rng, (3, n), eps)  # broadcasts to (2, 3) rows
+        conc, disc, tied_x, tied_y = _tallies(pair_counts(xs, ys, eps))
+        assert conc.shape == disc.shape == (2, 3)
+        assert tied_x.shape == (2, 1) and tied_y.shape == (3,)
+        for i in range(2):
+            for j in range(3):
+                expected = naive_pair_counts(list(xs[i, 0]), list(ys[j]), eps)
+                assert (conc[i, j], disc[i, j], tied_x[i, 0], tied_y[j]) == expected
+
+
+def test_pair_counts_against_an_empty_stack_keeps_each_list_s_own_ties():
+    # No broadcast row holds the 1-D list, yet its tied count is its own.
+    for eps in (0.0, 1.0):
+        c = pair_counts(np.zeros((0, 3)), [1.0, 1.0, 2.0], eps)
+        assert c.conc.shape == c.disc.shape == c.tied_x.shape == (0,)
+        assert isinstance(c.tied_y, np.integer) and c.tied_y == (1 if eps == 0 else 3)
+        c = pair_counts([1.0, 1.0, 2.0], np.zeros((2, 0, 3)), eps)
+        assert c.tied_x == (1 if eps == 0 else 3) and c.tied_y.shape == (2, 0)
+    c = pair_counts(np.zeros((2, 0, 3)), [[0.0, 0.0, 1.0]])
+    assert c.tied_x.shape == (2, 0) and c.tied_y.tolist() == [1]
+    assert tau_b(np.zeros((0, 3)), [1.0, 2.0, 3.0]).shape == (0,)
 
 
 def test_tau_plain():
