@@ -25,31 +25,20 @@ import itertools
 import json
 import re
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from ._version import __version__
-from .distributions import Dataset, SystemRun, _checked_total, _vote_shares, from_votes
-from .errors import (
-    DuplicateCaseId,
-    InconsistentClassCount,
-    MissingCase,
-    OutOfRange,
-    ParseError,
-    UnknownCase,
-    ValidationError,
-)
+from .distributions import Dataset, SystemRun, _checked_members, _checked_total, _vote_shares
+from .distributions import from_votes
+from .errors import DuplicateCaseId, InconsistentClassCount, MissingCase, OutOfRange, ParseError
+from .errors import UnknownCase, ValidationError
 from .measures import MeasureId
-from .meta_eval import (
-    AgreementReport,
-    ConsistencyReport,
-    ScoreMatrix,
-    format_subset_mode,
-    parse_subset_mode,
-)
+from .meta_eval import AgreementReport, ConsistencyReport, FullSplit, ScoreMatrix, format_subset_mode
+from .meta_eval import parse_subset_mode
 from .rank_correlation import TauResult
 
 FORMATS = ("tsv", "json", "markdown")
@@ -398,13 +387,6 @@ def write_report(report, fmt: str, path) -> Path:
     return path
 
 
-def _measure_tag(tag) -> MeasureId:
-    try:
-        return MeasureId(tag)
-    except ValueError:
-        raise ParseError(f"unknown measure {tag!r} in report") from None
-
-
 def read_report(path):
     """Load a JSON report back into its report object (full precision)."""
     try:
@@ -415,37 +397,14 @@ def read_report(path):
         raise ParseError("not a JSON report: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError(f"report must be a JSON object, got {type(doc).__name__}")
-    try:
-        report = _report_from_doc(doc)
-    except KeyError as exc:
-        raise ParseError(f"report lacks key {exc.args[0]!r}") from None
-    except ParseError:
-        raise
-    except (TypeError, ValueError) as exc:  # the reports' own checks raise ValidationError
-        raise ParseError(f"malformed report: {exc}") from None
+    report = _report_from_doc(doc)
     written = _json_doc(report)  # the one valid document, but for tool_version: other releases load
-    if isinstance(doc.get("meta"), dict):
-        written["meta"]["tool_version"] = doc["meta"].get("tool_version", _ABSENT)
+    del written["meta"]["tool_version"]
+    _field(doc, ("meta",), dict).pop("tool_version", None)
     if found := _first_difference(doc, written):
-        raise ParseError(f"report key '{_cut(found[0][1:])}' is {found[1]}")
+        path = _cut(found[0][1:])
+        raise ParseError(f"report key '{path}' is {found[1]}" if found[1] else f"report lacks key '{path}'")
     return report
-
-
-def _float_grid(payload: dict, key: str) -> np.ndarray:
-    try:
-        return np.array(payload[key], dtype=np.float64)
-    except (ValueError, OverflowError):
-        raise ParseError(f"report key 'payload.{key}' is not a grid of numbers") from None
-
-
-class _Absent:
-    """Stands for a key that one document lacks; None is a JSON value."""
-
-    def __repr__(self) -> str:
-        return "absent"
-
-
-_ABSENT = _Absent()
 
 
 QUOTE_LIMIT = 120  # characters of a key path or a value's repr that an error message quotes
@@ -458,18 +417,22 @@ def _cut(text: str) -> str:
     return f"{text[:QUOTE_LIMIT]}... ({len(text)} characters)"
 
 
-def _first_difference(value, wanted) -> tuple[str, str] | None:
+def _first_difference(value, wanted) -> tuple[str, str | None] | None:
     """(key path, "<value>, the data give <wanted>") where parsed JSON first differs, else None.
 
     Objects are walked key by key, wanted's keys in their order and then
-    value's others, a key that one lacks reading as absent; lists item by
+    value's others; a key that value lacks gives the text None, one that
+    wanted lacks "<value>, the data give absent". Lists are walked item by
     item, then by length. A bool equals only a bool: 1 == 1.0, but not true.
     The path is built on the way back, so items that agree cost no string.
     """
     if isinstance(value, dict) and isinstance(wanted, dict):
         for key in itertools.chain(wanted, (key for key in value if key not in wanted)):
-            found = _first_difference(value.get(key, _ABSENT), wanted.get(key, _ABSENT))
-            if found:
+            if key not in value:
+                return f".{key}", None
+            if key not in wanted:
+                return f".{key}", f"{_cut(repr(value[key]))}, the data give absent"
+            if found := _first_difference(value[key], wanted[key]):
                 return f".{key}{found[0]}", found[1]
     elif isinstance(value, list) and isinstance(wanted, list):
         if any(map(_first_difference, value, wanted)):  # walked again only to find the index
@@ -483,44 +446,78 @@ def _first_difference(value, wanted) -> tuple[str, str] | None:
     return None
 
 
-def _typed(value, kind: type, path: str):
-    """value, which the report key path must hold as a JSON object (kind dict) or list."""
-    if not isinstance(value, kind):
-        name = "object" if kind is dict else "list"
-        raise ParseError(f"report key {path!r} must be a JSON {name}, got {type(value).__name__}")
-    return value
+def _dotted(path: tuple) -> str:
+    """A key path as messages name it: ("payload", "pairs", 3, "tau") is payload.pairs[3].tau."""
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)[1:]
+
+
+def _field(doc: dict, path: tuple, read=None):
+    """The report's value at path (object keys and list indices) through read.
+
+    Each step asks for the JSON object or list that holds its key, and
+    read=dict or read=list for that type of value. Any other read is a check
+    the record makes; its ValueError becomes a ParseError naming path.
+    """
+    node = doc
+    for depth, key in enumerate((*path, read) if read in (dict, list) else path):
+        kind = key if key in (dict, list) else list if isinstance(key, int) else dict
+        if not isinstance(node, kind):
+            name, got = "object" if kind is dict else "list", type(node).__name__
+            raise ParseError(f"report key '{_dotted(path[:depth])}' must be a JSON {name}, got {got}")
+        if kind is key:
+            return node
+        if key >= len(node) if kind is list else key not in node:
+            raise ParseError(f"report lacks key '{_dotted(path[: depth + 1])}'")
+        node = node[key]
+    try:
+        return node if read is None else read(node)
+    except ValueError as exc:  # a rule's ValidationError, or MeasureId's for an unknown tag
+        raise ParseError(f"report key '{_dotted(path)}': {exc}") from None
+
+
+def _items(doc: dict, path: tuple, item) -> tuple:
+    """item(path + (i,)) for each index i of the JSON list at path."""
+    return tuple(item((*path, i)) for i in range(len(_field(doc, path, list))))
+
+
+def _with_fields(doc: dict, record, path: tuple, keys: Sequence[str]):
+    """record with each field in keys set in turn to the value at path + (key,).
+
+    The record checks each value, so a conflict is named by the later key.
+    """
+    for key in keys:
+        record = _field(doc, (*path, key), lambda value: replace(record, **{key: value}))
+    return record
 
 
 def _report_from_doc(doc: dict):
-    kind = doc.get("kind")
-    measures = tuple(_measure_tag(tag) for tag in _typed(doc.get("measures", []), list, "measures"))
-    payload = _typed(doc["payload"], dict, "payload")
+    """The report that the document's primary keys give, read in the writer's key order."""
+    kind = _field(doc, ("kind",))
+    if kind not in ("score_matrix", "agreement", "consistency"):
+        raise ParseError(f"report key 'kind' must name a report kind, got {_cut(repr(kind))}")
+    tag = lambda path: _field(doc, path, MeasureId)
+    tags = _items(doc, ("measures",), tag)
+    measures = _field(doc, ("measures",), lambda _: _checked_members("measure", tags, MeasureId))
     if kind == "score_matrix":
         if len(measures) != 1:
             raise ParseError(f"report key 'measures' must name one measure, got {len(measures)}")
-        return ScoreMatrix(
-            values=_float_grid(payload, "values"),
-            system_ids=payload["system_ids"],
-            case_ids=payload["case_ids"],
-            measure=measures[0],
+        system_ids, case_ids = (
+            _field(doc, ("payload", key), lambda ids: _checked_members(noun, ids, str))
+            for key, noun in (("system_ids", "system id"), ("case_ids", "case id"))
         )
+        score = lambda grid: ScoreMatrix(grid, system_ids, case_ids, measures[0])
+        return _field(doc, ("payload", "values"), score)
     if kind == "agreement":
-        pairs = _typed(payload["pairs"], list, "payload.pairs")
-        objects = (_typed(p, dict, f"payload.pairs[{i}]") for i, p in enumerate(pairs))
-        taus = (TauResult(p["tau"], p["ci_low"], p["ci_high"], p["n"]) for p in objects)
-        return AgreementReport(measures=measures, taus=taus)
-    if kind == "consistency":
-        meta = _typed(doc["meta"], dict, "meta")
-        if not isinstance(meta["mode"], str):
-            raise ParseError(f"report key 'meta.mode' must be a string, got {meta['mode']!r}")
-        return ConsistencyReport(
-            measures=measures,
-            per_trial_tau=_float_grid(payload, "per_trial_tau"),
-            significant_pairs=(tuple(map(_measure_tag, pair)) for pair in payload["significant_pairs"]),
-            mode=parse_subset_mode(meta["mode"]),
-            seed=meta["seed"],
-            alpha=meta["alpha"],
-            permutations=payload["permutations"],
-            tau_variant=payload["tau_variant"],
-        )
-    raise ParseError(f"unknown report kind {kind!r}")
+        blank, keys = TauResult(0.0, -1.0, 1.0, 3), ("tau", "ci_low", "ci_high", "n")
+        taus = _items(doc, ("payload", "pairs"), lambda pair: _with_fields(doc, blank, pair, keys))
+        return _field(doc, ("payload", "pairs"), lambda _: AgreementReport(measures, taus))
+    # A consistency report starts as its grid with no pairs and valid settings.
+    blank = lambda grid: ConsistencyReport(measures, grid, (), FullSplit(), 0, 0.5, 1)
+    report = _field(doc, ("payload", "per_trial_tau"), blank)
+    significant = ("payload", "significant_pairs")
+    pairs = _items(doc, significant, lambda pair: _items(doc, pair, tag))
+    report = _field(doc, significant, lambda _: replace(report, significant_pairs=pairs))
+    report = _with_fields(doc, report, ("payload",), ("permutations", "tau_variant"))
+    report = _with_fields(doc, report, ("meta",), ("seed",))
+    report = _field(doc, ("meta", "mode"), lambda text: replace(report, mode=parse_subset_mode(text)))
+    return _with_fields(doc, report, ("meta",), ("alpha",))

@@ -107,7 +107,7 @@ def format_subset_mode(mode: SubsetMode) -> str:
 
 
 def parse_subset_mode(text: str) -> SubsetMode:
-    if text == "half":
+    if _checked_member("subset mode", text, str) == "half":
         return FullSplit()
     if text.startswith("k="):
         try:
@@ -256,7 +256,8 @@ def check_consistency_args(
     alpha = _checked_number("alpha", alpha, 0.0, 1.0, open=True)
     permutations = _checked_integer("permutations", permutations, 1)
     threads = _checked_integer("--threads", threads, 1)
-    tau_fn = {"b": tau_b, "plain": tau_plain}.get(tau_variant)  # tau_b: ties at equality
+    # tau_b: ties at equality. Only a str is looked up, so an unhashable variant is refused too.
+    tau_fn = {"b": tau_b, "plain": tau_plain}.get(tau_variant) if isinstance(tau_variant, str) else None
     if tau_fn is None:
         raise OutOfRange(f"unknown tau variant {tau_variant!r}")
     return B, seed, alpha, permutations, threads, tau_fn

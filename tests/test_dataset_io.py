@@ -757,6 +757,9 @@ def test_unknown_format_rejected(reports):
             render_report(object(), fmt)
 
 
+_DELETE = object()  # in place of a value: the key is deleted
+
+
 def test_read_report_rejects_bad_input(tmp_path, reports):
     bad = write(tmp_path, "r.json", "not json at all {")
     with pytest.raises(ParseError):
@@ -769,7 +772,7 @@ def test_read_report_rejects_bad_input(tmp_path, reports):
     # the writer writes for their data (section None is the top level).
     docs = [json.loads(render_report(report, "json")) for report in reports]
     pairs, averages = docs[1]["payload"]["pairs"], docs[1]["payload"]["avg_similarity"]
-    scores = docs[0]["payload"]["values"]
+    scores, case_ids = docs[0]["payload"]["values"], docs[0]["payload"]["case_ids"]
     scores = [[7.0, *scores[0][1:]], *scores[1:]]
     noted = [{**pairs[0], "note": 0}, *pairs[1:]]
     for report, section, key, value, message in (
@@ -777,7 +780,7 @@ def test_read_report_rejects_bad_input(tmp_path, reports):
         (0, "payload", "values", scores, r"scores must be numbers in \[0, 1\]"),
         (2, "payload", "per_trial_tau", [[0.5], [0.5, 0.6]], "payload.per_trial_tau"),
         (2, "meta", "mode", 3, "meta.mode"),
-        (2, "payload", "significant_pairs", [["NMD"]], "malformed report"),
+        (2, "payload", "significant_pairs", [["NMD"]], r"^report key 'payload.significant_pairs': significant pair \(NMD\) must name two report measures$"),
         (2, "payload", "mean_tau", docs[2]["payload"]["mean_tau"][:1], "payload.mean_tau"),
         (2, "meta", "B", 7, "meta.B"),
         (2, "meta", "B", "five", "meta.B"),
@@ -790,7 +793,7 @@ def test_read_report_rejects_bad_input(tmp_path, reports):
         (1, "payload", "avg_similarity", averages[:2], "payload.avg_similarity"),
         (1, "payload", "note", "hand-edited", "report key 'payload.note' is 'hand-edited'"),
         (1, "payload", "pairs", noted, r"'payload.pairs\[0\].note' is 0, the data give absent$"),
-        (0, None, "meta", [None], r"^report key 'meta' is \[None\], the data give \{'seed': None, "),
+        (0, None, "meta", [None], r"^report key 'meta' must be a JSON object, got list$"),
         (1, "meta", "alpha", "?", "report key 'meta.alpha' is '\\?', the data give None"),
         (1, "meta", "seed", 4, "report key 'meta.seed' is 4, the data give None"),
         (0, "meta", "seed", 4, "report key 'meta.seed' is 4, the data give None"),
@@ -812,9 +815,29 @@ def test_read_report_rejects_bad_input(tmp_path, reports):
         (1, "payload", "pairs", {}, "^report key 'payload.pairs' must be a JSON list, got dict$"),
         (2, None, "measures", "NMD", "^report key 'measures' must be a JSON list, got str$"),
         (0, None, "measures", 5, "^report key 'measures' must be a JSON list, got int$"),
+        (2, "payload", "significant_pairs", 5, "^report key 'payload.significant_pairs' must be a JSON list, got int$"),
+        (2, "payload", "significant_pairs", [["NMD", "JSD"], 3], r"^report key 'payload.significant_pairs\[1\]' must be a JSON list, got int$"),
+        (2, "payload", "significant_pairs", ["NMDNVD"], r"^report key 'payload.significant_pairs\[0\]' must be a JSON list, got str$"),
+        (0, "payload", "case_ids", [case_ids[1], *case_ids[1:]], f"^report key 'payload.case_ids': case id '{case_ids[1]}' is listed twice$"),
+        # Each field by its own rule, named by its own path.
+        (2, "meta", "seed", -3, "^report key 'meta.seed': seed must be an integer >= 0, got -3$"),
+        (2, "payload", "tau_variant", ["b"], r"^report key 'payload.tau_variant': unknown tau variant \['b'\]$"),
+        (2, "meta", "mode", None, "^report key 'meta.mode': subset mode None is not a str$"),
+        (1, "payload", "pairs", [{**pairs[0], "n": 2}, *pairs[1:]], r"^report key 'payload.pairs\[0\].n': n must be an integer >= 3, got 2$"),
+        (1, "payload", "pairs", [pairs[0], {**pairs[1], "tau": 7}, pairs[2]], r"^report key 'payload.pairs\[1\].tau': tau must be a number in \[-1, 1\], got 7$"),
+        (1, None, "measures", ["NMD", True, "DNKT"], r"^report key 'measures\[1\]': True is not a valid MeasureId$"),
+        (1, None, "kind", None, "^report key 'kind' must name a report kind, got None$"),
+        # A conflict between fields is named at the later key in the writer's order.
+        (0, "payload", "values", scores[1:], r"^report key 'payload.values': score grid \(5, 24\) does not match 6 systems x 24 cases$"),
+        (2, "payload", "per_trial_tau", docs[2]["payload"]["per_trial_tau"][:1], r"^report key 'payload.per_trial_tau': per-trial tau grid \(1, 25\) must be"),
+        (1, "payload", "pairs", [{**pairs[0], "ci_high": -1.0}, *pairs[1:]], r"^report key 'payload.pairs\[0\].ci_high': need ci_low <= tau <= ci_high"),
+        (1, "payload", "avg_similarity", None, "^report key 'payload.avg_similarity' is None, the data give"),
+        (1, "payload", "avg_similarity", _DELETE, "^report lacks key 'payload.avg_similarity'$"),
     ):
         doc = json.loads(render_report(reports[report], "json"))
         (doc if section is None else doc[section])[key] = value
+        if value is _DELETE:
+            del (doc if section is None else doc[section])[key]
         with pytest.raises(ParseError, match=message):
             read_report(write(tmp_path, "r3.json", json.dumps(doc)))
     # Reports from other releases load: meta.tool_version may differ or be absent.
@@ -826,12 +849,13 @@ def test_read_report_rejects_bad_input(tmp_path, reports):
             assert read_report(write(tmp_path, "r4.json", json.dumps(doc))) == report
 
 
-@pytest.mark.parametrize("report, key", [(1, "payload"), (2, "payload"), (2, "meta")])
+@pytest.mark.parametrize("key", ["kind", "measures", "payload", "meta"])
+@pytest.mark.parametrize("report", [0, 1, 2])
 def test_read_report_missing_key_is_parse_error(tmp_path, reports, report, key):
     doc = json.loads(render_report(reports[report], "json"))
     del doc[key]
     path = write(tmp_path, "r.json", json.dumps(doc))
-    with pytest.raises(ParseError, match=key):
+    with pytest.raises(ParseError, match=f"^report lacks key '{key}'$"):
         read_report(path)
 
 
@@ -938,7 +962,8 @@ def test_read_report_takes_no_bool_for_a_number(tmp_path, reports):
     doc = json.loads(render_report(reports[0], "json"))
     doc["payload"].update(system_ids=["s"], case_ids=["a", "b"], values=[[True, False]])
     for values, message in (
-        ([[True, False]], r"^report key 'payload.values\[0\]\[0\]' is True, the data give 1.0$"),
+        ([[True, False]], r"^report key 'payload.values': scores must be numbers, got a bool array$"),
+        ([[True, 0.5]], r"^report key 'payload.values\[0\]\[0\]' is True, the data give 1.0$"),
         ([[1, False]], r"^report key 'payload.values\[0\]\[1\]' is False, the data give 0.0$"),
     ):
         doc["payload"]["values"] = values

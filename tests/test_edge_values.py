@@ -52,7 +52,7 @@ from quantdiv import (
 )
 from quantdiv.errors import ValidationError
 from quantdiv.measures import _RANGE_SLACK, od
-from quantdiv.meta_eval import consistency_per_trial
+from quantdiv.meta_eval import check_consistency_args, consistency_per_trial, parse_subset_mode
 
 CASES = 2000
 # Names that take no data, or take it only as files, which the table and
@@ -358,6 +358,14 @@ NAMED = [
     ((agreement, DS, [5, 5, 5], [MeasureId.NMD, MeasureId.NVD]), None),
     ((score_matrices, DS, [RUNS[0], 5], [MeasureId.NMD]), None),
     ((score_matrix, 5, RUNS, MeasureId.NMD), None),
+    # An unhashable tau variant, and a subset mode that is not a str.
+    ((check_consistency_args, 1, 0, 0.05, 1, 1, ["b"]), None),
+    ((check_consistency_args, 1, 0, 0.05, 1, 1, {}), None),
+    ((consistency_per_trial, [np.zeros((3, 4))], FullSplit(), 2, 1, 1, ["b"]), None),
+    ((split_half_consistency, DS, RUNS, [MeasureId.NMD], FullSplit(), 2, 0, 0.05, 5, 1, {}), None),
+    ((ConsistencyReport, [MeasureId.NMD], np.zeros((1, 2)), (), FullSplit(), 0, 0.05, 10, {}), None),
+    ((parse_subset_mode, 3), None),
+    ((parse_subset_mode, None), None),
 ]
 
 
