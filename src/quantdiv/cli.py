@@ -13,11 +13,11 @@ import sys
 from pathlib import Path
 
 from ._version import __version__
-from .dataset_io import FORMATS, _table, load_gold, load_run, render_report, write_report
+from .dataset_io import FORMATS, _markdown_scores, _table, load_gold, load_run, render_report, write_report
 from .errors import TooFewMeasures, ValidationError
 from .measures import ALL_MEASURES, DEFAULT_SUITE, MeasureId
 from .meta_eval import agreement, check_consistency_args, mean_scores, parse_subset_mode
-from .meta_eval import score_matrices, split_half_consistency
+from .meta_eval import _usable_cpus, score_matrices, split_half_consistency
 from .meta_eval import score_matrix  # noqa: F401  perfbench/spans.py traces cli.score_matrix
 
 _VALID_TAGS = ", ".join(m.value for m in ALL_MEASURES)
@@ -105,18 +105,21 @@ def _with_measure_tag(path: Path, tag: str) -> Path:
 def cmd_score(args) -> int:
     dataset, runs, measures = _load_inputs(args)
     matrices = score_matrices(dataset, runs, measures)
-    for matrix in matrices:
-        sys.stdout.write(render_report(matrix, "markdown"))
+    # Each matrix's scores are formatted once: a TSV report file's text gives
+    # the markdown on stdout, and a markdown report file is that markdown.
+    out = None if args.output is None else Path(args.output)
+    shared = "tsv" if out is not None and args.format == "tsv" else "markdown"
+    for measure, matrix in zip(measures, matrices):
+        text = render_report(matrix, shared)
+        sys.stdout.write(_markdown_scores(matrix, text) if shared == "tsv" else text)
         sys.stdout.write("\n")
+        if out is not None:
+            path = out if len(measures) == 1 else _with_measure_tag(out, measure.value)
+            write_report(matrix, args.format, path, text=text if args.format == shared else None)
+            print(f"wrote {path}", file=sys.stderr)
     means = [mean_scores(matrix) for matrix in matrices]
     rows = ([run.system_id, *(f"{col[s]:.6f}" for col in means)] for s, run in enumerate(runs))
     sys.stdout.write(_table("markdown", ["system", *(m.value for m in measures)], rows))
-    if args.output is not None:
-        out = Path(args.output)
-        for measure, matrix in zip(measures, matrices):
-            path = out if len(measures) == 1 else _with_measure_tag(out, measure.value)
-            write_report(matrix, args.format, path)
-            print(f"wrote {path}", file=sys.stderr)
     return 0
 
 
@@ -193,7 +196,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--permutations", type=int, default=5000, help="HSD permutation rounds (default: 5000)"
     )
     cons_p.add_argument("--seed", type=int, help="RNG seed (default: QUANTDIV_SEED env var, else 42)")
-    cons_p.add_argument("--threads", type=int, default=1, help="worker threads (default: 1)")
+    cpus = _usable_cpus()
+    cons_p.add_argument(
+        "--threads", type=int, default=cpus, help=f"worker threads (default: {cpus}, the CPUs this process may use)"
+    )
     cons_p.add_argument(
         "--tau", choices=("taub", "plain"), default="taub", help="tau variant for trials (default: taub)"
     )

@@ -14,7 +14,9 @@ on with `line N: ` and carries N as .line; a row that fails its check
 (from_votes()'s or validate()'s) goes on with `line N: case '<id>': `.
 OS-level failures are not wrapped; OSError propagates.
 
-Score tables are rendered a whole row at a time, with one %-format per row.
+Score tables are rendered as TSV a whole row at a time, with one %-format
+per row, and as markdown from that TSV text, so a command that shows one
+and saves the other formats each score once.
 A JSON report's grid is written a row at a time, JSON_CHUNK values at a
 time, in the bytes json.dumps(indent=2) gives the whole document.
 """
@@ -22,7 +24,6 @@ time, in the bytes json.dumps(indent=2) gives the whole document.
 from __future__ import annotations
 
 import itertools
-import json
 import re
 from contextlib import contextmanager
 from dataclasses import asdict, replace
@@ -283,8 +284,12 @@ def _json_chunks(report) -> Iterator[str]:
     The grid goes out a row at a time and JSON_CHUNK values at a time, each
     value written as json writes a finite float (float.__repr__); a report's
     checks keep every grid value finite. An unknown report kind raises here,
-    before the first piece is asked for.
+    before the first piece is asked for. json is imported here and in
+    read_report, the two users of JSON: it costs every command about 2 ms to
+    import, and only a JSON report needs it.
     """
+    import json
+
     grids = []
 
     def hold(grid: np.ndarray) -> dict:
@@ -316,13 +321,30 @@ def _json_list(values: np.ndarray, indent: str) -> Iterator[str]:
 
 
 def _render_scores(report: ScoreMatrix, fmt: str) -> str:
-    corner = "system_id" if fmt == "tsv" else f"system ({report.measure.value})"
+    """A score table as TSV, or as the markdown that _markdown_scores makes of that TSV."""
     # One %-format per row: "%.6f" % x writes the bytes of f"{x:.6f}" for
     # every float, -0.0, nan and inf included.
-    start, sep, end = _layout(fmt)
-    line = start + sep.join(["%s"] + ["%.6f"] * len(report.case_ids)) + end
+    line = "\t".join(["%s"] + ["%.6f"] * len(report.case_ids)) + "\n"
     rows = zip(report.system_ids, report.values.tolist())
-    return _table(fmt, [corner, *report.case_ids], []) + "".join(line % (s, *r) for s, r in rows)
+    tsv = _table("tsv", ["system_id", *report.case_ids], []) + "".join(line % (s, *r) for s, r in rows)
+    return tsv if fmt == "tsv" else _markdown_scores(report, tsv)
+
+
+def _markdown_scores(report: ScoreMatrix, tsv: str) -> str:
+    """The markdown table of a score matrix, made from its TSV text without formatting a score again.
+
+    Each row's scores keep their text, with every tab replaced by " | ": no
+    score's text holds a tab. The rows are found by the lengths of the
+    header and the system ids, so an id that holds a tab or a newline is
+    copied as it is.
+    """
+    start = len(_table("tsv", ["system_id", *report.case_ids], []))
+    lines = [_table("markdown", [f"system ({report.measure.value})", *report.case_ids], [])]
+    for system_id in report.system_ids:
+        scores = start + len(system_id)
+        start = tsv.index("\n", scores) + 1
+        lines.append("| " + system_id + tsv[scores : start - 1].replace("\t", " | ") + " |\n")
+    return "".join(lines)
 
 
 def _render_agreement(report: AgreementReport, fmt: str) -> str:
@@ -378,10 +400,17 @@ def render_report(report, fmt: str) -> str:
     raise OutOfRange(f"cannot serialize {type(report).__name__}")
 
 
-def write_report(report, fmt: str, path) -> Path:
-    """Write a report to path; a bad format or report kind raises before the file is opened."""
+def write_report(report, fmt: str, path, text: str | None = None) -> Path:
+    """Write a report to path; a bad format or report kind raises before the file is opened.
+
+    text, if given, is render_report(report, fmt) made already, for a caller
+    that also shows it; it is written as it is.
+    """
     path = Path(path)
-    chunks = _json_chunks(report) if fmt == "json" else (render_report(report, fmt),)
+    if text is not None:
+        chunks = (text,)
+    else:
+        chunks = _json_chunks(report) if fmt == "json" else (render_report(report, fmt),)
     with path.open("w", encoding="utf-8") as out:
         out.writelines(chunks)
     return path
@@ -389,6 +418,8 @@ def write_report(report, fmt: str, path) -> Path:
 
 def read_report(path):
     """Load a JSON report back into its report object (full precision)."""
+    import json
+
     try:
         doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
@@ -456,7 +487,8 @@ def _field(doc: dict, path: tuple, read=None):
 
     Each step asks for the JSON object or list that holds its key, and
     read=dict or read=list for that type of value. Any other read is a check
-    the record makes; its ValueError becomes a ParseError naming path.
+    the record makes; its ValueError becomes a ParseError naming path, with
+    the check's message, which may quote the refused value, cut by _cut.
     """
     node = doc
     for depth, key in enumerate((*path, read) if read in (dict, list) else path):
@@ -472,7 +504,7 @@ def _field(doc: dict, path: tuple, read=None):
     try:
         return node if read is None else read(node)
     except ValueError as exc:  # a rule's ValidationError, or MeasureId's for an unknown tag
-        raise ParseError(f"report key '{_dotted(path)}': {exc}") from None
+        raise ParseError(f"report key '{_dotted(path)}': {_cut(str(exc))}") from None
 
 
 def _items(doc: dict, path: tuple, item) -> tuple:

@@ -180,14 +180,25 @@ def _checked_total(row: Sequence[float]) -> float:
     raise NotNormalized(f"probabilities sum to {total!r}")
 
 
+def _plain_counts(counts: Sequence) -> bool:
+    """True if every count is a plain int >= 0, which _checked_integer(..., 0) returns as it is.
+
+    The one pass a count check makes on loaded votes; only counts that fail
+    it (a bool, a numpy int, a negative or a non-integer) are walked again
+    by _checked_integer, which converts them or names the first bad one.
+    """
+    return all(type(c) is int and c >= 0 for c in counts)
+
+
 def _vote_shares(counts: Sequence[int]) -> list[float]:
     """Vote counts checked as from_votes() documents, each divided by their exact total."""
     if len(counts) < 2:
         raise TooFewClasses(f"need at least 2 classes, got {len(counts)}")
-    counts = [
-        _checked_integer(f"class {i} vote count", c, 0, NegativeProbability)
-        for i, c in enumerate(counts, start=1)
-    ]
+    if not _plain_counts(counts):
+        counts = [
+            _checked_integer(f"class {i} vote count", c, 0, NegativeProbability)
+            for i, c in enumerate(counts, start=1)
+        ]
     total = sum(counts)
     if total == 0:
         raise AllZeroVotes("all vote counts are zero")
@@ -235,9 +246,10 @@ class Dataset:
         if self.gold.shape != (n, k):
             raise LengthMismatch(f"gold grid {self.gold.shape} must be {n} cases x {k} classes")
         if self.votes is not None:
+            rows = (_checked_items("vote count", row) for row in _checked_items("vote row", self.votes))
             votes = tuple(
-                tuple(_checked_integer("vote count", c, 0) for c in _checked_items("vote count", row))
-                for row in _checked_items("vote row", self.votes)
+                row if _plain_counts(row) else tuple(_checked_integer("vote count", c, 0) for c in row)
+                for row in rows
             )
             object.__setattr__(self, "votes", votes)
             if [len(row) for row in votes] != [k] * n:

@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence
@@ -464,21 +463,29 @@ def _subset_means(cols: np.ndarray, perms: np.ndarray, split: int, end: int) -> 
     return sums
 
 
-def _run_all(task: Callable, items: Sequence, threads: int) -> None:
-    """Run task on every item, on at most min(threads, usable CPUs, tasks) workers.
-
-    The usable CPUs are those the process may run on, which in a container can
-    be fewer than the host's os.cpu_count(); sched_getaffinity is Linux-only.
-    """
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS has
+    one (Linux), which in a container can hold fewer than the host's
+    os.cpu_count(); else os.cpu_count(), or 1 if that is unknown."""
     if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    workers = min(threads, cpus, len(items))
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_all(task: Callable, items: Sequence, threads: int) -> None:
+    """Run task on every item, on at most min(threads, _usable_cpus(), tasks) workers.
+
+    concurrent.futures is imported only when more than one worker runs: with
+    the logging, queue and threading modules it pulls in, it costs a command
+    about 7 ms that a single-threaded run does not need.
+    """
+    workers = min(threads, _usable_cpus(), len(items))
     if workers <= 1:
         for item in items:
             task(item)
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(task, items))
 

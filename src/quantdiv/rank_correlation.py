@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
@@ -153,7 +152,13 @@ def tau_with_ci(
     Fieller-Hartley-Pearson approximation for Kendall correlations. |tau| = 1
     collapses to the degenerate interval [tau, tau]; for n <= 4 the variance
     term is undefined and the interval falls back to [-1, 1].
+
+    z comes from statistics.NormalDist, imported here: with the fractions and
+    decimal modules it pulls in, it costs a command about 3 ms, and only
+    agreement() needs it.
     """
+    from statistics import NormalDist
+
     level = _check_confidence(confidence)
     x, y = _as_arrays(xs, ys)
     if x.ndim != 1 or y.ndim != 1:

@@ -9,10 +9,10 @@ from pathlib import Path
 import pytest
 
 from quantdiv import synth
-from quantdiv.cli import main
+from quantdiv.cli import build_parser, main
 from quantdiv.dataset_io import load_gold, load_run, render_report, write_dataset, write_run
 from quantdiv.measures import MeasureId
-from quantdiv.meta_eval import agreement
+from quantdiv.meta_eval import _usable_cpus, agreement, mean_scores, score_matrices
 
 REPO = Path(__file__).resolve().parent.parent
 DATA = REPO / "data" / "synth"
@@ -69,23 +69,15 @@ def test_make_synth_data_script_rebuilds_tree_from_checkout(tmp_path):
 
 
 def test_consistency_defaults_match_golden_report(bundled, tmp_path, capsys):
-    out = tmp_path / "report.tsv"
-    code = main(
-        [
-            "consistency",
-            "--gold",
-            str(DATA / "gold.tsv"),
-            "--runs",
-            str(DATA / "runs"),
-            "--format",
-            "tsv",
-            "--output",
-            str(out),
-        ]
-    )
-    assert code == 0
-    capsys.readouterr()
-    assert out.read_bytes() == GOLDEN.read_bytes()
+    # --threads defaults to the CPUs this process may use, and the report is
+    # the one a single thread writes.
+    argv = ["consistency", "--gold", str(DATA / "gold.tsv"), "--runs", str(DATA / "runs"), "--format", "tsv"]
+    assert build_parser().parse_args(argv).threads == _usable_cpus()
+    for extra in ([], ["--threads", "1"]):
+        out = tmp_path / "report.tsv"
+        assert main(argv + ["--output", str(out), *extra]) == 0
+        capsys.readouterr()
+        assert out.read_bytes() == GOLDEN.read_bytes(), extra
 
 
 GOLDEN_COMMANDS = {
@@ -109,6 +101,47 @@ def test_text_reports_match_golden_files(command, tmp_path, capsys, monkeypatch)
     assert sorted(got) == sorted(expected)
     for name in expected:
         assert got[name] == expected[name], name
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "markdown"])
+@pytest.mark.parametrize("tags", [["DNKT"], ["NMD", "RNOD", "DNKT_JSD"]])
+def test_score_output_is_what_the_renderer_writes(bundled, tmp_path, capsys, fmt, tags):
+    # stdout holds each matrix's markdown, a blank line after each, then the
+    # means table; each report file holds its matrix rendered alone in fmt.
+    dataset, runs = bundled
+    out = tmp_path / f"score.{fmt}"
+    argv = ["score", "--gold", str(DATA / "gold.tsv"), "--runs", str(DATA / "runs")]
+    assert main(argv + ["--measures", ",".join(tags), "--format", fmt, "--output", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    matrices = score_matrices(dataset, runs, [MeasureId(tag) for tag in tags])
+    means = [mean_scores(matrix) for matrix in matrices]
+    table = ["| system | " + " | ".join(tags) + " |", "| --- |" + " --- |" * len(tags)]
+    table += [f"| {run.system_id} | " + " | ".join(f"{col[s]:.6f}" for col in means) + " |" for s, run in enumerate(runs)]
+    shown = "".join(render_report(matrix, "markdown") + "\n" for matrix in matrices)
+    assert stdout == shown + "\n".join(table) + "\n"
+    paths = [out] if len(tags) == 1 else [out.with_name(f"score.{tag}.{fmt}") for tag in tags]
+    assert sorted(tmp_path.iterdir()) == sorted(paths)
+    for path, matrix in zip(paths, matrices):
+        assert path.read_text(encoding="utf-8") == render_report(matrix, fmt), path.name
+
+
+@pytest.mark.parametrize(
+    "cell, message",
+    [
+        ("-2", "case 'd0038': class 3 vote count must be an integer >= 0, got -2"),
+        ("2.5", "bad vote count '2.5'"),
+        ("True", "bad vote count 'True'"),
+    ],
+)
+def test_score_names_a_bad_vote_count_and_its_line(tmp_path, capsys, cell, message):
+    lines = (DATA / "gold.tsv").read_text(encoding="utf-8").split("\n")
+    cells = lines[39].split("\t")
+    assert cells[0] == "d0038"
+    lines[39] = "\t".join([*cells[:3], cell, *cells[4:]])
+    gold = tmp_path / "gold.tsv"
+    gold.write_text("\n".join(lines), encoding="utf-8")
+    assert main(["score", "--gold", str(gold), "--runs", str(DATA / "runs" / "s01.tsv")]) == 2
+    assert capsys.readouterr().err == f"error: {gold}: line 40: {message}\n"
 
 
 def test_score_json_matches_golden_digests(tmp_path, capsys):

@@ -3,6 +3,7 @@ import pytest
 from quantdiv import synth
 from quantdiv.cli import main
 from quantdiv.dataset_io import read_report, write_dataset, write_run
+from quantdiv.meta_eval import _usable_cpus
 
 GOLD = "case_id\tlow\tmid\thigh\nq1\t0.5\t0.3\t0.2\nq2\t0.1\t0.1\t0.8\n"
 
@@ -47,6 +48,7 @@ def test_help_states_each_default_once(capsys):
         assert "(default: None)" not in text
     assert "--B B number of split trials (default: 1000)" in text
     assert "RNG seed (default: QUANTDIV_SEED env var, else 42) --threads" in text
+    assert f"worker threads (default: {_usable_cpus()}, the CPUs this process may use)" in text
 
 
 def test_usage_errors_exit_two(capsys):
@@ -266,14 +268,14 @@ def consistency_args(bench, out_path, *extra):
 def test_consistency_deterministic_across_runs_and_threads(bench, tmp_path, capsys):
     outs = []
     texts = []
-    for i, threads in enumerate(("1", "1", "4")):
+    for i, threads in enumerate(("1", "1", "2", "4")):
         out_path = tmp_path / f"c{i}.json"
         code = main(consistency_args(bench, out_path, "--seed", "5", "--threads", threads))
         assert code == 0
         texts.append(capsys.readouterr().out)
         outs.append(out_path.read_bytes())
-    assert texts[0] == texts[1] == texts[2]
-    assert outs[0] == outs[1] == outs[2]
+    assert texts[0] == texts[1] == texts[2] == texts[3]
+    assert outs[0] == outs[1] == outs[2] == outs[3]
     report = read_report(tmp_path / "c0.json")
     assert report.per_trial_tau.shape == (2, 25)
     assert report.seed == 5

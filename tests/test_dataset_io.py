@@ -819,6 +819,9 @@ def test_read_report_rejects_bad_input(tmp_path, reports):
         (2, "payload", "significant_pairs", [["NMD", "JSD"], 3], r"^report key 'payload.significant_pairs\[1\]' must be a JSON list, got int$"),
         (2, "payload", "significant_pairs", ["NMDNVD"], r"^report key 'payload.significant_pairs\[0\]' must be a JSON list, got str$"),
         (0, "payload", "case_ids", [case_ids[1], *case_ids[1:]], f"^report key 'payload.case_ids': case id '{case_ids[1]}' is listed twice$"),
+        # A rule's message quotes the refused value cut at QUOTE_LIMIT characters.
+        (0, None, "measures", ["x" * 100_000], r"^report key 'measures\[0\]': 'x{119}\.\.\. \(100027 characters\)$"),
+        (0, "payload", "case_ids", ["x" * 100_000] * 2 + case_ids[2:], r"^report key 'payload.case_ids': case id 'x{111}\.\.\. \(100026 characters\)$"),
         # Each field by its own rule, named by its own path.
         (2, "meta", "seed", -3, "^report key 'meta.seed': seed must be an integer >= 0, got -3$"),
         (2, "payload", "tau_variant", ["b"], r"^report key 'payload.tau_variant': unknown tau variant \['b'\]$"),

@@ -561,8 +561,9 @@ class _SerialPool:
 def test_worker_threads_are_clamped(monkeypatch, cpus, expected):
     # min(threads, usable cpus, tasks) workers. The usable CPUs are the
     # affinity mask's, not the host's; without sched_getaffinity they are
-    # cpu_count()'s, and one CPU (cpu_count() is None) runs inline.
-    monkeypatch.setattr(meta_eval, "ThreadPoolExecutor", _SerialPool)
+    # cpu_count()'s, and one CPU (cpu_count() is None) runs inline. The pool
+    # class is looked up in concurrent.futures when a pool is made.
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", _SerialPool)
     if cpus is None:
         monkeypatch.delattr(meta_eval.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(meta_eval.os, "cpu_count", lambda: None)

@@ -134,14 +134,18 @@ def test_readme_library_example_gives_its_commented_results():
 
 def test_importing_the_cli_leaves_numpy_random_unloaded():
     # numpy.random adds about 6 MB of RSS to every command; only the
-    # split-half trials need it, and they import it on first use.
+    # split-half trials need it, and they import it on first use. Each other
+    # module here is imported by its one user when it runs: concurrent.futures
+    # by a pool of more than one worker, statistics by tau_with_ci and json by
+    # the JSON report writer and reader.
+    deferred = ["numpy.random", "concurrent.futures", "statistics", "json"]
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    code = "import sys, quantdiv.cli; print('numpy.random' in sys.modules)"
+    code = f"import sys, quantdiv.cli; print([m for m in {deferred!r} if m in sys.modules])"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout == "False\n"
+    assert out.stdout == "[]\n"
 
 
 def test_package_version_is_read_from_the_module(tmp_path):
