@@ -1,8 +1,10 @@
 """Command line interface: score, agree, consistency.
 
-Exit codes: 0 success, 2 usage or input validation problem or out of
-memory, 1 internal error. Human-readable tables go to stdout; --output
-writes the machine report in the chosen --format.
+Exit codes: 0 success; 2 usage or input validation problem (a --runs path
+that does not exist included) or out of memory; 1 an OSError reading or
+writing a file (a --gold file that cannot be opened included) or an
+internal error. Human-readable tables go to stdout; --output writes the
+machine report in the chosen --format.
 """
 
 from __future__ import annotations

@@ -141,7 +141,11 @@ def _mean_dw(dw: np.ndarray, classes: np.ndarray) -> np.ndarray:
 
 
 def _root_normalized(scheme: DistanceScheme, over_gold_support: bool):
-    """RNOD (RNOD2) averages DW over the gold support, RNADW (RNADW2) over all classes."""
+    """RNOD (RNOD2) averages DW over the gold support, RNADW (RNADW2) over all classes.
+
+    The root of that mean over K - 1. The class set and the DistanceScheme
+    are the paper's two design choices; the four measures share the rest.
+    """
 
     def measure(est: np.ndarray, gold: np.ndarray) -> np.ndarray:
         classes = gold > 0.0 if over_gold_support else np.ones(gold.shape, dtype=bool)

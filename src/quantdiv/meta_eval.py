@@ -10,7 +10,8 @@ SeedSequence((seed, TRIAL_STREAM, b)) and every permutation chunk c from
 SeedSequence((seed, HSD_STREAM, c)), so results are reproducible for a given
 seed and identical for any thread count. The trial seed words are derived in
 bulk (_trial_seed_words), equal to what those SeedSequences generate, and
-numpy's own PCG64 is seeded from each trial's words.
+numpy's own PCG64 is seeded from each trial's words. The bytes thus rest on
+numpy's SeedSequence, PCG64, Generator.shuffle and Generator.permuted.
 Workers write to pre-assigned slots of the output arrays; nothing is
 accumulated in shared mutable state.
 """
@@ -54,8 +55,8 @@ HSD_CHUNK = 256
 # and keeps peak memory flat in the number of systems.
 SCORE_BLOCK = 1 << 15
 # consistency_per_trial runs trials in blocks whose temporaries take at most
-# this many bytes (at least one trial per block), so memory stays bounded
-# whatever B and the number of cases.
+# this many bytes, 1.5 MB (at least one trial per block), so memory stays
+# bounded whatever B and the number of cases; each worker thread holds one.
 TRIAL_BLOCK = 3 << 19
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
@@ -531,7 +532,8 @@ def consistency_per_trial(
     # boolean pair matrices per measure, a float64 copy of one half's means
     # (or narrow counts) and at most eight (trials, measures) counts and
     # quotients. Broadcasting ufuncs may buffer np.getbufsize() values of two
-    # float64 operands whatever the block size: that is set aside first.
+    # float64 operands (128 KB by default) whatever the block size: that is
+    # set aside first.
     summing = 8 * (n_cases + 2 * (end - split) + 4 * cells)
     pairing = 16 * cells + cells * (2 * n_systems + 8) + 64 * n_measures
     step = max(1, (TRIAL_BLOCK - 16 * np.getbufsize()) // max(summing, pairing))

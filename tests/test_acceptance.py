@@ -5,7 +5,8 @@ conftest hook folds them into a per-criterion PASS/FAIL summary. Three
 checks under criterion 1 fail by design: the gold-mass class distance is
 computed from the gold argument only, which makes RNADW2 directional and
 blinds both gold-mass variants to which side of a point-mass gold an error
-falls on. See the README for the full argument.
+falls on. README.md states the full argument, under "Criterion 1: three
+honest failures".
 """
 
 import time

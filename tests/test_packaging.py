@@ -1,13 +1,18 @@
 import ast
+import dataclasses
+import importlib
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import quantdiv
+from quantdiv.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def _build_requires() -> list[str]:
@@ -130,6 +135,70 @@ def test_readme_library_example_gives_its_commented_results():
         assert round(value, len(result.group(3))) == float(result.group(2)), line
         checked += 1
     assert checked == 2
+
+
+def test_readme_test_map_names_every_test_file():
+    # The "Tests" section's table has a row for each test file, and each row
+    # names a file that exists.
+    section = README.read_text(encoding="utf-8").split("\n## Tests\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"^\| `([^`]+)` \|", section, re.M))
+    test_files = {path.relative_to(ROOT).as_posix() for path in ROOT.glob("tests/test_*.py")}
+    assert test_files | {"perfbench/test_perfbench.py"} <= named
+    assert {name for name in named if not (ROOT / name).is_file()} == set()
+
+
+# Heads of the dotted names README cites that are not quantdiv's: numpy, the
+# standard library, a variable and report key paths. A file name is not one either.
+_FOREIGN_HEADS = {"np", "json", "itertools", "operator", "Generator", "mode", "meta", "payload"}
+_FILE_NAME = re.compile(r".+\.(py|tsv|toml|sha256)")
+
+
+def _resolves(name: str) -> bool:
+    """True if a dotted name README cites is a quantdiv module's attribute or
+    a public class's (a dataclass field counts), or is not quantdiv's."""
+    head, *_ = parts = name.removeprefix("quantdiv.").split(".")
+    if (ROOT / "src" / "quantdiv" / f"{head}.py").is_file():
+        importlib.import_module(f"quantdiv.{head}")  # now an attribute of the package
+    elif not (name.startswith("quantdiv.") or head in quantdiv.__all__):
+        return head in _FOREIGN_HEADS or _FILE_NAME.fullmatch(name) is not None
+    *path, last = parts
+    value = quantdiv
+    for attr in path:
+        if not hasattr(value, attr):
+            return False
+        value = getattr(value, attr)
+    fields = {field.name for field in dataclasses.fields(value)} if dataclasses.is_dataclass(value) else ()
+    return hasattr(value, last) or last in fields
+
+
+def test_readme_cites_only_names_that_exist():
+    # Every backticked dotted name outside the code blocks, such as
+    # `kernels.HSD_BLOCK` or `Dataset.votes`; one inside a path, such as
+    # quantdiv/distributions.py, is not a name.
+    text = re.sub(r"```.*?```", "", README.read_text(encoding="utf-8"), flags=re.S)
+    names = {
+        name
+        for span in re.findall(r"`([^`]+)`", text)
+        for name in re.findall(r"(?<![\w/.])[A-Za-z_]\w*(?:\.\w+)+", span)
+    }
+    assert {"kernels.HSD_BLOCK", "meta_eval.check_consistency_args"} <= names
+    assert sorted(name for name in names if not _resolves(name)) == []
+
+
+def test_readme_shell_commands_parse():
+    # Each `quantdiv <command> ...` line of README's sh blocks, with its
+    # backslash continuations, is accepted by the CLI's parser.
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    lines = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()]
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("quantdiv ")]
+    parser = build_parser()
+    refused = []
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            refused.append(shlex.join(argv))
+    assert commands and refused == []
 
 
 def test_importing_the_cli_leaves_numpy_random_unloaded():
