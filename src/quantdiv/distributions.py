@@ -107,10 +107,11 @@ def _check_confidence(confidence) -> float:
     return level
 
 
-def _checked_member(name: str, value, kind: type):
-    """value if it is a kind, such as a MeasureId (a plain "NMD" is not one)."""
+def _checked_member(name: str, value, kind: type | tuple[type, ...]):
+    """value if it is a kind, or one of a tuple of kinds: a MeasureId, say ("NMD" is not one)."""
     if not isinstance(value, kind):
-        raise OutOfRange(f"{name} {value!r} is not a {kind.__name__}")
+        kinds = kind if isinstance(kind, tuple) else (kind,)
+        raise OutOfRange(f"{name} {value!r} is not a {' or '.join(k.__name__ for k in kinds)}")
     return value
 
 

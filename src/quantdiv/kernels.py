@@ -13,9 +13,9 @@ def pair_stats(x: np.ndarray, y: np.ndarray, tie_eps: float):
     """Count (concordant, discordant, tied_x, tied_y) over index pairs i < j.
 
     x and y are float64 (rows, n) arrays of one shape, and each count is an
-    intp array with one entry per row; rank_correlation.pair_counts does the
-    broadcasting. A pair is tied in a list when the absolute difference is
-    <= tie_eps; pairs tied in either list are in neither conc nor disc.
+    intp array with one entry per row. A pair is tied in a list when the
+    absolute difference is <= tie_eps; pairs tied in either list are in
+    neither conc nor disc.
 
     Each list gives an n x n matrix above[i, j] = x_i - x_j > tie_eps (for
     tie_eps == 0 the comparison x_i > x_j, which is the same for finite
@@ -41,7 +41,11 @@ def pair_stats(x: np.ndarray, y: np.ndarray, tie_eps: float):
     for v, out in ((x, above_x), (y, above_y)):
         v_i = v.T.copy()[:, None] if rows >= n else v[:, :, None]  # item i on the first pair axis
         v_j = np.swapaxes(v_i, *pair)
-        np.greater(v_i - v_j, tie_eps, out=out) if tie_eps else np.greater(v_i, v_j, out=out)
+        if tie_eps:
+            with np.errstate(over="ignore"):  # a gap past the float range is +-inf, compared right
+                np.greater(v_i - v_j, tie_eps, out=out)
+        else:
+            np.greater(v_i, v_j, out=out)
         del v_i, v_j  # one list's float64 copy at a time
     untied_x, untied_y = _count_cells(above_x, pair), _count_cells(above_y, pair)
     differ = np.logical_xor(above_x, above_y, out=above_y)

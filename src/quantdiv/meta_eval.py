@@ -68,7 +68,7 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
 class SubsetMode:
-    """How a trial draws its two disjoint case subsets: FullSplit or FixedSize."""
+    """How a trial draws its two disjoint case subsets: FullSplit or FixedSize, not this base."""
 
 
 @dataclass(frozen=True)
@@ -98,6 +98,9 @@ class FixedSize(SubsetMode):
                 f"two disjoint subsets of {self.k} need {2 * self.k} cases, got {n_cases}"
             )
         return self.k, 2 * self.k
+
+
+_MODES = (FullSplit, FixedSize)  # the bare SubsetMode has no bounds
 
 
 def format_subset_mode(mode: SubsetMode) -> str:
@@ -194,7 +197,7 @@ class ConsistencyReport:
                 f"per-trial tau grid {arr.shape} must be (measures, B) with >= 1 measure, "
                 f"got {len(self.measures)} measures"
             )
-        _checked_member("mode", self.mode, SubsetMode)
+        _checked_member("mode", self.mode, _MODES)
         # Settings are stored as the Python numbers the rules give, so a numpy scalar renders as JSON.
         _, seed, alpha, permutations, _, _ = check_consistency_args(
             self.B, self.seed, self.alpha, self.permutations, tau_variant=self.tau_variant
@@ -522,7 +525,7 @@ def consistency_per_trial(
     B, seed, _, _, threads, tau_fn = check_consistency_args(
         B, seed, threads=threads, tau_variant=tau_variant
     )
-    split, end = _checked_member("mode", mode, SubsetMode).bounds(n_cases)
+    split, end = _checked_member("mode", mode, _MODES).bounds(n_cases)
 
     per_trial = np.empty((n_measures, B), dtype=np.float64)
     cells = n_measures * n_systems
@@ -635,7 +638,7 @@ def split_half_consistency(
     if len(runs) < 2:
         raise TooFewSystems(f"need at least 2 systems, got {len(runs)}")
     check_consistency_args(B, seed, alpha, permutations, threads, tau_variant)
-    _checked_member("mode", mode, SubsetMode).bounds(len(dataset.case_ids))
+    _checked_member("mode", mode, _MODES).bounds(len(dataset.case_ids))
     # A one-shot iterator, so the trials hold the only copy of the scores.
     grids = (matrix.values for matrix in score_matrices(dataset, runs, measures))
     per_trial = consistency_per_trial(grids, mode, B, seed, threads, tau_variant)

@@ -3,10 +3,11 @@
 tau_b follows the tie-adjusted definition with a max(1, .) guard in the
 denominator so fully tied lists give 0 instead of dividing by zero. Pairs
 tied in either list (absolute difference <= tie_eps) are excluded from the
-concordance counts. pair_counts, tau_b and tau_plain also take stacked
-(..., n) arrays and then give one result per row of the last axis, which is
-how the batch DNKT and the split-half trials use them; pair_counts alone
-broadcasts them, into the two (rows, n) arrays of one kernels.pair_stats call.
+concordance counts. pair_counts, tau_b and tau_plain take two lists, or two
+stacked (..., n) arrays of one shape that give one result per row of the
+last axis, as the split-half trials use them; pair_counts counts the rows
+as one (rows, n) block in one kernels.pair_stats call. A caller that pairs
+a stack with one list, such as the batch DNKT with its gold, broadcasts them.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ Lists = Sequence[float] | np.ndarray
 class PairCounts:
     """Pair tallies over all index pairs i < j of two aligned lists.
 
-    For stacked inputs each tally is an integer array with one entry per row
-    (tied_x and tied_y per row of x and of y).
+    For stacked inputs each tally is an integer array with one entry per row.
     """
 
     conc: int | np.ndarray
@@ -76,16 +76,12 @@ class TauResult:
 
 
 def _as_arrays(xs: Lists, ys: Lists) -> tuple[np.ndarray, np.ndarray]:
-    """Two lists, or stacked (..., n) arrays whose leading axes broadcast, of finite numbers."""
+    """Two lists, or two stacked (..., n) arrays of one shape, of finite numbers."""
     x, y = (_checked_array("inputs", v, -math.inf, math.inf) for v in (xs, ys))
     if x.ndim == 0 or y.ndim == 0:
         raise OutOfRange("inputs must be sequences")
-    if x.shape[-1] != y.shape[-1]:
-        raise LengthMismatch(f"lists have lengths {x.shape[-1]} and {y.shape[-1]}")
-    try:
-        np.broadcast_shapes(x.shape, y.shape)
-    except ValueError:
-        raise LengthMismatch(f"stacked shapes {x.shape} and {y.shape} do not broadcast") from None
+    if x.shape != y.shape:
+        raise LengthMismatch(f"shapes {x.shape} and {y.shape} differ")
     return x, y
 
 
@@ -96,29 +92,17 @@ def _scalar_or_array(value: np.ndarray) -> float | np.ndarray:
 def pair_counts(xs: Lists, ys: Lists, tie_eps: float = 0.0) -> PairCounts:
     """Tally concordant/discordant/tied pairs of two aligned lists.
 
-    Stacked (..., n) arrays are tallied row by row along the last axis.
+    Stacked (..., n) arrays of one shape are tallied row by row along the last axis.
     """
     tie_eps = _checked_number("tie_eps", tie_eps, 0.0, math.inf)
     x, y = _as_arrays(xs, ys)
     n = x.shape[-1]
     if n < 2:
         raise TooShort(f"need at least 2 items, got {n}")
-    shape = np.broadcast_shapes(x.shape, y.shape)
-    # reshape copies only a list whose rows broadcast but do not flatten.
-    counts = kernels.pair_stats(*[np.broadcast_to(v, shape).reshape(-1, n) for v in (x, y)], tie_eps)
-    if x.ndim == y.ndim == 1:
+    counts = kernels.pair_stats(x.reshape(-1, n), y.reshape(-1, n), tie_eps)
+    if x.ndim == 1:
         return PairCounts(*[int(c[0]) for c in counts], n=n)
-    conc, disc, tied_x, tied_y = [c.reshape(shape[:-1]) for c in counts]
-    return PairCounts(conc, disc, _own_rows(tied_x, x, tie_eps), _own_rows(tied_y, y, tie_eps), n=n)
-
-
-def _own_rows(count: np.ndarray, v: np.ndarray, tie_eps: float) -> np.ndarray | np.integer:
-    """count over the broadcast rows, cut to v's own rows: all agree where v broadcasts."""
-    own = v.shape[:-1]
-    if count.size == 0 and v.size:  # no broadcast rows to cut: v's rows are counted alone
-        count = kernels.pair_stats(*[v.reshape(-1, v.shape[-1])] * 2, tie_eps)[2].reshape(own)
-    index = [slice(size) for size in (1,) * (count.ndim - len(own)) + own]
-    return count[tuple(index)].reshape(own)[()]  # [()]: a numpy integer for 1-D v
+    return PairCounts(*[c.reshape(x.shape[:-1]) for c in counts], n=n)
 
 
 def tau_b(xs: Lists, ys: Lists, tie_eps: float = 0.0) -> float | np.ndarray:
@@ -127,7 +111,7 @@ def tau_b(xs: Lists, ys: Lists, tie_eps: float = 0.0) -> float | np.ndarray:
     tau_b = (conc - disc) / sqrt(max(1, notTied_x) * max(1, notTied_y)),
     where notTied counts pairs not tied in that list. The single sqrt over
     the product keeps tau exactly +-1 for perfect agreement/reversal.
-    Stacked (..., n) inputs give an array of one tau per row.
+    Stacked (..., n) inputs of one shape give an array of one tau per row.
     """
     c = pair_counts(xs, ys, tie_eps)
     denom = np.sqrt(np.maximum(1, c.not_tied_x) * np.maximum(1, c.not_tied_y))
@@ -137,7 +121,7 @@ def tau_b(xs: Lists, ys: Lists, tie_eps: float = 0.0) -> float | np.ndarray:
 def tau_plain(xs: Lists, ys: Lists) -> float | np.ndarray:
     """Unadjusted Kendall correlation: (conc - disc) / (n (n - 1) / 2).
 
-    Stacked (..., n) inputs give an array of one tau per row.
+    Stacked (..., n) inputs of one shape give an array of one tau per row.
     """
     c = pair_counts(xs, ys, tie_eps=0.0)
     return _scalar_or_array((c.conc - c.disc) / c.total_pairs)
@@ -161,7 +145,7 @@ def tau_with_ci(
 
     level = _check_confidence(confidence)
     x, y = _as_arrays(xs, ys)
-    if x.ndim != 1 or y.ndim != 1:
+    if x.ndim != 1:
         raise OutOfRange("inputs must be one-dimensional sequences")
     n = x.shape[0]
     if n < 3:

@@ -582,7 +582,7 @@ def test_public_records_are_frozen_with_read_only_arrays(tmp_path, reports):
                 assert written(built) == written(record), name
     # A mode that is not a FullSplit or FixedSize, a significant pair of other
     # than 2 measures, and ids given as one string (each character an id) are refused.
-    with pytest.raises(OutOfRange, match="mode 'half' is not a SubsetMode"):
+    with pytest.raises(OutOfRange, match="mode 'half' is not a FullSplit or FixedSize"):
         dataclasses.replace(ranked, mode="half")
     for pair in ((nmd,), (nmd, nvd, jsd)):
         with pytest.raises(OutOfRange, match="must name two report measures"):

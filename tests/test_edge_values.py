@@ -52,7 +52,7 @@ from quantdiv import (
 )
 from quantdiv.errors import ValidationError
 from quantdiv.measures import _RANGE_SLACK, od
-from quantdiv.meta_eval import check_consistency_args, consistency_per_trial, parse_subset_mode
+from quantdiv.meta_eval import SubsetMode, check_consistency_args, consistency_per_trial, parse_subset_mode
 
 CASES = 2000
 # Names that take no data, or take it only as files, which the table and
@@ -366,6 +366,10 @@ NAMED = [
     ((ConsistencyReport, [MeasureId.NMD], np.zeros((1, 2)), (), FullSplit(), 0, 0.05, 10, {}), None),
     ((parse_subset_mode, 3), None),
     ((parse_subset_mode, None), None),
+    # The bare SubsetMode base, which is neither FullSplit nor FixedSize.
+    ((consistency_per_trial, [np.zeros((3, 8))], SubsetMode(), 2, 0), None),
+    ((split_half_consistency, DS, RUNS, [MeasureId.NMD], SubsetMode(), 2, 0, 0.05, 5), None),
+    ((ConsistencyReport, [MeasureId.NMD], np.zeros((1, 2)), (), SubsetMode(), 0, 0.05, 10), None),
 ]
 
 

@@ -1,12 +1,13 @@
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 
 from _helpers import edge_values, naive_pair_counts, tie_heavy
 from quantdiv import kernels
-from quantdiv.measures import BIN_TIE_EPS
+from quantdiv.measures import BIN_TIE_EPS, MeasureId, score_batch
 from quantdiv.meta_eval import randomized_tukey_hsd
 from quantdiv.rank_correlation import pair_counts, tau_b, tau_with_ci
 
@@ -65,17 +66,17 @@ def test_pair_stats_edge_values_hit_the_tie_boundary():
 def test_pair_stats_counts_past_uint16(n):
     # n (n - 1) / 2 exceeds 65535 from n = 363 on: every pair is concordant
     # in one row and discordant in the other, in the kernel and through
-    # pair_counts with a 1-D list against a stack.
+    # pair_counts of a stack of one list against a stack.
     xs = np.arange(n, dtype=np.float64)
     ys = np.stack([xs, -xs])
     pairs = n * (n - 1) // 2
-    through_api = pair_counts(xs, ys)
+    through_api = pair_counts(np.stack([xs, xs])[None], ys[None])
     for conc, disc, tied_x, tied_y in (
         kernels.pair_stats(np.stack([xs, xs]), ys, 0.0),
         (through_api.conc, through_api.disc, through_api.tied_x, through_api.tied_y),
     ):
-        assert conc.tolist() == [pairs, 0] and disc.tolist() == [0, pairs]
-        assert np.all(tied_x == 0) and tied_y.tolist() == [0, 0]
+        assert np.ravel(conc).tolist() == [pairs, 0] and np.ravel(disc).tolist() == [0, pairs]
+        assert np.all(tied_x == 0) and np.ravel(tied_y).tolist() == [0, 0]
 
 
 @pytest.mark.parametrize("n", [256, 257, 400])
@@ -91,22 +92,27 @@ def test_pair_counting_retains_no_memory(block):
     # Nothing a call allocates may outlive it. A tuple built from a generator
     # (or by np.moveaxis) on the per-call path leaves one more tuple on
     # CPython's free lists each call, up to 2000, and tracemalloc counts them.
-    # 1,000 calls on a split-half block of 113 trials, 3 measures and 40
-    # systems, on a DNKT block (250 cases of 11 classes against the gold) and
-    # on two 1-D lists of 12 must leave under 8 KB traced.
+    # 1,000 tau_b calls on a split-half block of 113 trials, 3 measures and
+    # 40 systems and on two 1-D lists of 12, and 1,000 DNKT score_batch calls
+    # on one system's 250 cases of 11 classes against the gold, which it
+    # broadcasts, must leave under 8 KB traced.
     rng = np.random.default_rng(49)
-    xs, ys, eps = {
-        "trials": (tie_heavy(rng, (113, 3, 40)), tie_heavy(rng, (113, 3, 40)), 0.0),
-        "dnkt": (rng.dirichlet(np.ones(11), (1, 250)), rng.dirichlet(np.ones(11), 250), BIN_TIE_EPS),
-        "lists": (rng.random(12), np.round(rng.random(12), 1), 0.0),
+    call, xs, ys = {
+        "trials": (tau_b, tie_heavy(rng, (113, 3, 40)), tie_heavy(rng, (113, 3, 40))),
+        "dnkt": (
+            partial(score_batch, MeasureId.DNKT),
+            rng.dirichlet(np.ones(11), (1, 250)),
+            rng.dirichlet(np.ones(11), 250),
+        ),
+        "lists": (tau_b, rng.random(12), np.round(rng.random(12), 1)),
     }[block]
     tracemalloc.start()
     try:
         for _ in range(10):
-            tau_b(xs, ys, eps)
+            call(xs, ys)
         before = tracemalloc.get_traced_memory()[0]
         for _ in range(1000):
-            tau_b(xs, ys, eps)
+            call(xs, ys)
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()

@@ -427,6 +427,20 @@ def test_score_batch_broadcasts_systems_against_gold():
     assert np.array_equal(grid[1], score_batch(MeasureId.RNOD2, est[1], gold))
 
 
+@pytest.mark.parametrize("measure", [MeasureId.DNKT, *measures.HYBRID_PARTNERS])
+def test_dnkt_family_broadcasts_est_against_gold_bit_for_bit(measure):
+    # DNKT broadcasts the two to one shape for tau_b: (S, C, K) estimates, and
+    # one (K,) estimate, against (C, K) gold equal score() pair by pair.
+    rng = np.random.default_rng(31)
+    for k in (3, 11):
+        gold = np.stack(_tricky_rows(rng, k))
+        est = np.stack([rng.permutation(gold) for _ in range(3)])
+        expected = [[score(measure, e, g) for e, g in zip(system, gold)] for system in est]
+        assert np.array_equal(score_batch(measure, est, gold), expected), k
+        one = est[1, 0]
+        assert np.array_equal(score_batch(measure, one, gold), [score(measure, one, g) for g in gold]), k
+
+
 @pytest.mark.parametrize(
     "measure",
     [MeasureId.RNOD, MeasureId.RNOD2, MeasureId.RNADW, MeasureId.RNADW2, MeasureId.RSNOD],

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -49,8 +51,19 @@ def test_pair_counts_errors():
         pair_counts([1.0, float("nan")], [1.0, 2.0])
     with pytest.raises(OutOfRange, match="inputs must be sequences"):
         pair_counts(1.0, [1.0, 2.0])
-    with pytest.raises(LengthMismatch, match=r"shapes \(2, 3\) and \(3, 3\) do not broadcast"):
+    with pytest.raises(LengthMismatch, match=r"shapes \(2, 3\) and \(3, 3\) differ"):
         pair_counts(np.zeros((2, 3)), np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("call", [pair_counts, tau_b, tau_plain])
+def test_two_shapes_that_differ_are_refused(call):
+    # One shape for both inputs: a list against a stack, in either order, is
+    # refused like two stacks or two lists of different shapes.
+    flat, stack = [1.0, 2.0, 3.0], np.zeros((2, 3))
+    for xs, ys in ((flat, stack), (stack, flat), (stack, np.zeros((1, 2, 3))), ([1.0, 2.0], flat)):
+        message = re.escape(f"shapes {np.shape(xs)} and {np.shape(ys)} differ")
+        with pytest.raises(LengthMismatch, match=message):
+            call(xs, ys)
 
 
 def test_tau_b_exact_endpoints():
@@ -108,58 +121,83 @@ def _sign_pair_counts(xs, ys):
 def test_pair_counts_tallies_stacked_rows_independently():
     rng = np.random.default_rng(42)
     xs = np.round(rng.normal(size=(3, 4, 9)), 1)
-    ys = np.round(rng.normal(size=(4, 9)), 1)  # broadcasts against every xs[i]
+    ys = np.round(rng.normal(size=(3, 4, 9)), 1)
     for eps in (0.0, 1e-9, 0.1):
-        conc, disc, tied_x, tied_y = _tallies(pair_counts(xs, ys, eps))
-        assert conc.shape == disc.shape == tied_x.shape == (3, 4) and tied_y.shape == (4,)
-        got = np.broadcast_arrays(conc, disc, tied_x, tied_y)
+        got = _tallies(pair_counts(xs, ys, eps))
+        assert [count.shape for count in got] == [(3, 4)] * 4
         for i in range(3):
             for j in range(4):
-                expected = naive_pair_counts(list(xs[i, j]), list(ys[j]), eps)
+                expected = naive_pair_counts(list(xs[i, j]), list(ys[i, j]), eps)
                 assert tuple(int(count[i, j]) for count in got) == expected
-    # 12 broadcast rows: (n, n, rows) matrices up to n = 12, (rows, n, n)
-    # beyond; every n up to 40, then every 12th, to keep the oracle quick.
+    # 12 rows: (n, n, rows) matrices up to n = 12, (rows, n, n) beyond;
+    # every n up to 40, then every 12th, to keep the oracle quick.
     for n in [*range(2, 41), *range(48, 301, 12)]:
-        xs, ys = tie_heavy(rng, (3, 4, n)), tie_heavy(rng, (4, n))
+        xs, ys = tie_heavy(rng, (3, 4, n)), tie_heavy(rng, (3, 4, n))
         got = _tallies(pair_counts(xs, ys))
-        assert [count.shape for count in got] == [(3, 4), (3, 4), (3, 4), (4,)]
+        assert [count.shape for count in got] == [(3, 4)] * 4
         assert all(map(np.array_equal, got, _sign_pair_counts(xs, ys))), n
-    # A 1-D list against stacked rows, in either layout: its tied count is a numpy integer.
+    # One list broadcast against stacked rows, as the batch DNKT passes its
+    # gold: a read-only view, in either layout, counted as one list per row.
     for n in (5, 30):
         flat, stacked = tie_heavy(rng, n), tie_heavy(rng, (3, 4, n))
-        for xs, ys in ((flat, stacked), (stacked, flat)):
+        for xs, ys in (np.broadcast_arrays(flat, stacked), np.broadcast_arrays(stacked, flat)):
             got = _tallies(pair_counts(xs, ys))
-            assert [np.shape(count) for count in got] == [(3, 4), (3, 4), xs.shape[:-1], ys.shape[:-1]]
-            assert isinstance(got[2] if xs is flat else got[3], np.integer)
+            assert [count.shape for count in got] == [(3, 4)] * 4
             assert all(map(np.array_equal, got, _sign_pair_counts(xs, ys)))
+            alone = pair_counts(flat, flat).tied_x
+            assert np.all(got[2] == alone) if xs.strides[0] == 0 else np.all(got[3] == alone)
 
 
 @pytest.mark.parametrize("eps", [0.0, BIN_TIE_EPS, 0.05])
 def test_pair_counts_matches_naive_at_tie_edges(eps):
     rng = np.random.default_rng(47)
     for n in range(2, 61):
-        xs = edge_values(rng, (2, 1, n), eps)
-        ys = edge_values(rng, (3, n), eps)  # broadcasts to (2, 3) rows
-        conc, disc, tied_x, tied_y = _tallies(pair_counts(xs, ys, eps))
-        assert conc.shape == disc.shape == (2, 3)
-        assert tied_x.shape == (2, 1) and tied_y.shape == (3,)
+        xs, ys = edge_values(rng, (2, 3, n), eps), edge_values(rng, (2, 3, n), eps)
+        got = _tallies(pair_counts(xs, ys, eps))
+        assert [count.shape for count in got] == [(2, 3)] * 4
         for i in range(2):
             for j in range(3):
-                expected = naive_pair_counts(list(xs[i, 0]), list(ys[j]), eps)
-                assert (conc[i, j], disc[i, j], tied_x[i, 0], tied_y[j]) == expected
+                expected = naive_pair_counts(list(xs[i, j]), list(ys[i, j]), eps)
+                assert tuple(count[i, j] for count in got) == expected
 
 
-def test_pair_counts_against_an_empty_stack_keeps_each_list_s_own_ties():
-    # No broadcast row holds the 1-D list, yet its tied count is its own.
+def test_pair_counts_of_empty_stacks_are_empty():
     for eps in (0.0, 1.0):
-        c = pair_counts(np.zeros((0, 3)), [1.0, 1.0, 2.0], eps)
-        assert c.conc.shape == c.disc.shape == c.tied_x.shape == (0,)
-        assert isinstance(c.tied_y, np.integer) and c.tied_y == (1 if eps == 0 else 3)
-        c = pair_counts([1.0, 1.0, 2.0], np.zeros((2, 0, 3)), eps)
-        assert c.tied_x == (1 if eps == 0 else 3) and c.tied_y.shape == (2, 0)
-    c = pair_counts(np.zeros((2, 0, 3)), [[0.0, 0.0, 1.0]])
-    assert c.tied_x.shape == (2, 0) and c.tied_y.tolist() == [1]
-    assert tau_b(np.zeros((0, 3)), [1.0, 2.0, 3.0]).shape == (0,)
+        for shape in ((0, 3), (2, 0, 3)):
+            c = pair_counts(np.zeros(shape), np.zeros(shape), eps)
+            assert all(np.shape(count) == shape[:-1] for count in _tallies(c))
+    assert tau_b(np.zeros((0, 3)), np.zeros((0, 3))).shape == (0,)
+
+
+def test_tolerant_ties_of_gaps_past_the_float_range():
+    # 1e308 - -1e308 rounds to inf, which is > tie_eps, without a warning.
+    xs, ys = [1e308, -1e308, 0.0, 1e308], [1.0, 2.0, 3.0, 1.5]
+    assert pair_counts(xs, ys, 1.0) == PairCounts(*naive_pair_counts(xs, ys, 1.0), n=4)
+    assert tau_b(xs, ys, 1.0) == naive_tau_b(xs, ys, 1.0)
+    # Stacked rows, whose matrices are (n, n, rows).
+    rows = np.array([xs, xs[::-1], ys, [-1e308, 1e308, -1e308, 1e308], ys, xs])
+    got = _tallies(pair_counts(rows, rows[::-1], 1.0))
+    expected = [naive_pair_counts(x.tolist(), y.tolist(), 1.0) for x, y in zip(rows, rows[::-1])]
+    assert np.array_equal(np.stack(got, axis=-1), expected)
+
+
+def test_tau_b_matches_scipy_on_tied_lists():
+    # scipy is an optional, independent oracle of tau_b with ties at equality.
+    # A fully tied list makes scipy's tau NaN, where tau_b gives 0, so those are left out.
+    stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(51)
+    compared = 0
+    for n in [*range(3, 41), *range(50, 301, 25)]:
+        for levels in (2, 3, 7):
+            xs, ys = rng.integers(0, levels, size=(2, 4, n)) / levels
+            stacked = tau_b(xs, ys)
+            for x, y, tau in zip(xs, ys, stacked):
+                if np.ptp(x) == 0 or np.ptp(y) == 0:
+                    continue
+                expected = stats.kendalltau(x, y, variant="b").statistic
+                assert abs(tau - expected) <= 1e-12 and abs(tau_b(x, y) - expected) <= 1e-12, (n, levels)
+                compared += 1
+    assert compared > 500
 
 
 def test_tau_plain():
