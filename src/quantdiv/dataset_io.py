@@ -466,10 +466,9 @@ def _first_difference(value, wanted) -> tuple[str, str | None] | None:
             if found := _first_difference(value[key], wanted[key]):
                 return f".{key}{found[0]}", found[1]
     elif isinstance(value, list) and isinstance(wanted, list):
-        if any(map(_first_difference, value, wanted)):  # walked again only to find the index
-            for i, found in enumerate(map(_first_difference, value, wanted)):
-                if found:
-                    return f"[{i}]{found[0]}", found[1]
+        for i, found in enumerate(map(_first_difference, value, wanted)):
+            if found:
+                return f"[{i}]{found[0]}", found[1]
         if len(value) != len(wanted):
             return "", f"a list of length {len(value)}, the data give {len(wanted)}"
     elif isinstance(value, bool) != isinstance(wanted, bool) or value != wanted:

@@ -118,28 +118,27 @@ def _checked_member(name: str, value, kind: type | tuple[type, ...]):
 def _checked_items(name: str, items, kind: type = object) -> tuple:
     """items as a tuple of kinds (any by default); a bare str is one value, not a collection.
 
-    One isinstance pass; the items are walked again only to name the first that is not a kind.
+    The first item that is not a kind is named, in list order.
     """
     if isinstance(items, str) or not np.iterable(items):
         of_kind = "" if kind is object else f" of {kind.__name__}"
         raise OutOfRange(f"{name}s must be a collection{of_kind}, got {items!r}")
     items = tuple(items)
-    if not all(isinstance(item, kind) for item in items):
-        for item in items:
+    for item in items:
+        if not isinstance(item, kind):
             _checked_member(name, item, kind)
     return items
 
 
 def _checked_members(name: str, items, kind: type) -> tuple:
-    """_checked_items of distinct kinds, by one set; walked again only to name a repeat."""
+    """_checked_items of distinct kinds: every kind is checked first, then the first repeat is named."""
     items = _checked_items(name, items, kind)
-    if len(set(items)) != len(items):
-        seen = set()
-        for item in items:
-            if item in seen:
-                label = item.value if isinstance(item, Enum) else repr(item)
-                raise OutOfRange(f"{name} {label} is listed twice")
-            seen.add(item)
+    seen = set()
+    for item in items:
+        if item in seen:
+            label = item.value if isinstance(item, Enum) else repr(item)
+            raise OutOfRange(f"{name} {label} is listed twice")
+        seen.add(item)
     return items
 
 
@@ -181,25 +180,15 @@ def _checked_total(row: Sequence[float]) -> float:
     raise NotNormalized(f"probabilities sum to {total!r}")
 
 
-def _plain_counts(counts: Sequence) -> bool:
-    """True if every count is a plain int >= 0, which _checked_integer(..., 0) returns as it is.
-
-    The one pass a count check makes on loaded votes; only counts that fail
-    it (a bool, a numpy int, a negative or a non-integer) are walked again
-    by _checked_integer, which converts them or names the first bad one.
-    """
-    return all(type(c) is int and c >= 0 for c in counts)
-
-
 def _vote_shares(counts: Sequence[int]) -> list[float]:
     """Vote counts checked as from_votes() documents, each divided by their exact total."""
     if len(counts) < 2:
         raise TooFewClasses(f"need at least 2 classes, got {len(counts)}")
-    if not _plain_counts(counts):
-        counts = [
-            _checked_integer(f"class {i} vote count", c, 0, NegativeProbability)
-            for i, c in enumerate(counts, start=1)
-        ]
+    counts = [  # a plain int >= 0 is what _checked_integer would return
+        c if type(c) is int and c >= 0
+        else _checked_integer(f"class {i} vote count", c, 0, NegativeProbability)
+        for i, c in enumerate(counts, start=1)
+    ]
     total = sum(counts)
     if total == 0:
         raise AllZeroVotes("all vote counts are zero")
@@ -249,7 +238,7 @@ class Dataset:
         if self.votes is not None:
             rows = (_checked_items("vote count", row) for row in _checked_items("vote row", self.votes))
             votes = tuple(
-                row if _plain_counts(row) else tuple(_checked_integer("vote count", c, 0) for c in row)
+                tuple(c if type(c) is int and c >= 0 else _checked_integer("vote count", c, 0) for c in row)
                 for row in rows
             )
             object.__setattr__(self, "votes", votes)

@@ -8,6 +8,9 @@ import numpy as np
 # float64 elements together, at least one round each: 2 MB per call.
 HSD_BLOCK = 1 << 18
 
+# pair_stats lays its pair matrices out (n, n, rows) from this many rows on.
+ROWS_INNERMOST_FROM = 32
+
 
 def pair_stats(x: np.ndarray, y: np.ndarray, tie_eps: float):
     """Count (concordant, discordant, tied_x, tied_y) over index pairs i < j.
@@ -25,21 +28,24 @@ def pair_stats(x: np.ndarray, y: np.ndarray, tie_eps: float):
     count(differ) = untied_x + untied_y - 2 conc; where above_x holds,
     differ.T is above_y.T, so disc = count(above_x & differ.T).
 
-    The matrices are (n, n, rows) when rows >= n, from a transposed copy of
-    each list, so that numpy's inner loops run over the contiguous rows, and
-    (rows, n, n) otherwise; the counts do not depend on the layout. Both are
-    one allocation, which glibc's malloc keeps for the next call instead of
-    returning it to the system: that spares the split-half trials most of
-    their page faults. differ and the AND overwrite them; beyond their two
-    n x n booleans per row, the temporaries are a float64 copy of one list
-    at a time for (n, n, rows), and one list's n x n float differences per
-    row when tie_eps > 0.
+    The matrices are (n, n, rows) from ROWS_INNERMOST_FROM rows on, from a
+    transposed copy of each list, so that numpy's inner loops run over the
+    contiguous rows, and (rows, n, n) below it. The number of rows alone
+    picks the layout, whatever n: scripts/pair_layout_sweep.py times both
+    layouts over a grid of shapes, and the counts do not depend on the
+    layout. Both are one allocation, which glibc's malloc keeps for the next
+    call instead of returning it to the system: that spares the split-half
+    trials most of their page faults. differ and the AND overwrite them;
+    beyond their two n x n booleans per row, the temporaries are a float64
+    copy of one list at a time for (n, n, rows), and one list's n x n float
+    differences per row when tie_eps > 0.
     """
     rows, n = x.shape
-    pair = (0, 1) if rows >= n else (1, 2)
-    above_x, above_y = np.empty((2, n, n, rows) if rows >= n else (2, rows, n, n), dtype=bool)
+    innermost = rows >= ROWS_INNERMOST_FROM
+    pair = (0, 1) if innermost else (1, 2)
+    above_x, above_y = np.empty((2, n, n, rows) if innermost else (2, rows, n, n), dtype=bool)
     for v, out in ((x, above_x), (y, above_y)):
-        v_i = v.T.copy()[:, None] if rows >= n else v[:, :, None]  # item i on the first pair axis
+        v_i = v.T.copy()[:, None] if innermost else v[:, :, None]  # item i on the first pair axis
         v_j = np.swapaxes(v_i, *pair)
         if tie_eps:
             with np.errstate(over="ignore"):  # a gap past the float range is +-inf, compared right

@@ -513,7 +513,7 @@ def consistency_per_trial(
     at a time: one running sum per block and one tau call for the whole block.
     The grid returned is owned and read-only, so a ConsistencyReport keeps it.
     """
-    grids = [_checked_array("score grid", grid) for grid in grids]
+    grids = [_checked_array("score grid", grid, -math.inf, math.inf) for grid in grids]
     if not grids:
         raise TooFewMeasures("need at least 1 measure")
     if grids[0].ndim != 2 or any(grid.shape != grids[0].shape for grid in grids):

@@ -607,6 +607,7 @@ def test_dataset_and_run_check_their_shapes_when_built():
         dataclasses.replace(pair, case_ids=("a", "a"))
     for changes, error, message in (
         ({"case_ids": ("a", 2)}, OutOfRange, "case id 2 is not a str"),
+        ({"case_ids": ("a", "a", 2)}, OutOfRange, "case id 2 is not a str"),
         ({"class_labels": ("x", "x")}, OutOfRange, "class label 'x' is listed twice"),
         ({"class_labels": ("x", None)}, OutOfRange, "class label None is not a str"),
         ({"class_labels": ("x",), "gold": [[1.0], [1.0]]}, TooFewClasses, "got 1"),
@@ -628,6 +629,7 @@ def test_dataset_and_run_check_their_shapes_when_built():
     loose = dataclasses.replace(pair, gold=[[2.0, -1.0], [0.0, 0.0]], votes=[[np.int64(1), 1], [0, 3]])
     assert loose.gold.tolist() == [[2.0, -1.0], [0.0, 0.0]]
     assert _types(loose.votes) == (tuple, [(tuple, [int, int])] * 2)
+    assert loose.votes == dataclasses.replace(loose, votes=[[1, 1], [0, 3]]).votes == ((1, 1), (0, 3))
     assert SystemRun("s1", [[2.0, -1.0]]).est.shape == (1, 2)
 
 
@@ -997,6 +999,13 @@ def test_read_report_quotes_lists_at_their_first_difference(tmp_path, reports):
     message = str(err.value)
     assert message == f"report key 'payload.pairs[0].first' is {pairs[-1]['first']!r}, the data give 'NMD'"
     assert len(message) < 300
+    # Pairs 3 and 4 swapped: they share their first measure, so the second is quoted.
+    swapped = [*pairs[:3], pairs[4], pairs[3], *pairs[5:]]
+    edited = {**doc, "payload": {**doc["payload"], "pairs": swapped}}
+    with pytest.raises(ParseError) as err:
+        read_report(write(tmp_path, "r.json", json.dumps(edited)))
+    got, wanted = pairs[4]["second"], pairs[3]["second"]
+    assert str(err.value) == f"report key 'payload.pairs[3].second' is {got!r}, the data give {wanted!r}"
     # One list a prefix of the other: the two lengths.
     doc = json.loads(render_report(reports[2], "json"))
     doc["payload"]["mean_tau"] = doc["payload"]["mean_tau"][:1]

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -84,6 +85,9 @@ def test_from_votes_unanimous():
 
 def test_from_votes_simple_split():
     assert from_votes((3, 1)).tolist() == [0.75, 0.25]
+    # numpy integers count as the Python ints they equal, also where their own int64 sum would overflow.
+    assert from_votes((np.int64(3), np.uint8(1))).tolist() == [0.75, 0.25]
+    assert from_votes((np.int64(2**62),) * 3).tolist() == from_votes((2**62,) * 3).tolist()
 
 
 def test_from_votes_scale_invariant():
@@ -97,10 +101,15 @@ def test_from_votes_all_zero():
 
 
 def test_from_votes_negative_and_fractional():
-    with pytest.raises(NegativeProbability):
-        from_votes((3, -1))
-    with pytest.raises(NegativeProbability):
-        from_votes((2.5, 1))
+    # The first count that is not an integer >= 0 is named by its class.
+    for counts, message in (
+        ((3, -1), "class 2 vote count must be an integer >= 0, got -1"),
+        ((2.5, 1), "class 1 vote count must be an integer >= 0, got 2.5"),
+        ((1, 2, True), "class 3 vote count must be an integer >= 0, got True"),
+        ((1, np.int64(-2), -1), f"class 2 vote count must be an integer >= 0, got {np.int64(-2)!r}"),
+    ):
+        with pytest.raises(NegativeProbability, match=f"^{re.escape(message)}$"):
+            from_votes(counts)
 
 
 def test_from_votes_single_class():

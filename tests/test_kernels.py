@@ -20,9 +20,9 @@ def _matches_naive(xs, ys, eps):
     return np.array_equal(np.stack(got, axis=-1), expected)
 
 
-# 2-D blocks where rows >= n, whose matrices are (n, n, rows): the DNKT
-# block of the score-wide shape (250 cases, 11 classes) and a split-half
-# block of 113 trials of 3 measures and 40 systems.
+# Blocks of kernels.ROWS_INNERMOST_FROM rows or more, whose matrices are
+# (n, n, rows): the DNKT block of the score-wide shape (250 cases, 11
+# classes) and a split-half block of 113 trials of 3 measures and 40 systems.
 ROWS_INNERMOST = [(250, 11), (339, 40)]
 
 
@@ -35,8 +35,10 @@ def test_pair_stats_matches_naive():
         for eps in (0.0, 0.05):
             assert _matches_naive(xs, ys, eps), (n, eps)
     # (n, n, rows) matrices for the split-half blocks of the consistency-trials
-    # benchmark and of the bundled data; few rows of many items keep (rows, n, n).
-    for shape in [(282, 40), (2004, 12), (3, 400)]:
+    # benchmark and of the bundled data, and for a 100-system run's 63-row
+    # blocks; few rows of many items keep (rows, n, n).
+    assert kernels.ROWS_INNERMOST_FROM <= 63
+    for shape in [(282, 40), (2004, 12), (63, 100), (3, 400)]:
         assert _matches_naive(tie_heavy(rng, shape), tie_heavy(rng, shape), 0.0), shape
     # Tolerant ties on (n, n, rows), on values rounded to multiples of the tolerances.
     for shape in ROWS_INNERMOST:
@@ -48,9 +50,12 @@ def test_pair_stats_matches_naive():
 @pytest.mark.parametrize("eps", [0.0, BIN_TIE_EPS, 0.05])
 def test_pair_stats_matches_naive_at_tie_edges(eps):
     rng = np.random.default_rng(47)
-    # Six rows: (n, n, rows) matrices up to n = 6, (rows, n, n) beyond.
-    for n in range(2, 61):
-        assert _matches_naive(edge_values(rng, (6, n), eps), edge_values(rng, (6, n), eps), eps), n
+    # Six rows take (rows, n, n) matrices and 32 rows (n, n, rows), whatever n.
+    assert 6 < kernels.ROWS_INNERMOST_FROM <= 32
+    for rows in (6, 32):
+        for n in range(2, 61):
+            xs, ys = edge_values(rng, (rows, n), eps), edge_values(rng, (rows, n), eps)
+            assert _matches_naive(xs, ys, eps), (rows, n)
     for shape in ROWS_INNERMOST:
         assert _matches_naive(edge_values(rng, shape, eps), edge_values(rng, shape, eps), eps), shape
 
@@ -65,18 +70,22 @@ def test_pair_stats_edge_values_hit_the_tie_boundary():
 @pytest.mark.parametrize("n", [362, 363, 400])
 def test_pair_stats_counts_past_uint16(n):
     # n (n - 1) / 2 exceeds 65535 from n = 363 on: every pair is concordant
-    # in one row and discordant in the other, in the kernel and through
-    # pair_counts of a stack of one list against a stack.
+    # in one row and discordant in the next, in the kernel and through
+    # pair_counts, on 2 rows, whose matrices are (rows, n, n), and on 32,
+    # whose (n, n, rows) matrices are summed down their columns first.
+    assert 2 < kernels.ROWS_INNERMOST_FROM <= 32
     xs = np.arange(n, dtype=np.float64)
-    ys = np.stack([xs, -xs])
     pairs = n * (n - 1) // 2
-    through_api = pair_counts(np.stack([xs, xs])[None], ys[None])
-    for conc, disc, tied_x, tied_y in (
-        kernels.pair_stats(np.stack([xs, xs]), ys, 0.0),
-        (through_api.conc, through_api.disc, through_api.tied_x, through_api.tied_y),
-    ):
-        assert np.ravel(conc).tolist() == [pairs, 0] and np.ravel(disc).tolist() == [0, pairs]
-        assert np.all(tied_x == 0) and np.ravel(tied_y).tolist() == [0, 0]
+    for rows in (2, 32):
+        x_rows, y_rows = np.stack([xs] * rows), np.stack([xs, -xs] * (rows // 2))
+        through_api = pair_counts(x_rows[None], y_rows[None])
+        for conc, disc, tied_x, tied_y in (
+            kernels.pair_stats(x_rows, y_rows, 0.0),
+            (through_api.conc, through_api.disc, through_api.tied_x, through_api.tied_y),
+        ):
+            assert np.ravel(conc).tolist() == [pairs, 0] * (rows // 2)
+            assert np.ravel(disc).tolist() == [0, pairs] * (rows // 2)
+            assert np.all(tied_x == 0) and np.all(tied_y == 0)
 
 
 @pytest.mark.parametrize("n", [256, 257, 400])

@@ -315,6 +315,8 @@ def test_agreement_errors(monkeypatch):
         ([MeasureId.NVD, MeasureId.NVD], "measure NVD is listed twice"),
         ([MeasureId.NVD, MeasureId.RNSS, MeasureId.NVD], "measure NVD is listed twice"),
         (["NMD", "NVD"], "measure 'NMD' is not a MeasureId"),
+        # Kinds are checked before repeats: the repeat comes first, the wrong kind is named.
+        ([MeasureId.NVD, MeasureId.NVD, "NMD"], "measure 'NMD' is not a MeasureId"),
     ):
         with pytest.raises(OutOfRange, match=message):
             agreement(ds, runs, measures)
@@ -489,6 +491,20 @@ def test_consistency_per_trial_errors():
             consistency_per_trial(ok, FixedSize(10), B=5, seed=1, threads=threads)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_consistency_per_trial_refuses_a_non_finite_score_before_any_trial(bad):
+    # One case of a 3 x 40 grid holds a non-finite score. Checked only by the
+    # tau of a trial that drew that case, it passed whenever no trial did, as
+    # FixedSize(2) trials mostly do; it is refused whatever the seed, mode and threads.
+    grid = np.random.default_rng(60).random((3, 40))
+    grid[1, 17] = bad
+    for seed in range(20):
+        for mode in (FixedSize(2), FullSplit()):
+            for threads in (1, 2):
+                with pytest.raises(OutOfRange, match=r"^score grid must be numbers in \(-inf, inf\)$"):
+                    consistency_per_trial([grid, grid], mode, B=3, seed=seed, threads=threads)
+
+
 def test_consistency_per_trial_takes_any_iterable_of_grids():
     # A 3-D array iterates as its grids, so it, a list of grids and a
     # one-shot iterator give the same bits. No grid at all is refused before
@@ -519,14 +535,17 @@ def test_consistency_per_trial_memory_counts_the_permutations():
     assert peak < 2 * meta_eval.TRIAL_BLOCK
 
 
-@pytest.mark.parametrize("shape, B", [((12, 12, 300), 1000), ((3, 40, 200), 2000), ((3, 400, 60), 3)])
+@pytest.mark.parametrize(
+    "shape, B", [((12, 12, 300), 1000), ((3, 40, 200), 2000), ((3, 400, 60), 3), ((3, 100, 60), 400)]
+)
 def test_consistency_per_trial_block_stays_within_its_byte_budget(shape, B):
-    # The bundled data's shape and the consistency-trials benchmark's, whose
-    # blocks lay the pair matrices out (n, n, rows), and many systems, whose
-    # one-trial blocks keep (rows, n, n). The output, the seed words and the
-    # case-major copy of the scores live through the whole call; beyond them
-    # the peak is one block's temporaries, within TRIAL_BLOCK bytes, plus a
-    # few small Python objects.
+    # The bundled data's shape, the consistency-trials benchmark's and 100
+    # systems (63-row blocks), whose blocks of kernels.ROWS_INNERMOST_FROM
+    # rows or more lay the pair matrices out (n, n, rows), and many systems,
+    # whose blocks of a few trials keep (rows, n, n). The output, the seed
+    # words and the case-major copy of the scores live through the whole
+    # call; beyond them the peak is one block's temporaries, within
+    # TRIAL_BLOCK bytes, plus a few small Python objects.
     n_measures, n_systems, n_cases = shape
     stacked = np.random.default_rng(58).random(shape)
     tracemalloc.start()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from _helpers import edge_values, naive_pair_counts, naive_tau_b, tie_heavy, tied_lists
+from quantdiv import kernels
 from quantdiv.errors import LengthMismatch, OutOfRange, TooShort
 from quantdiv.measures import BIN_TIE_EPS
 from quantdiv.rank_correlation import (
@@ -110,10 +111,11 @@ def _tallies(c: PairCounts):
     return c.conc, c.disc, c.tied_x, c.tied_y
 
 
-def _sign_pair_counts(xs, ys):
-    # Exact-tie counts from the signs of the differences over pairs i < j.
+def _sign_pair_counts(xs, ys, eps=0.0):
+    # Counts from the signs of the differences over pairs i < j; a gap of at most eps is a tie.
     i, j = np.triu_indices(xs.shape[-1], 1)
-    sx, sy = np.sign(xs[..., i] - xs[..., j]), np.sign(ys[..., i] - ys[..., j])
+    dx, dy = xs[..., i] - xs[..., j], ys[..., i] - ys[..., j]
+    sx, sy = np.sign(dx) * (np.abs(dx) > eps), np.sign(dy) * (np.abs(dy) > eps)
     product = sx * sy
     return (product > 0).sum(-1), (product < 0).sum(-1), (sx == 0).sum(-1), (sy == 0).sum(-1)
 
@@ -129,20 +131,24 @@ def test_pair_counts_tallies_stacked_rows_independently():
             for j in range(4):
                 expected = naive_pair_counts(list(xs[i, j]), list(ys[i, j]), eps)
                 assert tuple(int(count[i, j]) for count in got) == expected
-    # 12 rows: (n, n, rows) matrices up to n = 12, (rows, n, n) beyond;
-    # every n up to 40, then every 12th, to keep the oracle quick.
-    for n in [*range(2, 41), *range(48, 301, 12)]:
-        xs, ys = tie_heavy(rng, (3, 4, n)), tie_heavy(rng, (3, 4, n))
-        got = _tallies(pair_counts(xs, ys))
-        assert [count.shape for count in got] == [(3, 4)] * 4
-        assert all(map(np.array_equal, got, _sign_pair_counts(xs, ys))), n
+    # 12 rows take (rows, n, n) matrices and 32 rows (n, n, rows), whatever n;
+    # every n up to 40, then every 12th, to keep the oracle quick. Values a
+    # multiple of 0.25 apart: with tie_eps 0.25, a gap of one step is a tie.
+    assert 12 < kernels.ROWS_INNERMOST_FROM <= 32
+    for stack in ((3, 4), (8, 4)):
+        for n in [*range(2, 41), *range(48, 301, 12)]:
+            xs, ys = tie_heavy(rng, (*stack, n)), tie_heavy(rng, (*stack, n))
+            for eps in (0.0, 0.25):
+                got = _tallies(pair_counts(xs, ys, eps))
+                assert [count.shape for count in got] == [stack] * 4
+                assert all(map(np.array_equal, got, _sign_pair_counts(xs, ys, eps))), (stack, n, eps)
     # One list broadcast against stacked rows, as the batch DNKT passes its
     # gold: a read-only view, in either layout, counted as one list per row.
-    for n in (5, 30):
-        flat, stacked = tie_heavy(rng, n), tie_heavy(rng, (3, 4, n))
+    for stack, n in (((3, 4), 5), ((8, 4), 30)):
+        flat, stacked = tie_heavy(rng, n), tie_heavy(rng, (*stack, n))
         for xs, ys in (np.broadcast_arrays(flat, stacked), np.broadcast_arrays(stacked, flat)):
             got = _tallies(pair_counts(xs, ys))
-            assert [count.shape for count in got] == [(3, 4)] * 4
+            assert [count.shape for count in got] == [stack] * 4
             assert all(map(np.array_equal, got, _sign_pair_counts(xs, ys)))
             alone = pair_counts(flat, flat).tied_x
             assert np.all(got[2] == alone) if xs.strides[0] == 0 else np.all(got[3] == alone)
@@ -174,8 +180,9 @@ def test_tolerant_ties_of_gaps_past_the_float_range():
     xs, ys = [1e308, -1e308, 0.0, 1e308], [1.0, 2.0, 3.0, 1.5]
     assert pair_counts(xs, ys, 1.0) == PairCounts(*naive_pair_counts(xs, ys, 1.0), n=4)
     assert tau_b(xs, ys, 1.0) == naive_tau_b(xs, ys, 1.0)
-    # Stacked rows, whose matrices are (n, n, rows).
-    rows = np.array([xs, xs[::-1], ys, [-1e308, 1e308, -1e308, 1e308], ys, xs])
+    # 36 stacked rows, whose matrices are (n, n, rows).
+    assert kernels.ROWS_INNERMOST_FROM <= 36
+    rows = np.tile([xs, xs[::-1], ys, [-1e308, 1e308, -1e308, 1e308], ys, xs], (6, 1))
     got = _tallies(pair_counts(rows, rows[::-1], 1.0))
     expected = [naive_pair_counts(x.tolist(), y.tolist(), 1.0) for x, y in zip(rows, rows[::-1])]
     assert np.array_equal(np.stack(got, axis=-1), expected)
